@@ -4,18 +4,18 @@ Everything computes over unbounded integers and exact rationals: the two
 Stirling triangles and the sequences built from them, the classical
 polynomial families, truncated exponential generating functions, the
 Stirling and binomial transforms, a registry of mechanically verified
-identities, and a small expression language with a command line.
+identities, and a small expression language.  The command line lives in
+``stirlingkit.cli`` (``main`` and the console entry point ``run``) and is
+not imported here.
 """
 
 from .exact import (
-    Rational,
     binomial,
     binomial_rational,
     factorial,
     format_rational,
     int_pow,
     parse_rational,
-    rat_arith,
 )
 from .seq import IndexedValue, SeqContext
 from .poly import (
@@ -35,10 +35,8 @@ from .egf import (
     OrderMismatchError,
     dilog_series,
     egf_compose,
-    egf_coeffs,
     egf_derivative,
     egf_elementary,
-    egf_from_sequence,
     egf_integrate,
     egf_mul,
     egf_reciprocal,
@@ -47,7 +45,6 @@ from .egf import (
     expm1_series,
     from_ordinary,
     geom_series,
-    geometric_coeffs,
     log1p_series,
     log_substitution,
     monomial_series,
@@ -71,19 +68,16 @@ from .identities import (
     run_all,
 )
 from .expr import Env, EvalError, ExprError, ParseError, evaluate, parse, to_source
-from .cli import main
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational",
     "binomial",
     "binomial_rational",
     "factorial",
     "format_rational",
     "int_pow",
     "parse_rational",
-    "rat_arith",
     "IndexedValue",
     "SeqContext",
     "ONE",
@@ -100,10 +94,8 @@ __all__ = [
     "OrderMismatchError",
     "dilog_series",
     "egf_compose",
-    "egf_coeffs",
     "egf_derivative",
     "egf_elementary",
-    "egf_from_sequence",
     "egf_integrate",
     "egf_mul",
     "egf_reciprocal",
@@ -112,7 +104,6 @@ __all__ = [
     "expm1_series",
     "from_ordinary",
     "geom_series",
-    "geometric_coeffs",
     "log1p_series",
     "log_substitution",
     "monomial_series",
@@ -137,6 +128,5 @@ __all__ = [
     "evaluate",
     "parse",
     "to_source",
-    "main",
     "__version__",
 ]

@@ -16,8 +16,8 @@ from . import egf as egf_mod
 from .exact import format_rational, parse_rational
 from .expr import Env, ExprError, evaluate, parse
 from .identities import IdentityReport, check_identity, list_identities, run_all
-from .poly import Poly, bernoulli_poly, binom_poly, euler_poly, exp_poly, geom_poly
-from .seq import IndexedValue, SeqContext
+from .poly import bernoulli_poly, binom_poly, euler_poly, exp_poly, geom_poly
+from .seq import FAMILIES, IndexedValue, context
 from .transform import (
     binomial_transform,
     stirling_inverse,
@@ -106,39 +106,37 @@ def _emit_reports(reports: list[IdentityReport], fmt: str) -> str:
 
 # -- subcommand implementations --------------------------------------
 
-_SEQ_FAMILIES = {
-    "bell": lambda ctx, i, p: ctx.bell(i),
-    "fubini": lambda ctx, i, p: ctx.fubini(i),
-    "derangement": lambda ctx, i, p: ctx.derangement(i),
-    "harmonic": lambda ctx, i, p: ctx.harmonic(i),
-    "hyperharmonic": lambda ctx, i, p: ctx.hyperharmonic(p, i),
-    "bernoulli": lambda ctx, i, p: ctx.bernoulli(i),
-    "bernoulli-plus": lambda ctx, i, p: ctx.bernoulli_plus(i),
-    "euler": lambda ctx, i, p: ctx.euler_number(i),
-    "factorial": lambda ctx, i, p: ctx.factorial(i),
-    "power-sum": lambda ctx, i, p: ctx.power_sum(p, i),
-    "moment": lambda ctx, i, p: ctx.moment(i, p),
-}
+_SEQ_BY_NAME = {family.cli_name: family for family in FAMILIES}
 
 _POLY_FAMILIES = {
-    "exponential": lambda ctx, n: exp_poly(n),
-    "geometric": lambda ctx, n: geom_poly(n, ctx),
-    "bernoulli": lambda ctx, n: bernoulli_poly(n, ctx),
-    "euler": lambda ctx, n: euler_poly(n),
-    "binomial": lambda ctx, n: binom_poly(n),
+    "exponential": exp_poly,
+    "geometric": geom_poly,
+    "bernoulli": bernoulli_poly,
+    "euler": euler_poly,
+    "binomial": binom_poly,
 }
+
+
+def _check_n(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"--n must be nonnegative, got {n}")
 
 
 def _cmd_seq(args) -> int:
-    ctx = SeqContext()
-    family = _SEQ_FAMILIES[args.family]
-    values = [format_rational(family(ctx, i, args.p)) for i in range(args.n + 1)]
+    _check_n(args.n)
+    ctx = context()
+    family = _SEQ_BY_NAME[args.family]
+    values = [
+        format_rational(family(ctx, *(i if name == "n" else args.p for name in family.params)))
+        for i in range(args.n + 1)
+    ]
     print(emit(values, args.format))
     return 0
 
 
 def _cmd_triangle(args) -> int:
-    ctx = SeqContext()
+    _check_n(args.n)
+    ctx = context()
     entry = ctx.stirling2 if args.triangle == "stirling2" else ctx.stirling1
     rows = [
         IndexedValue(n, entry(n, k), k=k).as_row()
@@ -150,8 +148,7 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    ctx = SeqContext()
-    p = _POLY_FAMILIES[args.family](ctx, args.n)
+    p = _POLY_FAMILIES[args.family](args.n)
     if args.format == "json":
         print(_dumps(p.to_json()))
     elif args.format == "csv":
@@ -183,6 +180,17 @@ def _cmd_series(args) -> int:
     return 0
 
 
+def _input_rational(item) -> Fraction:
+    """A transform input entry: a rational string or a JSON integer.
+    Booleans and floats are refused, since JSON gives them no exact
+    rational meaning here."""
+    if isinstance(item, str):
+        return parse_rational(item)
+    if isinstance(item, int) and not isinstance(item, bool):
+        return Fraction(item)
+    raise ValueError(f"input entries must be rational strings or integers, got {json.dumps(item)}")
+
+
 def _cmd_transform(args) -> int:
     if args.input is None:
         raw = sys.stdin.read()
@@ -192,30 +200,26 @@ def _cmd_transform(args) -> int:
     items = json.loads(raw)
     if not isinstance(items, list):
         raise ValueError("input must be a JSON array of rational strings")
-    seq = [parse_rational(s) if isinstance(s, str) else Fraction(s) for s in items]
-    ctx = SeqContext()
+    seq = [_input_rational(item) for item in items]
     if args.kind == "stirling":
-        out = stirling_transform(seq, ctx)
+        out = stirling_transform(seq)
     elif args.kind == "inv-stirling":
-        out = stirling_inverse(seq, ctx)
+        out = stirling_inverse(seq)
     elif args.kind == "binomial":
         out = binomial_transform(seq)
     elif args.kind == "alt-binomial":
         out = binomial_transform(seq, alternating=True)
     else:
-        out = weighted_stirling_transform(seq, args.lam, args.mu, kind=args.weighted_kind, ctx=ctx)
+        out = weighted_stirling_transform(seq, args.lam, args.mu, kind=args.weighted_kind)
     print(emit([format_rational(v) for v in out], args.format))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    ctx = SeqContext()
     if args.all:
-        reports = run_all(max_n=args.max_n, series_order=args.order, eps=args.eps, ctx=ctx)
+        reports = run_all(max_n=args.max_n, series_order=args.order, eps=args.eps)
     else:
-        reports = [
-            check_identity(args.id, ctx=ctx, max_n=args.max_n, order=args.order, eps=args.eps)
-        ]
+        reports = [check_identity(args.id, max_n=args.max_n, order=args.order, eps=args.eps)]
     print(emit(reports, args.format))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -261,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("seq", help="print a named sequence from index 0 to n")
-    p.add_argument("family", choices=sorted(_SEQ_FAMILIES))
+    p.add_argument("family", choices=sorted(_SEQ_BY_NAME))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, default=1, help="order or exponent for families that take one")
     _add_format(p)

@@ -10,7 +10,8 @@ where plain Cauchy convolution is the natural tool; conversion in both
 directions is exact.
 
 The two substitution routines at the bottom are the load-bearing piece:
-each one computes the same sequence twice, once as triangle-weighted sums
+each one computes the same sequence twice, once as the weighted Stirling
+transform
 
     out_n = sum_k S(n, k) lam^(n-k) mu^k a_k      (exponential inner)
     out_n = sum_k s(n, k) lam^(n-k) mu^k a_k      (logarithmic inner)
@@ -25,6 +26,7 @@ from fractions import Fraction
 
 from .exact import binomial, factorial, int_pow
 from .seq import SeqContext
+from .transform import weighted_stirling_transform
 
 
 class OrderMismatchError(ValueError):
@@ -80,15 +82,6 @@ def _check_orders(f: Egf, g: Egf) -> None:
         raise OrderMismatchError(f"orders differ: {f.order} vs {g.order}")
 
 
-def egf_from_sequence(seq) -> Egf:
-    """Wrap a_0..a_N as an order-N truncation."""
-    return Egf(seq)
-
-
-def egf_coeffs(f: Egf) -> tuple[Fraction, ...]:
-    return f.coeffs
-
-
 def to_ordinary(f: Egf) -> tuple[Fraction, ...]:
     """Ordinary power-series coefficients c_n = a_n / n!."""
     return tuple(a / factorial(n) for n, a in enumerate(f.coeffs))
@@ -111,12 +104,6 @@ def ordinary_mul(a, b) -> list[Fraction]:
         for j in range(size - i):
             out[i + j] += ai * b[j]
     return out
-
-
-def geometric_coeffs(lam, order: int) -> list[Fraction]:
-    """Ordinary coefficients of 1/(1 - lam t): [1, lam, lam^2, ...]."""
-    lam = Fraction(lam)
-    return [int_pow(lam, n) for n in range(order + 1)]
 
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
@@ -265,54 +252,33 @@ def egf_elementary(kind: str, order: int, *, x=None, c=None, m=None) -> Egf:
 # -- substitution, both routes ---------------------------------------
 
 
-def stirling_substitution(f: Egf, lam, mu, ctx: SeqContext | None = None) -> list[Fraction]:
-    """Coefficients of f((mu/lam)(e^(lam t) - 1)).
+def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fraction]:
+    """The dual-route engine behind both substitutions.
 
-    Computed twice: as second-kind-triangle weighted sums and by literal
-    composition.  A disagreement means a defect in one engine, so it
-    raises rather than returning either answer.
+    The direct route is the weighted Stirling transform of f's
+    coefficients over the ``kind`` triangle; the composed route is f
+    composed with (mu/lam)(e^(lam t) - 1) for kind "second" or with
+    (mu/lam)log(1 + lam t) for kind "first".  A disagreement means a
+    defect in one engine, so it raises rather than returning either
+    answer.
     """
     lam = Fraction(lam)
     mu = Fraction(mu)
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    if ctx is None:
-        ctx = SeqContext()
-    n = f.order
-    direct = [
-        sum(
-            (ctx.stirling2(i, k) * int_pow(lam, i - k) * int_pow(mu, k) * f.coeffs[k] for k in range(i + 1)),
-            Fraction(0),
-        )
-        for i in range(n + 1)
-    ]
-    ratio = mu / lam
-    inner = Egf(Fraction(0) if i == 0 else ratio * int_pow(lam, i) for i in range(n + 1))
-    composed = egf_compose(f, inner).coeffs
+    direct = weighted_stirling_transform(f.coeffs, lam, mu, kind, ctx)
+    inner = (expm1_series if kind == "second" else log1p_series)(f.order, lam)
+    composed = egf_compose(f, inner.scale(mu / lam)).coeffs
     if list(composed) != direct:
         raise ArithmeticError("substitution routes disagree; engine defect")
     return direct
+
+
+def stirling_substitution(f: Egf, lam, mu, ctx: SeqContext | None = None) -> list[Fraction]:
+    """Coefficients of f((mu/lam)(e^(lam t) - 1)), computed by both routes."""
+    return _substitution(f, lam, mu, "second", ctx)
 
 
 def log_substitution(f: Egf, lam, mu, ctx: SeqContext | None = None) -> list[Fraction]:
-    """Coefficients of f((mu/lam)log(1 + lam t)), dual-route like
-    :func:`stirling_substitution` but with the first-kind triangle."""
-    lam = Fraction(lam)
-    mu = Fraction(mu)
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    if ctx is None:
-        ctx = SeqContext()
-    n = f.order
-    direct = [
-        sum(
-            (ctx.stirling1(i, k) * int_pow(lam, i - k) * int_pow(mu, k) * f.coeffs[k] for k in range(i + 1)),
-            Fraction(0),
-        )
-        for i in range(n + 1)
-    ]
-    inner = log1p_series(n, lam).scale(mu / lam)
-    composed = egf_compose(f, inner).coeffs
-    if list(composed) != direct:
-        raise ArithmeticError("substitution routes disagree; engine defect")
-    return direct
+    """Coefficients of f((mu/lam)log(1 + lam t)), computed by both routes."""
+    return _substitution(f, lam, mu, "first", ctx)

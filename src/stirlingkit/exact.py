@@ -9,34 +9,11 @@ value equality is structural equality.  The wire format is the string
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
-_ARITH = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
-
 # Integer, or integer slash unsigned integer.  No whitespace, no floats.
 _RATIONAL_FORM = re.compile(r"[+-]?\d+(?:/(\d+))?\Z")
-
-
-def rat_arith(a: Fraction | int, b: Fraction | int, op: str) -> Fraction:
-    """Apply one of "add", "sub", "mul", "div" exactly.
-
-    Division by zero raises ZeroDivisionError; an unknown op name raises
-    ValueError.
-    """
-    try:
-        fn = _ARITH[op]
-    except KeyError:
-        raise ValueError(f"unknown arithmetic op {op!r}") from None
-    return fn(Fraction(a), Fraction(b))
 
 
 def factorial(n: int) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import binomial, int_pow
-from .seq import SeqContext
+from .seq import FAMILIES, SeqContext, context
 
 SUM_TERM_CAP = 1_000_000
 
@@ -112,14 +112,6 @@ def tokenize(src: str) -> list[Token]:
 @dataclass(frozen=True)
 class IntLit:
     value: int
-
-
-@dataclass(frozen=True)
-class RatLit:
-    """Programmatic rational literal; the grammar itself never produces
-    one (rationals arise from division)."""
-
-    value: Fraction
 
 
 @dataclass(frozen=True)
@@ -263,24 +255,16 @@ class Env:
     """Variable bindings plus the sequence context builtins draw from."""
 
     bindings: dict[str, Fraction] = field(default_factory=dict)
-    ctx: SeqContext = field(default_factory=SeqContext)
+    ctx: SeqContext = field(default_factory=context)
 
 
+# (arity, function of ctx and the arguments) by name: the triangles and
+# binomials here, then every sequence family of seq.FAMILIES.
 _BUILTINS = {
     "S": (2, lambda ctx, n, k: ctx.stirling2(n, k)),
     "s": (2, lambda ctx, n, k: ctx.stirling1(n, k)),
     "C": (2, lambda ctx, n, k: binomial(n, k)),
-    "fact": (1, lambda ctx, n: ctx.factorial(n)),
-    "H": (1, lambda ctx, n: ctx.harmonic(n)),
-    "h": (2, lambda ctx, p, n: ctx.hyperharmonic(p, n)),
-    "B": (1, lambda ctx, n: ctx.bernoulli(n)),
-    "Bplus": (1, lambda ctx, n: ctx.bernoulli_plus(n)),
-    "E": (1, lambda ctx, n: ctx.euler_number(n)),
-    "D": (1, lambda ctx, n: ctx.derangement(n)),
-    "bell": (1, lambda ctx, n: ctx.bell(n)),
-    "fubini": (1, lambda ctx, n: ctx.fubini(n)),
-    "M": (2, lambda ctx, n, p: ctx.moment(n, p)),
-    "powsum": (2, lambda ctx, p, n: ctx.power_sum(p, n)),
+    **{family.expr_name: (len(family.params), family) for family in FAMILIES},
 }
 
 
@@ -304,8 +288,6 @@ def evaluate(node, env: Env | None = None) -> Fraction:
 
 def _eval(node, env: Env) -> Fraction:
     if isinstance(node, IntLit):
-        return Fraction(node.value)
-    if isinstance(node, RatLit):
         return Fraction(node.value)
     if isinstance(node, Var):
         try:
@@ -393,8 +375,6 @@ def _render(node, min_level: int) -> str:
 
 def _render_raw(node) -> str:
     if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, RatLit):
         return str(node.value)
     if isinstance(node, Var):
         return node.name

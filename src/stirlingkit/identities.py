@@ -38,7 +38,7 @@ from .egf import (
 )
 from .exact import binomial, binomial_rational, format_rational, int_pow
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_poly, euler_poly, exp_poly, geom_poly, xd_apply
-from .seq import SeqContext
+from .seq import SeqContext, context
 
 DEFAULT_SERIES_ORDER = 12
 DEFAULT_EPS = Fraction(1, 10**12)
@@ -357,71 +357,46 @@ def _chk_p9(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"p": p}, lhs, egf_mul(minus_exp, sums))
 
 
+def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=False):
+    """Reciprocal-index partition sums against Bernoulli-weighted convolutions.
+
+    The left side is sum_k S(n, k) x^k / k^depth.  The right side applies
+    depth times the convolution  g -> (1/n) sum_{k>=1} C(n, k) b_{n-k} g_k
+    to the exponential polynomials phi_k, with b the given Bernoulli
+    convention, and adds phi_{n-1} when ``previous`` is set.  The
+    polynomial form runs for n <= 12; the scalar form, at x = 1 with Bell
+    numbers for phi, runs over the whole range.
+    """
+    forms = (
+        ("polynomial", min(n_hi, 12), exp_poly, ZERO,
+         lambda n: Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k), k**depth) for k in range(1, n + 1)])),
+        ("scalar", n_hi, ctx.bell, Fraction(0),
+         lambda n: sum((Fraction(ctx.stirling2(n, k), k**depth) for k in range(1, n + 1)), Fraction(0))),
+    )
+    for form, hi, phi, zero, partition_sum in forms:
+
+        def convolve(n: int, level: int):
+            inner = phi if level == 1 else (lambda k: convolve(k, level - 1))
+            acc = sum((binomial(n, k) * bernoulli(n - k) * inner(k) for k in range(1, n + 1)), zero)
+            return Fraction(1, n) * acc
+
+        for n in range(n_lo, hi + 1):
+            rhs = convolve(n, depth)
+            if previous:
+                rhs = phi(n - 1) + rhs
+            run.check({"n": n, "form": form}, partition_sum(n), rhs)
+
+
 def _chk_c10(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    poly_hi = min(n_hi, 12)
-    for n in range(n_lo, poly_hi + 1):
-        lhs = Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k), k) for k in range(1, n + 1)])
-        acc = ZERO
-        for k in range(1, n + 1):
-            acc = acc + binomial(n, k) * ctx.bernoulli(n - k) * exp_poly(k)
-        rhs = exp_poly(n - 1) + Fraction(1, n) * acc
-        run.check({"n": n, "form": "polynomial"}, lhs, rhs)
-    for n in range(n_lo, n_hi + 1):
-        lhs = sum((Fraction(ctx.stirling2(n, k), k) for k in range(1, n + 1)), Fraction(0))
-        acc = sum(
-            (Fraction(binomial(n, k)) * ctx.bernoulli(n - k) * ctx.bell(k) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-        rhs = ctx.bell(n - 1) + acc / n
-        run.check({"n": n, "form": "scalar"}, lhs, rhs)
+    _bernoulli_convolution(ctx, run, n_lo, n_hi, ctx.bernoulli, previous=True)
 
 
 def _chk_e21(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    poly_hi = min(n_hi, 12)
-    for n in range(n_lo, poly_hi + 1):
-        lhs = Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k), k) for k in range(1, n + 1)])
-        acc = ZERO
-        for k in range(1, n + 1):
-            acc = acc + binomial(n, k) * ctx.bernoulli_plus(n - k) * exp_poly(k)
-        run.check({"n": n, "form": "polynomial"}, lhs, Fraction(1, n) * acc)
-    for n in range(n_lo, n_hi + 1):
-        lhs = sum((Fraction(ctx.stirling2(n, k), k) for k in range(1, n + 1)), Fraction(0))
-        acc = sum(
-            (Fraction(binomial(n, k)) * ctx.bernoulli_plus(n - k) * ctx.bell(k) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-        run.check({"n": n, "form": "scalar"}, lhs, acc / n)
+    _bernoulli_convolution(ctx, run, n_lo, n_hi, ctx.bernoulli_plus)
 
 
 def _chk_e22(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    poly_hi = min(n_hi, 12)
-
-    def inner_poly(k: int) -> Poly:
-        acc = ZERO
-        for m in range(1, k + 1):
-            acc = acc + binomial(k, m) * ctx.bernoulli_plus(k - m) * exp_poly(m)
-        return Fraction(1, k) * acc
-
-    def inner_scalar(k: int) -> Fraction:
-        acc = sum(
-            (Fraction(binomial(k, m)) * ctx.bernoulli_plus(k - m) * ctx.bell(m) for m in range(1, k + 1)),
-            Fraction(0),
-        )
-        return acc / k
-
-    for n in range(n_lo, poly_hi + 1):
-        lhs = Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k), k * k) for k in range(1, n + 1)])
-        acc = ZERO
-        for k in range(1, n + 1):
-            acc = acc + binomial(n, k) * ctx.bernoulli_plus(n - k) * inner_poly(k)
-        run.check({"n": n, "form": "polynomial"}, lhs, Fraction(1, n) * acc)
-    for n in range(n_lo, n_hi + 1):
-        lhs = sum((Fraction(ctx.stirling2(n, k), k * k) for k in range(1, n + 1)), Fraction(0))
-        acc = sum(
-            (Fraction(binomial(n, k)) * ctx.bernoulli_plus(n - k) * inner_scalar(k) for k in range(1, n + 1)),
-            Fraction(0),
-        )
-        run.check({"n": n, "form": "scalar"}, lhs, acc / n)
+    _bernoulli_convolution(ctx, run, n_lo, n_hi, ctx.bernoulli_plus, depth=2)
 
 
 def _chk_p11(ctx, run, n_lo, n_hi, p_hi, order, eps):
@@ -952,8 +927,7 @@ def check_identity(
     if identity_id not in _REGISTRY:
         raise KeyError(f"unknown identity id: {identity_id!r}")
     spec, checker = _REGISTRY[identity_id]
-    if ctx is None:
-        ctx = SeqContext()
+    ctx = context(ctx)
     n_lo, n_hi = spec.n_range if spec.n_range else (0, 0)
     floor = _env_floor()
     if spec.n_range and floor is not None:
@@ -980,8 +954,6 @@ def run_all(
     """Check every entry, sharing one memo context, in registry order."""
     if max_n is not None and max_n < 5:
         raise ValueError(f"max_n must be at least 5, got {max_n}")
-    if ctx is None:
-        ctx = SeqContext()
     return [
         check_identity(identity_id, ctx=ctx, max_n=max_n, order=series_order, eps=eps)
         for identity_id in _REGISTRY

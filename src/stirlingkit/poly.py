@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .egf import Egf, egf_reciprocal
 from .exact import binomial, factorial, format_rational, parse_rational
-from .seq import SeqContext
+from .seq import SeqContext, context
 
 
 class Poly:
@@ -138,7 +138,7 @@ def xd_apply(a: Poly, times: int) -> Poly:
     return Poly(c * k**times for k, c in enumerate(a.coeffs))
 
 
-def exp_poly(n: int, ctx: SeqContext | None = None) -> Poly:
+def exp_poly(n: int) -> Poly:
     """Exponential polynomial: coefficients are the second-kind row,
     grown by the operator recurrence  next = xD this + x this."""
     if n < 0:
@@ -153,8 +153,7 @@ def geom_poly(n: int, ctx: SeqContext | None = None) -> Poly:
     """Geometric polynomial: sum_k S(n, k) k! x^k."""
     if n < 0:
         raise ValueError(f"negative index {n}")
-    if ctx is None:
-        ctx = SeqContext()
+    ctx = context(ctx)
     return Poly(ctx.stirling2(n, k) * ctx.factorial(k) for k in range(n + 1))
 
 
@@ -162,8 +161,7 @@ def bernoulli_poly(n: int, ctx: SeqContext | None = None) -> Poly:
     """B_n(x) = sum_p C(n, p) B_p x^(n-p)."""
     if n < 0:
         raise ValueError(f"negative index {n}")
-    if ctx is None:
-        ctx = SeqContext()
+    ctx = context(ctx)
     return Poly(binomial(n, j) * ctx.bernoulli(n - j) for j in range(n + 1))
 
 

@@ -12,6 +12,14 @@ Triangle recurrences, row by row:
 
 Everything downstream (Bell, Fubini, Bernoulli, moments) is a weighted
 row sum, which keeps each family on a single authoritative code path.
+
+Functions that take ``ctx=None`` resolve it through :func:`context` to one
+process-wide default context, so their memo tables are shared and live as
+long as the process.  Pass your own ``SeqContext`` to scope or release
+them.
+
+``FAMILIES`` is the one table of named sequences: the command line and
+the expression language both read their names and argument orders here.
 """
 
 from __future__ import annotations
@@ -40,6 +48,38 @@ class IndexedValue:
             row["p"] = self.p
         row["value"] = self.value
         return row
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named sequence: its command-line name, its expression-language
+    name, the ``SeqContext`` method that computes it, and that method's
+    parameter order ("n" is the index, "p" the order or exponent)."""
+
+    cli_name: str
+    expr_name: str
+    method: str
+    params: tuple[str, ...]
+
+    def __call__(self, ctx: SeqContext, *args):
+        """The value at ``args``, given in ``params`` order.  The method is
+        looked up on ``ctx`` at call time, so subclasses take effect."""
+        return getattr(ctx, self.method)(*args)
+
+
+FAMILIES = (
+    Family("bell", "bell", "bell", ("n",)),
+    Family("fubini", "fubini", "fubini", ("n",)),
+    Family("derangement", "D", "derangement", ("n",)),
+    Family("harmonic", "H", "harmonic", ("n",)),
+    Family("hyperharmonic", "h", "hyperharmonic", ("p", "n")),
+    Family("bernoulli", "B", "bernoulli", ("n",)),
+    Family("bernoulli-plus", "Bplus", "bernoulli_plus", ("n",)),
+    Family("euler", "E", "euler_number", ("n",)),
+    Family("factorial", "fact", "factorial", ("n",)),
+    Family("power-sum", "powsum", "power_sum", ("p", "n")),
+    Family("moment", "M", "moment", ("n", "p")),
+)
 
 
 class SeqContext:
@@ -278,3 +318,15 @@ class SeqContext:
                     total -= binomial(p - 1, j) * self.moment(n, j)
                 memo[key] = total
             return memo[key]
+
+
+_DEFAULT = SeqContext()
+
+
+def context(ctx: SeqContext | None = None) -> SeqContext:
+    """``ctx`` itself, or the process-wide default context when it is None.
+
+    The default context is created once, at import; like any context it
+    locks around every table update, so threads may share it.
+    """
+    return _DEFAULT if ctx is None else ctx

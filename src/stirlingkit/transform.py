@@ -1,7 +1,7 @@
 """Sequence-to-sequence transforms built on the two Stirling triangles.
 
-Every transform is length-preserving, exact, and pure; pass a shared
-``SeqContext`` to reuse memoized triangle rows across calls.
+Every transform is length-preserving, exact, and pure; triangle rows come
+from the ``SeqContext`` passed in, or from the default context when none is.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import binomial, int_pow
-from .seq import SeqContext
+from .seq import SeqContext, context
 
 
 def _as_fractions(values) -> list[Fraction]:
@@ -22,8 +22,7 @@ def _as_fractions(values) -> list[Fraction]:
 def stirling_transform(a, ctx: SeqContext | None = None) -> list[Fraction]:
     """b_n = sum_k S(n, k) a_k."""
     vals = _as_fractions(a)
-    if ctx is None:
-        ctx = SeqContext()
+    ctx = context(ctx)
     return [
         sum((ctx.stirling2(n, k) * vals[k] for k in range(n + 1)), Fraction(0))
         for n in range(len(vals))
@@ -33,8 +32,7 @@ def stirling_transform(a, ctx: SeqContext | None = None) -> list[Fraction]:
 def stirling_inverse(b, ctx: SeqContext | None = None) -> list[Fraction]:
     """a_n = sum_k s(n, k) b_k; exact inverse of :func:`stirling_transform`."""
     vals = _as_fractions(b)
-    if ctx is None:
-        ctx = SeqContext()
+    ctx = context(ctx)
     return [
         sum((ctx.stirling1(n, k) * vals[k] for k in range(n + 1)), Fraction(0))
         for n in range(len(vals))
@@ -70,8 +68,7 @@ def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContex
     mu = Fraction(mu)
     if kind not in ("second", "first"):
         raise ValueError(f"unknown kind {kind!r}; expected 'second' or 'first'")
-    if ctx is None:
-        ctx = SeqContext()
+    ctx = context(ctx)
     weight = ctx.stirling2 if kind == "second" else ctx.stirling1
     return [
         sum(

@@ -17,7 +17,6 @@ from stirlingkit import (
     SeqContext,
     binomial,
     check_identity,
-    egf_from_sequence,
     evaluate,
     format_rational,
     log_substitution,
@@ -150,7 +149,7 @@ def test_criterion_12_generating_function_suite(ctx):
             seq = random_rationals(rng, 13, num=6, den=6)
             lam = weights[trial % len(weights)]
             mu = weights[(trial * 3 + 1) % len(weights)]
-            f = egf_from_sequence(seq)
+            f = Egf(seq)
             stirling_substitution(f, lam, mu, ctx)
             log_substitution(f, lam, mu, ctx)
     except ArithmeticError:

@@ -6,7 +6,8 @@ import json
 import pytest
 
 import stirlingkit.cli as cli
-from stirlingkit import Failure, IdentityReport, main
+from stirlingkit import Failure, IdentityReport
+from stirlingkit.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +274,50 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as ei:
         main([])
     assert ei.value.code == 2
+
+
+# -- one family table for seq and the expression builtins ------------
+
+
+def test_seq_families_match_expression_builtins(capsys):
+    from stirlingkit import evaluate, parse
+    from stirlingkit.seq import FAMILIES
+
+    for family in FAMILIES:
+        for p in (0, 1, 3) if "p" in family.params else (1,):
+            code, out, _ = run_cli(
+                capsys, "seq", family.cli_name, "--n", "6", "--p", str(p), "--format", "json"
+            )
+            assert code == 0
+            args = {"p": p}
+            want = []
+            for n in range(7):
+                args["n"] = n
+                call = f"{family.expr_name}({', '.join(str(args[k]) for k in family.params)})"
+                want.append(str(evaluate(parse(call))))
+            assert json.loads(out) == want, family.cli_name
+
+
+# -- input validation ------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["seq bell", "seq hyperharmonic", "triangle stirling2"])
+def test_negative_n_is_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--n", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --n must be nonnegative, got -3\n"
+
+
+@pytest.mark.parametrize("entry", ["true", "0.5", "null", "[1]", '{"a": 1}'])
+def test_transform_rejects_non_rational_entries(capsys, monkeypatch, entry):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f'["1", {entry}, "2"]'))
+    code, out, err = run_cli(capsys, "transform", "--kind", "stirling")
+    assert code == 2 and out == ""
+    assert err.startswith("error: input entries must be rational strings or integers")
+    assert err.count("\n") == 1
+
+
+def test_transform_accepts_json_integers(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('[1, "1", 2, "5"]'))
+    code, out, _ = run_cli(capsys, "transform", "--kind", "inv-stirling")
+    assert code == 0 and out == '["1","1","1","1"]\n'

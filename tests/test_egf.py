@@ -12,10 +12,8 @@ from stirlingkit import (
     OrderMismatchError,
     SeqContext,
     egf_compose,
-    egf_coeffs,
     egf_derivative,
     egf_elementary,
-    egf_from_sequence,
     egf_integrate,
     egf_mul,
     egf_reciprocal,
@@ -24,7 +22,6 @@ from stirlingkit import (
     expm1_series,
     from_ordinary,
     geom_series,
-    geometric_coeffs,
     log1p_series,
     log_substitution,
     monomial_series,
@@ -64,7 +61,7 @@ def test_order_and_equality():
     f = Egf([1, 2, 3])
     assert f.order == 2
     assert f == Egf([Fraction(1), Fraction(2), Fraction(3)])
-    assert egf_coeffs(f) == (1, 2, 3)
+    assert f.coeffs == (1, 2, 3)
 
 
 def test_immutable():
@@ -102,12 +99,12 @@ def test_truncate():
 
 @given(frac_lists)
 def test_ordinary_round_trip(seq):
-    f = egf_from_sequence(seq)
+    f = Egf(seq)
     assert from_ordinary(to_ordinary(f)) == f
 
 
 def test_ordinary_view_divides_by_factorials():
-    f = egf_from_sequence([1, 1, 2, 6])
+    f = Egf([1, 1, 2, 6])
     assert to_ordinary(f) == (1, 1, 1, 1)
 
 
@@ -115,15 +112,6 @@ def test_ordinary_mul_is_cauchy_product():
     a = [Fraction(1), Fraction(2)]
     b = [Fraction(3), Fraction(4)]
     assert ordinary_mul(a, b) == [3, 10]
-
-
-def test_geometric_coeffs():
-    assert geometric_coeffs(Fraction(1, 2), 3) == [
-        1,
-        Fraction(1, 2),
-        Fraction(1, 4),
-        Fraction(1, 8),
-    ]
 
 
 # -- products and reciprocals ----------------------------------------
@@ -135,15 +123,15 @@ def test_egf_mul_is_binomial_convolution():
     rng = random.Random(11)
     a = random_rationals(rng, 7)
     b = random_rationals(rng, 7)
-    f = egf_mul(egf_from_sequence(a), egf_from_sequence(b))
+    f = egf_mul(Egf(a), Egf(b))
     for n in range(7):
         want = sum(comb(n, k) * a[k] * b[n - k] for k in range(n + 1))
-        assert egf_coeffs(f)[n] == want, n
+        assert f.coeffs[n] == want, n
 
 
 def test_exponential_inverse_pair():
     f = egf_mul(exp_series(ORDER), exp_series(ORDER, scale=-1))
-    assert egf_coeffs(f) == (1,) + (0,) * ORDER
+    assert f.coeffs == (1,) + (0,) * ORDER
 
 
 @settings(max_examples=60)
@@ -151,9 +139,9 @@ def test_exponential_inverse_pair():
 def test_reciprocal_multiplies_to_one(seq):
     if seq[0] == 0:
         seq = [Fraction(1)] + seq[1:]
-    f = egf_from_sequence(seq)
+    f = Egf(seq)
     prod = egf_mul(f, egf_reciprocal(f))
-    assert egf_coeffs(prod) == (1,) + (0,) * f.order
+    assert prod.coeffs == (1,) + (0,) * f.order
 
 
 def test_reciprocal_rejects_zero_constant():
@@ -190,35 +178,35 @@ def test_compose_with_scaled_argument():
 
 
 def test_derivative_shifts_coefficients():
-    f = egf_from_sequence([5, 1, 2, 3])
-    assert egf_derivative(f) == egf_from_sequence([1, 2, 3])
+    f = Egf([5, 1, 2, 3])
+    assert egf_derivative(f) == Egf([1, 2, 3])
     with pytest.raises(ValueError):
         egf_derivative(Egf([1]))
 
 
 @given(frac_lists)
 def test_derivative_undoes_integration(seq):
-    f = egf_from_sequence(seq)
+    f = Egf(seq)
     assert egf_derivative(egf_integrate(f)) == f
-    assert egf_coeffs(egf_integrate(f))[0] == 0
+    assert egf_integrate(f).coeffs[0] == 0
 
 
 # -- elementary series -----------------------------------------------
 
 
 def test_elementary_series_coefficients(ctx):
-    assert egf_coeffs(exp_series(4)) == (1, 1, 1, 1, 1)
-    assert egf_coeffs(expm1_series(4)) == (0, 1, 1, 1, 1)
-    assert egf_coeffs(log1p_series(4)) == (0, 1, -1, 2, -6)
-    assert egf_coeffs(geom_series(4)) == (1, 1, 2, 6, 24)
-    assert egf_coeffs(dilog_series(4)) == (
+    assert exp_series(4).coeffs == (1, 1, 1, 1, 1)
+    assert expm1_series(4).coeffs == (0, 1, 1, 1, 1)
+    assert log1p_series(4).coeffs == (0, 1, -1, 2, -6)
+    assert geom_series(4).coeffs == (1, 1, 2, 6, 24)
+    assert dilog_series(4).coeffs == (
         0,
         1,
         Fraction(1, 2),
         Fraction(2, 3),
         Fraction(3, 2),
     )
-    assert egf_coeffs(monomial_series(Fraction(5), 2, 4)) == (0, 0, 5, 0, 0)
+    assert monomial_series(Fraction(5), 2, 4).coeffs == (0, 0, 5, 0, 0)
 
 
 def test_pow1p_binomial_series():
@@ -275,7 +263,7 @@ def test_iterated_harmonic_generating_function(ctx):
         lhs = egf_mul(log1p_series(order).scale(-1), pow1p_series(Fraction(-p), order))
         for n in range(1, order + 1):
             want = (-1) ** n * ctx.factorial(n) * ctx.hyperharmonic(p, n)
-            assert egf_coeffs(lhs)[n] == want, (p, n)
+            assert lhs.coeffs[n] == want, (p, n)
 
 
 def test_exp_poly_generating_function(ctx):
@@ -285,7 +273,7 @@ def test_exp_poly_generating_function(ctx):
     for x in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)):
         f = egf_compose(exp_series(ORDER, scale=x), expm1_series(ORDER))
         for n in range(ORDER + 1):
-            assert egf_coeffs(f)[n] == exp_poly(n, ctx)(x), (x, n)
+            assert f.coeffs[n] == exp_poly(n)(x), (x, n)
 
 
 def test_partial_sum_smoothing(ctx):
@@ -294,7 +282,7 @@ def test_partial_sum_smoothing(ctx):
     rng = random.Random(23)
     for lam in (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)):
         a = random_rationals(rng, 16)
-        out = ordinary_mul(a, geometric_coeffs(lam, 15))
+        out = ordinary_mul(a, [lam**m for m in range(16)])
         for n in range(16):
             want = sum(a[k] * lam ** (n - k) for k in range(n + 1))
             assert out[n] == want, (lam, n)
@@ -320,7 +308,7 @@ def test_log_over_t_weighting(ctx):
 def test_stirling_substitution_is_weighted_triangle_sum(ctx):
     rng = random.Random(31)
     a = random_rationals(rng, ORDER + 1)
-    f = egf_from_sequence(a)
+    f = Egf(a)
     lam, mu = Fraction(2), Fraction(1, 2)
     out = stirling_substitution(f, lam, mu, ctx)
     for n in range(ORDER + 1):
@@ -334,7 +322,7 @@ def test_stirling_substitution_is_weighted_triangle_sum(ctx):
 def test_log_substitution_is_weighted_triangle_sum(ctx):
     rng = random.Random(37)
     a = random_rationals(rng, ORDER + 1)
-    f = egf_from_sequence(a)
+    f = Egf(a)
     lam, mu = Fraction(-1), Fraction(2)
     out = log_substitution(f, lam, mu, ctx)
     for n in range(ORDER + 1):
@@ -350,9 +338,9 @@ def test_substitutions_invert_each_other(ctx):
     # substitutions with matched weights undo one another
     rng = random.Random(41)
     a = random_rationals(rng, ORDER + 1)
-    f = egf_from_sequence(a)
+    f = Egf(a)
     fwd = stirling_substitution(f, 1, 1, ctx)
-    back = log_substitution(egf_from_sequence(fwd), 1, 1, ctx)
+    back = log_substitution(Egf(fwd), 1, 1, ctx)
     assert back == a
 
 
@@ -371,8 +359,8 @@ def test_substitution_route_agreement_on_random_sequences(ctx):
         a = [Fraction(rng.randint(-4, 4)) for _ in range(ORDER + 1)]
         lam = weights[trial % len(weights)]
         mu = weights[(trial + 2) % len(weights)]
-        stirling_substitution(egf_from_sequence(a), lam, mu, ctx)
-        log_substitution(egf_from_sequence(a), lam, mu, ctx)
+        stirling_substitution(Egf(a), lam, mu, ctx)
+        log_substitution(Egf(a), lam, mu, ctx)
 
 
 def test_substitution_rejects_zero_lambda(ctx):
@@ -380,3 +368,24 @@ def test_substitution_rejects_zero_lambda(ctx):
         stirling_substitution(exp_series(4), 0, 1, ctx)
     with pytest.raises(ValueError):
         log_substitution(exp_series(4), 0, 1, ctx)
+
+
+@pytest.mark.parametrize("route", ["egf_compose", "weighted_stirling_transform"])
+def test_substitutions_raise_when_one_route_is_corrupted(ctx, monkeypatch, route):
+    # perturbing one coefficient of either route must be caught, never returned
+    import stirlingkit.egf as egf_module
+
+    real = getattr(egf_module, route)
+
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        coeffs = list(out.coeffs if isinstance(out, Egf) else out)
+        coeffs[3] += 1
+        return Egf(coeffs) if isinstance(out, Egf) else coeffs
+
+    monkeypatch.setattr(egf_module, route, corrupted)
+    f = Egf(random_rationals(random.Random(47), ORDER + 1))
+    with pytest.raises(ArithmeticError):
+        stirling_substitution(f, 2, Fraction(1, 3), ctx)
+    with pytest.raises(ArithmeticError):
+        log_substitution(f, -1, 2, ctx)

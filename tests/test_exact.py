@@ -1,4 +1,4 @@
-"""Rational arithmetic layer: canonical form, field axioms, binomials."""
+"""Rational arithmetic layer: canonical form, binomials, wire format."""
 
 import math
 from fractions import Fraction
@@ -12,7 +12,6 @@ from stirlingkit import (
     format_rational,
     int_pow,
     parse_rational,
-    rat_arith,
 )
 
 small_rationals = st.fractions(
@@ -20,44 +19,17 @@ small_rationals = st.fractions(
 )
 
 
-@given(small_rationals, small_rationals, small_rationals)
-def test_field_axioms(a, b, c):
-    assert rat_arith(rat_arith(a, b, "add"), c, "add") == rat_arith(
-        a, rat_arith(b, c, "add"), "add"
-    )
-    assert rat_arith(rat_arith(a, b, "mul"), c, "mul") == rat_arith(
-        a, rat_arith(b, c, "mul"), "mul"
-    )
-    left = rat_arith(a, rat_arith(b, c, "add"), "mul")
-    right = rat_arith(rat_arith(a, b, "mul"), rat_arith(a, c, "mul"), "add")
-    assert left == right
-    assert rat_arith(a, b, "add") == rat_arith(b, a, "add")
-    assert rat_arith(a, b, "mul") == rat_arith(b, a, "mul")
-
-
 @given(small_rationals, small_rationals)
 def test_results_are_canonical(a, b):
-    for op in ("add", "sub", "mul"):
-        r = rat_arith(a, b, op)
+    # format_rational and value equality rely on Fraction results being
+    # reduced with a positive denominator
+    results = [a + b, a - b, a * b] + ([a / b] if b != 0 else [])
+    for r in results:
         assert isinstance(r, Fraction)
         assert r.denominator >= 1
         assert math.gcd(abs(r.numerator), r.denominator) == 1
-    if b != 0:
-        r = rat_arith(a, b, "div")
-        assert r.denominator >= 1
-        assert math.gcd(abs(r.numerator), r.denominator) == 1
-    zero = rat_arith(a, a, "sub")
+    zero = a - a
     assert zero.numerator == 0 and zero.denominator == 1
-
-
-def test_rat_arith_rejects_unknown_op():
-    with pytest.raises(ValueError):
-        rat_arith(1, 2, "mod")
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        rat_arith(1, 0, "div")
 
 
 def test_pascal_property():

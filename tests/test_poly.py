@@ -129,7 +129,7 @@ def test_xd_matches_x_times_derivative(a):
 def test_exp_poly_coefficients_are_partition_counts(ctx):
     # operator-recurrence construction vs the triangle itself
     for n in range(0, 21):
-        p = exp_poly(n, ctx)
+        p = exp_poly(n)
         for k in range(0, n + 1):
             assert p.coeff(k) == ctx.stirling2(n, k), (n, k)
         assert p.degree == (n if n > 0 else 0)
@@ -144,7 +144,7 @@ def test_geom_poly_coefficients(ctx):
 
 def test_polys_at_one_hit_partition_counts(ctx):
     for n in range(0, 31):
-        assert exp_poly(n, ctx)(Fraction(1)) == ctx.bell(n)
+        assert exp_poly(n)(Fraction(1)) == ctx.bell(n)
         assert geom_poly(n, ctx)(Fraction(1)) == ctx.fubini(n)
 
 
@@ -183,10 +183,10 @@ def test_shift_recurrence_under_xd(ctx):
     # applying the operator p+1 times telescopes into shifted family members
     for n in range(0, 13):
         for p in range(0, 7):
-            lhs = xd_apply(exp_poly(n, ctx), p + 1)
-            rhs = xd_apply(exp_poly(n + 1, ctx), p) - X * sum(
+            lhs = xd_apply(exp_poly(n), p + 1)
+            rhs = xd_apply(exp_poly(n + 1), p) - X * sum(
                 (
-                    xd_apply(exp_poly(n, ctx), j) * Fraction(binomial(p, j))
+                    xd_apply(exp_poly(n), j) * Fraction(binomial(p, j))
                     for j in range(p + 1)
                 ),
                 ZERO,
@@ -196,9 +196,9 @@ def test_shift_recurrence_under_xd(ctx):
 
 def test_second_order_operator_action(ctx):
     for n in range(0, 16):
-        phi_n = exp_poly(n, ctx)
-        phi_n1 = exp_poly(n + 1, ctx)
-        phi_n2 = exp_poly(n + 2, ctx)
+        phi_n = exp_poly(n)
+        phi_n1 = exp_poly(n + 1)
+        phi_n2 = exp_poly(n + 2)
         assert xd_apply(phi_n, 1) == phi_n1 - X * phi_n
         assert xd_apply(phi_n, 2) == phi_n2 - (X * Fraction(2)) * phi_n1 + (
             X * X - X

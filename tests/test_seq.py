@@ -218,3 +218,106 @@ def test_factorial_table(ctx):
 
     for n in range(0, 20):
         assert ctx.factorial(n) == math.factorial(n)
+
+
+# -- the process-wide default context --------------------------------
+
+
+class RecordingContext(SeqContext):
+    """Notes which triangle or sequence tables were consulted."""
+
+    def __init__(self):
+        super().__init__()
+        self.used = set()
+
+    def stirling2(self, n, k):
+        self.used.add("stirling2")
+        return super().stirling2(n, k)
+
+    def stirling1(self, n, k):
+        self.used.add("stirling1")
+        return super().stirling1(n, k)
+
+    def bernoulli(self, n):
+        self.used.add("bernoulli")
+        return super().bernoulli(n)
+
+    def bell(self, n):
+        self.used.add("bell")
+        return super().bell(n)
+
+
+def test_ctx_none_uses_the_one_default_context(monkeypatch):
+    import stirlingkit.seq as seq
+    from stirlingkit import (
+        Egf,
+        Env,
+        bernoulli_poly,
+        check_identity,
+        evaluate,
+        geom_poly,
+        log_substitution,
+        parse,
+        run_all,
+        stirling_inverse,
+        stirling_substitution,
+        stirling_transform,
+        weighted_stirling_transform,
+    )
+    from stirlingkit.cli import main
+
+    assert seq.context() is seq.context()
+    assert Env().ctx is seq.context()
+    calls = [
+        (lambda: stirling_transform([1, 2, 3]), "stirling2"),
+        (lambda: stirling_inverse([1, 2, 3], None), "stirling1"),
+        (lambda: weighted_stirling_transform([1, 2, 3], 2, 3, kind="first"), "stirling1"),
+        (lambda: geom_poly(4), "stirling2"),
+        (lambda: bernoulli_poly(4), "bernoulli"),
+        (lambda: stirling_substitution(Egf([1, 2, 3]), 1, 2), "stirling2"),
+        (lambda: log_substitution(Egf([1, 2, 3]), 1, 2), "stirling1"),
+        (lambda: check_identity("T1b", max_n=5), "stirling2"),
+        (lambda: run_all(max_n=5), "stirling1"),
+        (lambda: evaluate(parse("bell(4)")), "bell"),
+        (lambda: evaluate(parse("S(4, 2)"), Env()), "stirling2"),
+        (lambda: main(["seq", "bell", "--n", "3"]), "bell"),
+        (lambda: main(["triangle", "stirling1", "--n", "3"]), "stirling1"),
+    ]
+    for call, table in calls:
+        default = RecordingContext()
+        monkeypatch.setattr(seq, "_DEFAULT", default)
+        call()
+        assert table in default.used, table
+
+
+def test_default_context_is_shared_safely_between_threads(monkeypatch):
+    import sys
+    import threading
+
+    import stirlingkit.seq as seq
+    from stirlingkit import stirling_inverse, stirling_transform
+
+    monkeypatch.setattr(seq, "_DEFAULT", SeqContext())
+    reference = SeqContext()
+    lengths = (24, 31, 37, 40)
+    want = {m: stirling_transform([1] * m, reference) for m in lengths}
+    results = {}
+
+    def work(m):
+        bells = stirling_transform([1] * m)
+        results[m] = (bells, stirling_inverse(bells))
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(m,)) for m in lengths]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    for m in lengths:
+        assert results[m] == (want[m], [1] * m), m
+    assert seq.context().bell(39) == reference.bell(39)

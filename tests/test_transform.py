@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stirlingkit import (
+    Egf,
     SeqContext,
     binomial,
     binomial_transform,
-    egf_from_sequence,
     stirling_inverse,
     stirling_substitution,
     stirling_transform,
@@ -107,7 +107,7 @@ def test_binomial_transform_of_fixed_point_free_counts(ctx):
 def test_consistency_with_substitution_engine(ctx):
     rng = random.Random(17)
     a = random_rationals(rng, 10)
-    via_series = stirling_substitution(egf_from_sequence(a), 1, 1, ctx)
+    via_series = stirling_substitution(Egf(a), 1, 1, ctx)
     assert stirling_transform(a, ctx) == via_series
 
 
