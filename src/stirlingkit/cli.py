@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -215,11 +216,26 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+# A positive rational "p/q", or a decimal such as "0.001" or "1e-12" whose
+# exponent has at most four digits, so no power beyond 10^9999 is built.
+_EPS_FORM = re.compile(r"\+?(?:\d+/0*[1-9]\d*|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d{1,4})?)\Z")
+
+
+def _parse_eps(text: str) -> Fraction:
+    """--eps read exactly, never through a float."""
+    s = text.strip()
+    value = Fraction(s) if _EPS_FORM.match(s) else Fraction(0)
+    if value == 0:
+        raise ValueError(f"--eps must be a positive rational or decimal, got {text!r}")
+    return value
+
+
 def _cmd_verify(args) -> int:
+    eps = None if args.eps is None else _parse_eps(args.eps)
     if args.all:
-        reports = run_all(max_n=args.max_n, series_order=args.order, eps=args.eps)
+        reports = run_all(max_n=args.max_n, series_order=args.order, eps=eps)
     else:
-        reports = [check_identity(args.id, max_n=args.max_n, order=args.order, eps=args.eps)]
+        reports = [check_identity(args.id, max_n=args.max_n, order=args.order, eps=eps)]
     print(emit(reports, args.format))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -311,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--id")
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--order", type=int, default=12)
-    p.add_argument("--eps", type=float, default=None)
+    p.add_argument("--eps", default=None, help='tolerance for E30, e.g. "1/1000000" or "1e-6"')
     _add_format(p, choices=("text", "json"))
     p.set_defaults(fn=_cmd_verify)
 
@@ -335,9 +351,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value is a rational and so may start with a minus sign.
+_SIGNED_OPTIONS = ("--lambda", "--mu", "--x", "--c", "--eps")
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _takes_signed_value(word: str) -> bool:
+    # argparse also accepts any unambiguous prefix such as --lam
+    return len(word) > 2 and word.startswith("--") and any(o.startswith(word) for o in _SIGNED_OPTIONS)
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--mu -1/3" as "--mu=-1/3".
+
+    argparse takes a word that starts with "-" for an option unless it
+    looks like a plain negative number, so "-1/3" would otherwise leave
+    --mu without its value.  Joining keeps the option word as given, so
+    argparse still resolves it exactly as before.
+    """
+    out: list[str] = []
+    for word in argv:
+        if out and _SIGNED_VALUE.match(word) and _takes_signed_value(out[-1]) and "--" not in out:
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
     if getattr(args, "order", None) is not None and args.command in ("verify", "series"):
         if args.order < 1 or args.order > 64:
             parser.error(f"--order must be between 1 and 64, got {args.order}")

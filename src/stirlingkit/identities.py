@@ -37,7 +37,7 @@ from .egf import (
     to_ordinary,
 )
 from .exact import binomial, binomial_rational, format_rational, int_pow
-from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_poly, euler_poly, exp_poly, geom_poly, xd_apply
+from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_poly, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
 
 DEFAULT_SERIES_ORDER = 12
@@ -179,25 +179,35 @@ def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
 
 def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     half = Fraction(-1, 2)
+    euler = [euler_poly(k) for k in range(n_hi + 1)]
+    binom = binom_polys(n_hi)
     for n in range(n_lo, n_hi + 1):
         lhs = ZERO
         for k in range(n + 1):
-            lhs = lhs + ctx.stirling1(n, k) * euler_poly(k)
+            lhs = lhs + ctx.stirling1(n, k) * euler[k]
         rhs = ZERO
         for k in range(n + 1):
-            rhs = rhs + int_pow(half, n - k) * binom_poly(k)
+            rhs = rhs + int_pow(half, n - k) * binom[k]
         run.check({"n": n}, lhs, ctx.factorial(n) * rhs)
 
 
+def _geometric_blocks(binom, w):
+    """block_k = sum_(j<=k) w^(k-j) binom_j for each k, through the
+    recurrence block_k = w block_(k-1) + binom_k."""
+    blocks = []
+    block = ZERO
+    for b in binom:
+        block = w * block + b
+        blocks.append(block)
+    return blocks
+
+
 def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    half = Fraction(-1, 2)
+    blocks = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
     for n in range(n_lo, n_hi + 1):
         rhs = ZERO
         for k in range(n + 1):
-            block = ZERO
-            for j in range(k + 1):
-                block = block + int_pow(half, k - j) * binom_poly(j)
-            rhs = rhs + ctx.stirling2(n, k) * ctx.factorial(k) * block
+            rhs = rhs + ctx.stirling2(n, k) * ctx.factorial(k) * blocks[k]
         run.check({"n": n}, euler_poly(n), rhs)
 
 
@@ -213,24 +223,29 @@ def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
 
 
 def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    bernoulli = [bernoulli_poly(k, ctx) for k in range(n_hi + 1)]
+    binom = binom_polys(n_hi)
     for n in range(n_lo, n_hi + 1):
         lhs = ZERO
         for k in range(n + 1):
-            lhs = lhs + ctx.stirling1(n, k) * bernoulli_poly(k, ctx)
+            lhs = lhs + ctx.stirling1(n, k) * bernoulli[k]
         rhs = ZERO
         for k in range(n + 1):
-            rhs = rhs + Fraction(_sign(n - k), n - k + 1) * binom_poly(k)
+            rhs = rhs + Fraction(_sign(n - k), n - k + 1) * binom[k]
         run.check({"n": n}, lhs, ctx.factorial(n) * rhs)
 
 
 def _chk_t5b(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    # the weights (-1)^m/(m+1) are not geometric, so each block is its own sum
+    binom = binom_polys(n_hi)
+    blocks = [
+        sum((Fraction(_sign(k - j), k - j + 1) * binom[j] for j in range(k + 1)), ZERO)
+        for k in range(n_hi + 1)
+    ]
     for n in range(n_lo, n_hi + 1):
         rhs = ZERO
         for k in range(n + 1):
-            block = ZERO
-            for j in range(k + 1):
-                block = block + Fraction(_sign(k - j), k - j + 1) * binom_poly(j)
-            rhs = rhs + ctx.stirling2(n, k) * ctx.factorial(k) * block
+            rhs = rhs + ctx.stirling2(n, k) * ctx.factorial(k) * blocks[k]
         run.check({"n": n}, bernoulli_poly(n, ctx), rhs)
 
 
@@ -311,22 +326,24 @@ def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
 
 
 def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    phi = exp_polys(n_hi + 1)
     for p in range(p_hi + 1):
         for n in range(n_lo, n_hi + 1):
-            lhs = xd_apply(exp_poly(n), p + 1)
+            lhs = xd_apply(phi[n], p + 1)
             acc = ZERO
             for j in range(p + 1):
-                acc = acc + binomial(p, j) * xd_apply(exp_poly(n), j)
-            rhs = xd_apply(exp_poly(n + 1), p) - X * acc
+                acc = acc + binomial(p, j) * xd_apply(phi[n], j)
+            rhs = xd_apply(phi[n + 1], p) - X * acc
             run.check({"n": n, "p": p}, lhs, rhs)
 
 
 def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    phi = exp_polys(n_hi + 2)
     for n in range(n_lo, n_hi + 1):
         row = [ctx.stirling2(n, k) for k in range(n + 1)]
         first_sum = Poly(Fraction(c * k) for k, c in enumerate(row))
-        first_op = xd_apply(exp_poly(n), 1)
-        first_comb = exp_poly(n + 1) - X * exp_poly(n)
+        first_op = xd_apply(phi[n], 1)
+        first_comb = phi[n + 1] - X * phi[n]
         run.check_members(
             {"n": n, "display": 1},
             (
@@ -335,8 +352,8 @@ def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
             ),
         )
         second_sum = Poly(Fraction(c * k * k) for k, c in enumerate(row))
-        second_op = xd_apply(exp_poly(n), 2)
-        second_comb = exp_poly(n + 2) - 2 * X * exp_poly(n + 1) + (X * X - X) * exp_poly(n)
+        second_op = xd_apply(phi[n], 2)
+        second_comb = phi[n + 2] - 2 * X * phi[n + 1] + (X * X - X) * phi[n]
         run.check_members(
             {"n": n, "display": 2},
             (
@@ -368,7 +385,7 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
     numbers for phi, runs over the whole range.
     """
     forms = (
-        ("polynomial", min(n_hi, 12), exp_poly, ZERO,
+        ("polynomial", min(n_hi, 12), exp_polys(min(n_hi, 12)).__getitem__, ZERO,
          lambda n: Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k), k**depth) for k in range(1, n + 1)])),
         ("scalar", n_hi, ctx.bell, Fraction(0),
          lambda n: sum((Fraction(ctx.stirling2(n, k), k**depth) for k in range(1, n + 1)), Fraction(0))),
@@ -475,13 +492,14 @@ def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
 
 
 def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    phi = exp_polys(n_hi)
     for n in range(n_lo, n_hi + 1):
         lhs = ZERO
         for k in range(n + 1):
-            lhs = lhs + binomial(n, k) * _sign(k) * exp_poly(k)
+            lhs = lhs + binomial(n, k) * _sign(k) * phi[k]
         acc = ZERO
         for j in range(n):
-            acc = acc + (-_sign(j)) * exp_poly(j)
+            acc = acc + (-_sign(j)) * phi[j]
         run.check({"n": n}, lhs, ONE + X * acc)
 
 
@@ -922,7 +940,9 @@ def check_identity(
     ``max_n`` intersects the entry's index range from above, ``order``
     sets the truncation order for series entries, and ``eps`` the
     tolerance for the tail-bounded entry.  The STIRLINGKIT_MAX_N
-    environment variable raises the entry's default cap first.
+    environment variable raises the entry's default cap first.  An
+    effective range with no instance raises ValueError, so a report never
+    passes vacuously.
     """
     if identity_id not in _REGISTRY:
         raise KeyError(f"unknown identity id: {identity_id!r}")
@@ -934,6 +954,8 @@ def check_identity(
         n_hi = max(n_hi, floor)
     if spec.n_range and max_n is not None:
         n_hi = min(n_hi, max_n)
+    if n_hi < n_lo:
+        raise ValueError(f"{spec.id} has no instance in its effective range {n_lo} <= n <= {n_hi}")
     eff_order = DEFAULT_SERIES_ORDER if order is None else order
     if eff_order < 1:
         raise ValueError(f"series order must be positive, got {eff_order}")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .egf import Egf, egf_reciprocal
-from .exact import binomial, factorial, format_rational, parse_rational
+from .exact import binomial, format_rational, parse_rational
 from .seq import SeqContext, context
 
 
@@ -22,7 +22,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()) -> None:
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -138,15 +138,25 @@ def xd_apply(a: Poly, times: int) -> Poly:
     return Poly(c * k**times for k, c in enumerate(a.coeffs))
 
 
-def exp_poly(n: int) -> Poly:
-    """Exponential polynomial: coefficients are the second-kind row,
-    grown by the operator recurrence  next = xD this + x this."""
+def exp_polys(n: int) -> list[Poly]:
+    """Exponential polynomials phi_0 .. phi_n, each grown from the last by
+    the operator recurrence  next = xD this + x this.
+
+    xD scales the coefficient of x^i by i and x shifts it up one degree,
+    so the coefficient of x^i in the next polynomial is i c_i + c_(i-1).
+    """
     if n < 0:
         raise ValueError(f"negative index {n}")
-    p = ONE
+    out = [ONE]
     for _ in range(n):
-        p = xd_apply(p, 1) + X * p
-    return p
+        cs = out[-1].coeffs
+        out.append(Poly(i * a + b for i, (a, b) in enumerate(zip(cs + (0,), (0,) + cs))))
+    return out
+
+
+def exp_poly(n: int) -> Poly:
+    """Exponential polynomial: coefficients are the second-kind row."""
+    return exp_polys(n)[-1]
 
 
 def geom_poly(n: int, ctx: SeqContext | None = None) -> Poly:
@@ -184,11 +194,19 @@ def euler_poly(n: int) -> Poly:
     return Poly(binomial(n, k) * r[n - k] for k in range(n + 1))
 
 
+def binom_polys(n: int) -> list[Poly]:
+    """Binomial polynomials binom_0 .. binom_n, each grown from the last:
+    binom_k = binom_(k-1) (x - (k-1)) / k."""
+    if n < 0:
+        raise ValueError(f"negative index {n}")
+    out = [ONE]
+    for k in range(1, n + 1):
+        cs = out[-1].coeffs
+        # x binom_(k-1) is a shift up one degree; subtract (k-1) binom_(k-1)
+        out.append(Poly((a - (k - 1) * b) / k for a, b in zip((0,) + cs, cs + (0,))))
+    return out
+
+
 def binom_poly(k: int) -> Poly:
     """The binomial polynomial x(x-1)...(x-k+1)/k! of degree k."""
-    if k < 0:
-        raise ValueError(f"negative index {k}")
-    p = ONE
-    for i in range(k):
-        p = p * Poly([-i, 1])
-    return Fraction(1, factorial(k)) * p
+    return binom_polys(k)[-1]

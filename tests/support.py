@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
+
+from stirlingkit.poly import ONE, Poly, X, xd_apply
 
 
 def stirling2_oracle(n: int, k: int) -> int:
@@ -106,3 +108,20 @@ def padded(coeffs, size: int) -> list[Fraction]:
     out = [Fraction(c) for c in coeffs]
     out.extend(Fraction(0) for _ in range(size - len(out)))
     return out
+
+
+def binom_poly_oracle(k: int) -> Poly:
+    """x(x-1)...(x-k+1)/k! as the k-fold product of linear factors."""
+    p = ONE
+    for i in range(k):
+        p = p * Poly([-i, 1])
+    return Fraction(1, factorial(k)) * p
+
+
+def exp_poly_oracle(n: int) -> Poly:
+    """The n-th exponential polynomial regrown from 1 by applying
+    x d/dx + x as a full operator n times."""
+    p = ONE
+    for _ in range(n):
+        p = xd_apply(p, 1) + X * p
+    return p

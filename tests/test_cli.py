@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -321,3 +322,67 @@ def test_transform_accepts_json_integers(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO('[1, "1", 2, "5"]'))
     code, out, _ = run_cli(capsys, "transform", "--kind", "inv-stirling")
     assert code == 0 and out == '["1","1","1","1"]\n'
+
+
+# -- no vacuous pass, exact --eps, negative rational values ----------
+
+
+def test_empty_effective_range_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "--id", "T1", "--max-n", "0")
+    assert code == 2 and out == ""
+    assert err == "error: T1 has no instance in its effective range 1 <= n <= 0\n"
+
+
+@pytest.mark.parametrize("eps", ["1/1000000", "1e-6", "0.000001"])
+def test_eps_is_read_exactly(capsys, monkeypatch, eps):
+    seen = []
+
+    def spy(identity_id, **kw):
+        seen.append(kw["eps"])
+        return IdentityReport(identity_id, 1, ())
+
+    monkeypatch.setattr(cli, "check_identity", spy)
+    code, out, _ = run_cli(capsys, "verify", "--id", "E30", "--eps", eps)
+    assert code == 0
+    assert seen == [Fraction(1, 10**6)]
+    assert type(seen[0]) is Fraction
+
+
+def test_rational_eps_verifies(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--id", "E30", "--max-n", "6", "--eps", "1/1000000")
+    assert code == 0
+    assert out == "E30  checked=7  failures=0  PASS\nall 1 identities passed\n"
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1", "-1/2", "1/0", "1e-99999"])
+def test_bad_eps_is_one_line_usage_error(capsys, eps):
+    code, out, err = run_cli(capsys, "verify", "--id", "E30", "--eps", eps)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --eps must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", ["--mu", "--lambda", "--lam"])
+def test_negative_transform_weight_as_own_word(capsys, monkeypatch, option):
+    monkeypatch.setattr("sys.stdin", io.StringIO('["0","1","0","0"]'))
+    spaced = run_cli(capsys, "transform", "--kind", "weighted", option, "-1/3")
+    monkeypatch.setattr("sys.stdin", io.StringIO('["0","1","0","0"]'))
+    joined = run_cli(capsys, "transform", "--kind", "weighted", f"{option}=-1/3")
+    assert spaced[0] == 0 and spaced == joined
+
+
+def test_negative_pow1p_exponent_as_own_word(capsys):
+    spaced = run_cli(capsys, "series", "pow1p", "--order", "4", "--x", "-1/2")
+    assert spaced[0] == 0 and "3/8" in spaced[1]
+    assert spaced == run_cli(capsys, "series", "pow1p", "--order", "4", "--x=-1/2")
+
+
+def test_negative_monomial_coefficient_as_own_word(capsys):
+    spaced = run_cli(capsys, "series", "monomial", "--order", "3", "--m", "2", "--c", "-3/2")
+    assert spaced[0] == 0 and "-3/4" in spaced[1]
+    assert spaced == run_cli(capsys, "series", "monomial", "--order", "3", "--m", "2", "--c=-3/2")
+
+
+def test_signed_value_join_stops_at_double_dash():
+    assert cli._attach_signed_values(["eval", "--", "--mu", "-1/3"]) == ["eval", "--", "--mu", "-1/3"]
+    assert cli._attach_signed_values(["--mu", "-1/3", "--x"]) == ["--mu=-1/3", "--x"]
+    assert cli._attach_signed_values(["--all", "-1/3"]) == ["--all", "-1/3"]

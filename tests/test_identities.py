@@ -7,13 +7,18 @@ import pytest
 from stirlingkit import (
     Failure,
     IdentityReport,
+    Poly,
     SeqContext,
+    X,
     check_identity,
     list_identities,
     parse_rational,
     run_all,
 )
+from stirlingkit import identities, poly
 from stirlingkit.identities import DEFAULT_SERIES_ORDER, ENV_MAX_N
+
+from support import binom_poly_oracle
 
 EXPECTED_ORDER = [
     "T1", "T1b", "C2", "T3a", "T3b", "E9", "T5a", "T5b", "T5c",
@@ -169,3 +174,71 @@ def test_report_passed_property():
     good = IdentityReport("X1", 3, ())
     bad = IdentityReport("X2", 3, (Failure({"n": 1}, "0", "1"),))
     assert good.passed and not bad.passed
+
+
+# -- per-checker family lists ------------------------------------------
+
+
+def _corrupt_entry(builder, index):
+    """A family builder whose list has one wrong entry at ``index``."""
+
+    def corrupted(n):
+        out = builder(n)
+        if index < len(out):
+            out[index] = out[index] + X
+        return out
+
+    return corrupted
+
+
+@pytest.mark.parametrize("entry", ["T3a", "T3b", "T5a", "T5b"])
+def test_binom_builder_fault_breaks_binomial_entries(monkeypatch, entry):
+    monkeypatch.setattr(identities, "binom_polys", _corrupt_entry(poly.binom_polys, 3))
+    r = check_identity(entry, ctx=SeqContext())
+    assert not r.passed
+    assert min(f.params["n"] for f in r.failures) == 3
+
+
+@pytest.mark.parametrize("entry", ["L8", "E15", "L16", "C10", "E21", "E22"])
+def test_exp_builder_fault_breaks_exponential_entries(monkeypatch, entry):
+    monkeypatch.setattr(identities, "exp_polys", _corrupt_entry(poly.exp_polys, 4))
+    r = check_identity(entry, ctx=SeqContext())
+    assert not r.passed
+    # the fault reaches back at most two indices (E15 reads phi_(n+2))
+    assert min(f.params["n"] for f in r.failures) >= 2
+
+
+@pytest.mark.parametrize("entry", ["T3b", "T5b", "L8"])
+def test_family_lists_bound_polynomial_products(monkeypatch, entry):
+    # a per-summand rebuild of the families makes over 20,000 products
+    # for each of these entries at n <= 30
+    calls = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setenv(ENV_MAX_N, "30")
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    r = check_identity(entry, ctx=SeqContext())
+    assert r.passed and r.checked >= 31
+    assert 0 < len(calls) <= 2000
+
+
+def test_geometric_blocks_equal_direct_double_sum():
+    w = Fraction(-1, 2)
+    blocks = identities._geometric_blocks(poly.binom_polys(20), w)
+    for k, block in enumerate(blocks):
+        direct = sum(
+            (w ** (k - j) * binom_poly_oracle(j) for j in range(k + 1)), Poly()
+        )
+        assert block == direct, k
+
+
+def test_empty_effective_range_is_refused():
+    with pytest.raises(ValueError, match="no instance"):
+        check_identity("T1", max_n=0)
+    with pytest.raises(ValueError, match="no instance"):
+        check_identity("T3b", max_n=-1)
+    assert check_identity("T3b", max_n=0).checked == 1

@@ -20,7 +20,15 @@ from stirlingkit import (
     xd_apply,
 )
 
-from support import bernoulli_poly_oracle, euler_poly_oracle, padded
+from stirlingkit.poly import binom_polys, exp_polys
+
+from support import (
+    bernoulli_poly_oracle,
+    binom_poly_oracle,
+    euler_poly_oracle,
+    exp_poly_oracle,
+    padded,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +46,15 @@ def test_trailing_zeros_stripped():
     assert ZERO.degree == -1
     assert ONE.degree == 0
     assert X.degree == 1
+
+
+def test_coefficients_are_plain_fractions():
+    class Tagged(Fraction):
+        pass
+
+    p = Poly([1, Fraction(1, 2), Tagged(3, 4)])
+    assert p.coeffs == (1, Fraction(1, 2), Fraction(3, 4))
+    assert [type(c) for c in p.coeffs] == [Fraction] * 3
 
 
 def test_coeff_out_of_range_is_zero():
@@ -174,6 +191,33 @@ def test_binom_poly_leading_coefficient():
 
     for k in range(0, 7):
         assert binom_poly(k).coeff(k) == Fraction(1, math.factorial(k))
+
+
+def test_binom_builder_matches_product_oracle():
+    built = binom_polys(40)
+    assert len(built) == 41
+    for k, p in enumerate(built):
+        assert p == binom_poly_oracle(k), k
+        assert binom_poly(k) == p, k
+
+
+def test_exp_builder_matches_operator_oracle():
+    built = exp_polys(40)
+    assert len(built) == 41
+    for n, p in enumerate(built):
+        assert p == exp_poly_oracle(n), n
+        assert exp_poly(n) == p, n
+
+
+def test_builders_reject_negative_index():
+    for fn in (binom_polys, exp_polys, binom_poly, exp_poly):
+        with pytest.raises(ValueError):
+            fn(-1)
+
+
+def test_builder_coefficients_are_exact_fractions():
+    for p in binom_polys(6) + exp_polys(6):
+        assert all(type(c) is Fraction for c in p.coeffs)
 
 
 # -- operator identities on the exponential family -------------------
