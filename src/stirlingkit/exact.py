@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 # Integer, or integer slash unsigned integer.  No whitespace, no floats.
@@ -58,9 +59,38 @@ def int_pow(base: Fraction | int, exp: int) -> Fraction:
     return Fraction(base) ** exp
 
 
+def common_denominator(values) -> tuple[list[int], int]:
+    """(nums, den) with values[i] == nums[i] / den for every i.
+
+    den is the least common multiple of the denominators, so it is the
+    smallest positive integer that clears all of them; an empty input
+    gives ([], 1).
+    """
+    fracs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 def format_rational(x: Fraction | int) -> str:
     """Render canonically as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(x))
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        # over the interpreter's int-to-str digit limit (CPython >= 3.11)
+        limit = sys.get_int_max_str_digits()
+        num = ("-" if x < 0 else "") + _decimal(abs(x.numerator), limit)
+        return num if x.denominator == 1 else f"{num}/{_decimal(x.denominator, limit)}"
+
+
+def _decimal(n: int, limit: int) -> str:
+    """Decimal digits of n >= 0, split at a power of ten until each part
+    has fewer than ``limit`` digits and so converts with str()."""
+    if n.bit_length() <= 3 * limit:  # 3 bits hold less than one digit
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10**half)
+    return _decimal(high, limit) + _decimal(low, limit).zfill(half)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -13,8 +13,8 @@ with ^ right-associative:
 
 There are no rational literals: "/" is exact division, so 1/3 already
 denotes the exact rational.  Summation is an inclusive fold whose empty
-range is 0; ranges are capped at 1_000_000 terms.  Exponents must
-evaluate to nonnegative integers, with 0^0 = 1.
+range is 0; ranges are capped at 1_000_000 terms, and nesting at 100
+levels.  Exponents must evaluate to nonnegative integers, with 0^0 = 1.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .exact import binomial, int_pow
 from .seq import FAMILIES, SeqContext, context
 
 SUM_TERM_CAP = 1_000_000
+# Parentheses, unary minus, exponents and call arguments may nest this
+# deep, which keeps parsing, evaluation and printing well inside the
+# interpreter's recursion limit.
+NESTING_CAP = 100
 
 
 class ExprError(Exception):
@@ -152,6 +156,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -186,10 +191,17 @@ class _Parser:
         return node
 
     def parse_unary(self):
-        if self.peek().kind == "-":
-            self.take()
-            return Neg(self.parse_unary())
-        return self.parse_power()
+        # every nesting path passes through here, so this bounds recursion
+        if self.depth == NESTING_CAP:
+            self.fail(f"nesting deeper than {NESTING_CAP} levels", frozenset())
+        self.depth += 1
+        try:
+            if self.peek().kind == "-":
+                self.take()
+                return Neg(self.parse_unary())
+            return self.parse_power()
+        finally:
+            self.depth -= 1
 
     def parse_power(self):
         base = self.parse_atom()

@@ -37,7 +37,7 @@ from .egf import (
     to_ordinary,
 )
 from .exact import binomial, binomial_rational, format_rational, int_pow
-from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_poly, exp_polys, geom_poly, xd_apply
+from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
 
 DEFAULT_SERIES_ORDER = 12
@@ -179,7 +179,7 @@ def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
 
 def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     half = Fraction(-1, 2)
-    euler = [euler_poly(k) for k in range(n_hi + 1)]
+    euler = euler_polys(n_hi)
     binom = binom_polys(n_hi)
     for n in range(n_lo, n_hi + 1):
         lhs = ZERO
@@ -203,15 +203,18 @@ def _geometric_blocks(binom, w):
 
 
 def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    euler = euler_polys(n_hi)
     blocks = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
     for n in range(n_lo, n_hi + 1):
         rhs = ZERO
         for k in range(n + 1):
             rhs = rhs + ctx.stirling2(n, k) * ctx.factorial(k) * blocks[k]
-        run.check({"n": n}, euler_poly(n), rhs)
+        run.check({"n": n}, euler[n], rhs)
 
 
 def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    # one table fill from a single reciprocal series, rather than one per n
+    ctx.euler_number(n_hi)
     for n in range(n_lo, n_hi + 1):
         rhs = Fraction(0)
         for k in range(n + 1):

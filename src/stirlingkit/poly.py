@@ -9,7 +9,6 @@ through floating point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .egf import Egf, egf_reciprocal
 from .exact import binomial, format_rational, parse_rational
@@ -175,23 +174,24 @@ def bernoulli_poly(n: int, ctx: SeqContext | None = None) -> Poly:
     return Poly(binomial(n, j) * ctx.bernoulli(n - j) for j in range(n + 1))
 
 
-@lru_cache(maxsize=None)
-def _euler_reciprocal(order: int) -> tuple[Fraction, ...]:
-    # coefficients of 2/(e^t + 1), the reciprocal of [1, 1/2, 1/2, ...]
-    base = Egf([Fraction(1)] + [Fraction(1, 2)] * order)
-    return egf_reciprocal(base).coeffs
+def euler_polys(n: int) -> list[Poly]:
+    """Euler polynomials E_0 .. E_n, read off the product
+    e^(xt) * 2/(e^t + 1):
 
-
-def euler_poly(n: int) -> Poly:
-    """E_n(x), read off the product e^(xt) * 2/(e^t + 1):
-
-    the coefficient of x^k is C(n, k) r_{n-k} with r the reciprocal
-    factor above.
+    the coefficient of x^k in E_m is C(m, k) r_(m-k), with r the
+    reciprocal factor.  Its coefficients do not depend on the order it
+    is truncated to, so one reciprocal of order n serves every E_m.
     """
     if n < 0:
         raise ValueError(f"negative index {n}")
-    r = _euler_reciprocal(n)
-    return Poly(binomial(n, k) * r[n - k] for k in range(n + 1))
+    # 2/(e^t + 1) is the reciprocal of [1, 1/2, 1/2, ...]
+    r = egf_reciprocal(Egf([Fraction(1)] + [Fraction(1, 2)] * n)).coeffs
+    return [Poly(binomial(m, k) * r[m - k] for k in range(m + 1)) for m in range(n + 1)]
+
+
+def euler_poly(n: int) -> Poly:
+    """E_n(x), the last entry of :func:`euler_polys`."""
+    return euler_polys(n)[-1]
 
 
 def binom_polys(n: int) -> list[Poly]:

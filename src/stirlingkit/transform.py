@@ -2,41 +2,61 @@
 
 Every transform is length-preserving, exact, and pure; triangle rows come
 from the ``SeqContext`` passed in, or from the default context when none is.
+
+All four are one engine, b_n = sum_k T(n, k) lam^(n-k) mu^k a_k, with T
+read a whole row at a time from S, s or Pascal's triangle.  The inputs are
+brought over one common denominator and the weights over another, so each
+output is an integer sum turned into one Fraction at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from operator import mul
 
-from .exact import binomial, int_pow
+from .exact import common_denominator
 from .seq import SeqContext, context
 
 
-def _as_fractions(values) -> list[Fraction]:
-    out = [Fraction(v) for v in values]
-    if not out:
+def _pascal_row(n: int) -> list[int]:
+    return [comb(n, k) for k in range(n + 1)]
+
+
+def _transform(values, row, lam: Fraction | int = 1, mu: Fraction | int = 1) -> list[Fraction]:
+    """b_n = sum_k row(n)[k] lam^(n-k) mu^k a_k for n < len(values).
+
+    With a_k = nums_k / den over one common denominator, lam = p/q and
+    mu = r/s, the weight lam^(n-k) mu^k is (ps)^(n-k) (qr)^k / (qs)^n, so
+    b_n is the integer sum_k T(n, k) (ps)^(n-k) (qr)^k nums_k over
+    den (qs)^n.
+    """
+    nums, den = common_denominator(values)
+    if not nums:
         raise ValueError("empty input sequence")
+    down = lam.numerator * mu.denominator
+    up = lam.denominator * mu.numerator
+    step = lam.denominator * mu.denominator
+    weighted = [up**k * x for k, x in enumerate(nums)]
+    down_pows = [down**j for j in range(len(nums))]
+    out = []
+    scale = den
+    for n in range(len(nums)):
+        # down_pows[n::-1] is (ps)^n, ..., (ps)^0 against k = 0, ..., n
+        total = sum(map(mul, row(n), map(mul, down_pows[n::-1], weighted)))
+        out.append(Fraction(total, scale))
+        scale *= step
     return out
 
 
 def stirling_transform(a, ctx: SeqContext | None = None) -> list[Fraction]:
     """b_n = sum_k S(n, k) a_k."""
-    vals = _as_fractions(a)
-    ctx = context(ctx)
-    return [
-        sum((ctx.stirling2(n, k) * vals[k] for k in range(n + 1)), Fraction(0))
-        for n in range(len(vals))
-    ]
+    return _transform(a, context(ctx).stirling2_row)
 
 
 def stirling_inverse(b, ctx: SeqContext | None = None) -> list[Fraction]:
     """a_n = sum_k s(n, k) b_k; exact inverse of :func:`stirling_transform`."""
-    vals = _as_fractions(b)
-    ctx = context(ctx)
-    return [
-        sum((ctx.stirling1(n, k) * vals[k] for k in range(n + 1)), Fraction(0))
-        for n in range(len(vals))
-    ]
+    return _transform(b, context(ctx).stirling1_row)
 
 
 def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
@@ -44,17 +64,7 @@ def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
 
     The alternating form is an involution.
     """
-    vals = _as_fractions(a)
-    out = []
-    for n in range(len(vals)):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            term = binomial(n, k) * vals[k]
-            if alternating and k % 2:
-                term = -term
-            acc += term
-        out.append(acc)
-    return out
+    return _transform(a, _pascal_row, mu=-1 if alternating else 1)
 
 
 def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContext | None = None) -> list[Fraction]:
@@ -63,17 +73,7 @@ def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContex
     kind "second" uses S(n, k), kind "first" uses signed s(n, k).  With
     lam = mu = 1 the "second" kind is the plain Stirling transform.
     """
-    vals = _as_fractions(a)
-    lam = Fraction(lam)
-    mu = Fraction(mu)
     if kind not in ("second", "first"):
         raise ValueError(f"unknown kind {kind!r}; expected 'second' or 'first'")
     ctx = context(ctx)
-    weight = ctx.stirling2 if kind == "second" else ctx.stirling1
-    return [
-        sum(
-            (weight(n, k) * int_pow(lam, n - k) * int_pow(mu, k) * vals[k] for k in range(n + 1)),
-            Fraction(0),
-        )
-        for n in range(len(vals))
-    ]
+    return _transform(a, ctx.stirling2_row if kind == "second" else ctx.stirling1_row, Fraction(lam), Fraction(mu))

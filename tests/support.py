@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
+from stirlingkit.exact import binomial, int_pow
 from stirlingkit.poly import ONE, Poly, X, xd_apply
 
 
@@ -66,8 +67,8 @@ def bernoulli_oracle(n: int) -> Fraction:
     return vals[n]
 
 
-def euler_poly_oracle(n: int) -> list[Fraction]:
-    """Euler polynomial coefficients from
+def euler_polys_oracle(n: int) -> list[list[Fraction]]:
+    """Euler polynomial coefficients of E_0 .. E_n from
     E_m(x) = x^m - (1/2) sum_{k<m} C(m, k) E_k(x)."""
     polys: list[list[Fraction]] = []
     for m in range(n + 1):
@@ -78,7 +79,11 @@ def euler_poly_oracle(n: int) -> list[Fraction]:
             for j, c in enumerate(polys[k]):
                 coeffs[j] -= w * c
         polys.append(coeffs)
-    return polys[n]
+    return polys
+
+
+def euler_poly_oracle(n: int) -> list[Fraction]:
+    return euler_polys_oracle(n)[n]
 
 
 def bernoulli_poly_oracle(n: int) -> list[Fraction]:
@@ -125,3 +130,58 @@ def exp_poly_oracle(n: int) -> Poly:
     for _ in range(n):
         p = xd_apply(p, 1) + X * p
     return p
+
+
+# -- the transforms' former implementation: one Fraction product and one
+# Fraction add per term, each triangle entry looked up on its own ------
+
+
+def _as_fractions(values) -> list[Fraction]:
+    out = [Fraction(v) for v in values]
+    if not out:
+        raise ValueError("empty input sequence")
+    return out
+
+
+def stirling_transform_oracle(a, ctx) -> list[Fraction]:
+    vals = _as_fractions(a)
+    return [
+        sum((ctx.stirling2(n, k) * vals[k] for k in range(n + 1)), Fraction(0))
+        for n in range(len(vals))
+    ]
+
+
+def stirling_inverse_oracle(b, ctx) -> list[Fraction]:
+    vals = _as_fractions(b)
+    return [
+        sum((ctx.stirling1(n, k) * vals[k] for k in range(n + 1)), Fraction(0))
+        for n in range(len(vals))
+    ]
+
+
+def binomial_transform_oracle(a, alternating: bool = False) -> list[Fraction]:
+    vals = _as_fractions(a)
+    out = []
+    for n in range(len(vals)):
+        acc = Fraction(0)
+        for k in range(n + 1):
+            term = binomial(n, k) * vals[k]
+            if alternating and k % 2:
+                term = -term
+            acc += term
+        out.append(acc)
+    return out
+
+
+def weighted_stirling_transform_oracle(a, lam, mu, kind, ctx) -> list[Fraction]:
+    vals = _as_fractions(a)
+    lam = Fraction(lam)
+    mu = Fraction(mu)
+    weight = ctx.stirling2 if kind == "second" else ctx.stirling1
+    return [
+        sum(
+            (weight(n, k) * int_pow(lam, n - k) * int_pow(mu, k) * vals[k] for k in range(n + 1)),
+            Fraction(0),
+        )
+        for n in range(len(vals))
+    ]

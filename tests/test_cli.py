@@ -386,3 +386,34 @@ def test_signed_value_join_stops_at_double_dash():
     assert cli._attach_signed_values(["eval", "--", "--mu", "-1/3"]) == ["eval", "--", "--mu", "-1/3"]
     assert cli._attach_signed_values(["--mu", "-1/3", "--x"]) == ["--mu=-1/3", "--x"]
     assert cli._attach_signed_values(["--all", "-1/3"]) == ["--all", "-1/3"]
+
+
+# -- values past the int-to-str limit, deep inputs -------------------
+
+
+def test_factorial_beyond_the_int_digit_limit(capsys):
+    import math
+    import sys
+
+    code, out, err = run_cli(capsys, "seq", "factorial", "--n", "1600", "--format", "csv")
+    assert code == 0 and err == ""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(math.factorial(1600))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.splitlines()[-1] == f"1600,{want}"
+
+
+def test_moment_exponent_over_the_cap_is_one_line_usage_error(capsys):
+    code, out, err = run_cli(capsys, "seq", "moment", "--n", "0", "--p", "1500")
+    assert code == 2 and out == ""
+    assert err == "error: moment exponent 1500 exceeds the cap 256\n"
+
+
+def test_deep_nesting_is_one_line_parse_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "(" * 1200 + "1" + ")" * 1200)
+    assert code == 2 and out == ""
+    assert err.startswith("error: syntax error at line 1, column 101: nesting deeper than 100 levels")
+    assert err.count("\n") == 1

@@ -85,6 +85,27 @@ def test_parse_rational_rejects_malformed():
             parse_rational(bad)
 
 
+def test_format_beyond_the_int_digit_limit(monkeypatch):
+    import sys
+
+    import stirlingkit.exact as exact
+
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    big = math.factorial(1600)  # 4,437 digits
+    ratio = Fraction(-big, 7**6000 + 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(big), str(ratio)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (format_rational(big), format_rational(ratio)) == want
+    # values the interpreter can print never reach the splitting path
+    monkeypatch.setattr(exact, "_decimal", None)
+    assert format_rational(10**4299) == "1" + "0" * 4299
+
+
 def test_format_is_reduced():
     assert format_rational(Fraction(2, 4)) == "1/2"
     assert format_rational(Fraction(-3, 1)) == "-3"

@@ -160,6 +160,22 @@ def test_sum_term_cap():
     assert "cap" in str(ei.value) or "1000000" in str(ei.value).replace(",", "")
 
 
+def test_nesting_cap():
+    from stirlingkit.expr import NESTING_CAP
+
+    fits = "(" * (NESTING_CAP - 1) + "1" + ")" * (NESTING_CAP - 1)
+    assert evaluate(parse(fits)) == 1
+    too_deep = (
+        "(" * NESTING_CAP + "1" + ")" * NESTING_CAP,
+        "-" * NESTING_CAP + "1",
+        "2^" * NESTING_CAP + "1",
+        "f(" * NESTING_CAP + "1" + ")" * NESTING_CAP,
+    )
+    for src in too_deep:
+        with pytest.raises(ParseError, match="nesting deeper than"):
+            parse(src)
+
+
 def test_sum_bounds_must_be_integers():
     with pytest.raises(EvalError):
         evaluate(parse("sum(k=0..1/2, k)"))

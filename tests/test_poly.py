@@ -20,12 +20,13 @@ from stirlingkit import (
     xd_apply,
 )
 
-from stirlingkit.poly import binom_polys, exp_polys
+from stirlingkit.poly import binom_polys, euler_polys, exp_polys
 
 from support import (
     bernoulli_poly_oracle,
     binom_poly_oracle,
     euler_poly_oracle,
+    euler_polys_oracle,
     exp_poly_oracle,
     padded,
 )
@@ -209,14 +210,23 @@ def test_exp_builder_matches_operator_oracle():
         assert exp_poly(n) == p, n
 
 
+def test_euler_builder_matches_recurrence_oracle():
+    built = euler_polys(40)
+    want = euler_polys_oracle(40)
+    assert len(built) == 41
+    for k, p in enumerate(built):
+        assert padded(p.coeffs, k + 1) == want[k], k
+    assert euler_poly(40) == built[40]
+
+
 def test_builders_reject_negative_index():
-    for fn in (binom_polys, exp_polys, binom_poly, exp_poly):
+    for fn in (binom_polys, exp_polys, euler_polys, binom_poly, exp_poly, euler_poly):
         with pytest.raises(ValueError):
             fn(-1)
 
 
 def test_builder_coefficients_are_exact_fractions():
-    for p in binom_polys(6) + exp_polys(6):
+    for p in binom_polys(6) + exp_polys(6) + euler_polys(6):
         assert all(type(c) is Fraction for c in p.coeffs)
 
 

@@ -35,6 +35,18 @@ def test_stirling1_matches_falling_factorial(ctx):
         assert ctx.stirling1(n, n + 1) == 0
 
 
+def test_rows_are_tuples_equal_to_entry_lookups(ctx):
+    for n in range(0, 31):
+        for row, entry in ((ctx.stirling2_row(n), ctx.stirling2), (ctx.stirling1_row(n), ctx.stirling1)):
+            assert type(row) is tuple and len(row) == n + 1, n
+            assert row == tuple(entry(n, k) for k in range(n + 1)), n
+    assert ctx.stirling1_row(9) == tuple(stirling1_row_oracle(9))
+    assert ctx.stirling2_row(9) == tuple(stirling2_oracle(9, k) for k in range(10))
+    for row in (ctx.stirling2_row, ctx.stirling1_row):
+        with pytest.raises(ValueError):
+            row(-1)
+
+
 def test_stirling_out_of_range_is_zero(ctx):
     assert ctx.stirling2(5, 7) == 0
     assert ctx.stirling2(5, -1) == 0
@@ -191,6 +203,30 @@ def test_moment_closed_forms(ctx):
     assert ctx.moment(1, 5) == 1
 
 
+def test_moment_runs_in_a_shallow_stack():
+    # the recurrence is filled bottom-up, so a deep exponent needs no
+    # recursion: 150 levels would not fit under this limit
+    import inspect
+    import sys
+
+    ctx = SeqContext()
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        deep = ctx.moment(0, 150), ctx.moment(2, 150)
+    finally:
+        sys.setrecursionlimit(saved)
+    # M(2, p) = S(2, 1) 1^p + S(2, 2) 2^p
+    assert deep == (0, 1 + 2**150)
+
+
+def test_moment_exponent_cap(ctx):
+    from stirlingkit.seq import MOMENT_ORDER_CAP
+
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        ctx.moment(0, MOMENT_ORDER_CAP + 1)
+
+
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=25))
 def test_memoized_equals_fresh(n):
@@ -237,6 +273,14 @@ class RecordingContext(SeqContext):
     def stirling1(self, n, k):
         self.used.add("stirling1")
         return super().stirling1(n, k)
+
+    def stirling2_row(self, n):
+        self.used.add("stirling2")
+        return super().stirling2_row(n)
+
+    def stirling1_row(self, n):
+        self.used.add("stirling1")
+        return super().stirling1_row(n)
 
     def bernoulli(self, n):
         self.used.add("bernoulli")

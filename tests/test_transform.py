@@ -11,13 +11,21 @@ from stirlingkit import (
     SeqContext,
     binomial,
     binomial_transform,
+    log_substitution,
     stirling_inverse,
     stirling_substitution,
     stirling_transform,
     weighted_stirling_transform,
 )
 
-from support import random_rationals, stirling2_oracle
+from support import (
+    binomial_transform_oracle,
+    random_rationals,
+    stirling2_oracle,
+    stirling_inverse_oracle,
+    stirling_transform_oracle,
+    weighted_stirling_transform_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +146,109 @@ def test_weighted_transform_weights(ctx):
 def test_weighted_kind_validated(ctx):
     with pytest.raises(ValueError):
         weighted_stirling_transform([Fraction(1)], 1, 1, "third", ctx)
+
+
+# -- the integer engine against the former Fraction sums -------------
+
+long_seqs = st.lists(
+    st.one_of(
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        st.integers(min_value=-50, max_value=50),
+    ),
+    min_size=1,
+    max_size=48,
+)
+weights = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_seqs, weights, weights)
+def test_engine_matches_fraction_sum_oracles(ctx, a, lam, mu):
+    assert stirling_transform(a, ctx) == stirling_transform_oracle(a, ctx)
+    assert stirling_inverse(a, ctx) == stirling_inverse_oracle(a, ctx)
+    for alternating in (False, True):
+        assert binomial_transform(a, alternating) == binomial_transform_oracle(a, alternating)
+    for kind in ("second", "first"):
+        got = weighted_stirling_transform(a, lam, mu, kind, ctx)
+        assert got == weighted_stirling_transform_oracle(a, lam, mu, kind, ctx), kind
+
+
+def test_outputs_are_canonical_fractions(ctx):
+    out = weighted_stirling_transform([Fraction(1, 6), Fraction(1, 4), 3], Fraction(2, 3), Fraction(-3, 2), "second", ctx)
+    assert all(type(v) is Fraction for v in out)
+    # b_2 = S(2,1) lam mu a_1 + S(2,2) mu^2 a_2 = -1/4 + 27/4
+    assert out == [Fraction(1, 6), Fraction(-3, 8), Fraction(13, 2)]
+
+
+class RowFlippedContext(SeqContext):
+    """s(3, 2) has the wrong sign, injected through the row method only."""
+
+    def stirling1_row(self, n):
+        row = super().stirling1_row(n)
+        if n == 3:
+            return row[:2] + (-row[2],) + row[3:]
+        return row
+
+
+def test_row_fault_reaches_entries_transforms_and_substitution(ctx):
+    bad = RowFlippedContext()
+    assert ctx.stirling1(3, 2) == -3 and bad.stirling1(3, 2) == 3
+    a = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1)]
+    assert stirling_inverse(a, bad) != stirling_inverse(a, ctx)
+    lam, mu = Fraction(1, 2), Fraction(3)
+    assert weighted_stirling_transform(a, lam, mu, "first", bad) != weighted_stirling_transform(
+        a, lam, mu, "first", ctx
+    )
+    assert weighted_stirling_transform(a, lam, mu, "second", bad) == weighted_stirling_transform(
+        a, lam, mu, "second", ctx
+    )
+    log_substitution(Egf(a), lam, mu, ctx)
+    with pytest.raises(ArithmeticError):
+        log_substitution(Egf(a), lam, mu, bad)
+
+
+class CountingContext(SeqContext):
+    """Counts whole-row reads and single-entry lookups separately."""
+
+    def __init__(self):
+        super().__init__()
+        self.row_reads = 0
+        self.entry_calls = 0
+
+    def stirling2_row(self, n):
+        self.row_reads += 1
+        return super().stirling2_row(n)
+
+    def stirling1_row(self, n):
+        self.row_reads += 1
+        return super().stirling1_row(n)
+
+    def stirling2(self, n, k):
+        self.entry_calls += 1
+        return super().stirling2(n, k)
+
+    def stirling1(self, n, k):
+        self.entry_calls += 1
+        return super().stirling1(n, k)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, c: stirling_transform(a, c),
+        lambda a, c: stirling_inverse(a, c),
+        lambda a, c: weighted_stirling_transform(a, Fraction(-2, 3), Fraction(5, 7), "second", c),
+        lambda a, c: weighted_stirling_transform(a, Fraction(-2, 3), Fraction(5, 7), "first", c),
+    ],
+)
+def test_one_row_read_per_output_and_no_entry_lookups(call):
+    # work-count guard: the transforms read each triangle row once and
+    # never fall back to one locked lookup per entry
+    counting = CountingContext()
+    out = call(random_rationals(random.Random(23), 48), counting)
+    assert len(out) == 48
+    assert counting.row_reads == 48
+    assert counting.entry_calls == 0
