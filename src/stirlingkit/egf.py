@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import binomial, factorial, int_pow
+from .exact import _convolve, _Vector, binomial, factorial, int_pow
 from .seq import SeqContext
 from .transform import weighted_stirling_transform
 
@@ -33,53 +33,28 @@ class OrderMismatchError(ValueError):
     """Raised when an operation mixes truncations of different orders."""
 
 
-class Egf:
+class Egf(_Vector):
     """Immutable truncated EGF; ``coeffs[n]`` is a_n."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs) -> None:
-        cs = tuple(Fraction(c) for c in coeffs)
+    @staticmethod
+    def _shape(cs: list[Fraction]) -> tuple[Fraction, ...]:
         if not cs:
             raise ValueError("an Egf needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", cs)
+        return tuple(cs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Egf is immutable")
+    def _match(self, other: "Egf") -> None:
+        if self.order != other.order:
+            raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Egf) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __repr__(self) -> str:
         inside = ", ".join(str(c) for c in self.coeffs)
         return f"Egf([{inside}])"
-
-    def __add__(self, other: "Egf") -> "Egf":
-        _check_orders(self, other)
-        return Egf(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Egf") -> "Egf":
-        _check_orders(self, other)
-        return Egf(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "Egf":
-        return Egf(-a for a in self.coeffs)
-
-    def scale(self, c) -> "Egf":
-        c = Fraction(c)
-        return Egf(c * a for a in self.coeffs)
-
-
-def _check_orders(f: Egf, g: Egf) -> None:
-    if f.order != g.order:
-        raise OrderMismatchError(f"orders differ: {f.order} vs {g.order}")
 
 
 def to_ordinary(f: Egf) -> tuple[Fraction, ...]:
@@ -95,20 +70,12 @@ def from_ordinary(coeffs) -> Egf:
 def ordinary_mul(a, b) -> list[Fraction]:
     """Cauchy product of ordinary coefficient lists, truncated to the
     shorter length."""
-    size = min(len(a), len(b))
-    out = [Fraction(0)] * size
-    for i in range(size):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(size - i):
-            out[i + j] += ai * b[j]
-    return out
+    return _convolve(a, b, min(len(a), len(b)))
 
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
     """Product via binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k}."""
-    _check_orders(f, g)
+    f._match(g)
     return from_ordinary(ordinary_mul(to_ordinary(f), to_ordinary(g)))
 
 
@@ -118,7 +85,7 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     Runs Horner's scheme on the ordinary views, so each step is one
     truncated Cauchy product; with g(0) = 0 the truncation is exact.
     """
-    _check_orders(f, g)
+    f._match(g)
     if g.coeffs[0] != 0:
         raise ValueError("inner series must have zero constant term")
     n = f.order

@@ -4,6 +4,9 @@ Integers are plain Python ``int``.  Rationals are ``fractions.Fraction``,
 which always stores a reduced numerator over a positive denominator, so
 value equality is structural equality.  The wire format is the string
 "p/q", or just "p" when the value is an integer.
+
+The immutable coefficient vector under ``Poly`` and ``Egf`` lives here
+too, with the one Cauchy-product loop both of them use.
 """
 
 from __future__ import annotations
@@ -107,3 +110,74 @@ def parse_rational(text: str) -> Fraction:
     if m.group(1) is not None and int(m.group(1)) == 0:
         raise ValueError(f"zero denominator: {text!r}")
     return Fraction(s)
+
+
+# -- coefficient vectors ---------------------------------------------
+
+
+class _Vector:
+    """Immutable tuple of Fraction coefficients, with the storage,
+    equality and linear arithmetic that ``Poly`` and ``Egf`` share.
+
+    A subclass shapes the stored tuple in ``_shape`` and refuses an
+    operand it cannot combine with in ``_match``.  Values of different
+    subclasses never compare equal.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()) -> None:
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        object.__setattr__(self, "coeffs", self._shape(cs))
+
+    @staticmethod
+    def _shape(cs: list[Fraction]) -> tuple[Fraction, ...]:
+        return tuple(cs)
+
+    def _match(self, other: "_Vector") -> None:
+        """Vectors of any two lengths combine unless a subclass says not."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        self._match(other)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return type(self)(-c for c in self.coeffs)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(c * a for a in self.coeffs)
+
+
+def _convolve(a, b, size: int) -> list[Fraction]:
+    """The first ``size`` coefficients of the Cauchy product of two
+    coefficient sequences: out[k] is the sum of a[i] b[j] over i + j = k."""
+    out = [Fraction(0)] * size
+    for i in range(min(len(a), size)):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(min(len(b), size - i)):
+            out[i + j] += ai * b[j]
+    return out

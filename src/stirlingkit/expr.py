@@ -14,7 +14,9 @@ with ^ right-associative:
 There are no rational literals: "/" is exact division, so 1/3 already
 denotes the exact rational.  Summation is an inclusive fold whose empty
 range is 0; ranges are capped at 1_000_000 terms, and nesting at 100
-levels.  Exponents must evaluate to nonnegative integers, with 0^0 = 1.
+levels.  Exponents must evaluate to nonnegative integers, with 0^0 = 1,
+and a power may be at most about 2^20 bits wide.  Chains of + - or * /
+have no length cap: they evaluate and print by a loop, not recursion.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ SUM_TERM_CAP = 1_000_000
 # deep, which keeps parsing, evaluation and printing well inside the
 # interpreter's recursion limit.
 NESTING_CAP = 100
+# A power wider than this many bits (numerator and denominator together,
+# by the estimate in _power_bits) is refused before it is computed:
+# printing a value about this wide already takes a second.
+POWER_BITS_CAP = 2**20
 
 
 class ExprError(Exception):
@@ -298,6 +304,25 @@ def evaluate(node, env: Env | None = None) -> Fraction:
     return _eval(node, env)
 
 
+def _chain(node):
+    """Split a left-deep chain of + - (or of * /) into its first operand
+    and the (operator, operand) pairs that follow it, in source order."""
+    group = ("+", "-") if node.op in ("+", "-") else ("*", "/")
+    tail = []
+    while isinstance(node, BinOp) and node.op in group:
+        tail.append((node.op, node.right))
+        node = node.left
+    tail.reverse()
+    return node, tail
+
+
+def _power_bits(base: Fraction, e: int) -> int:
+    """An upper bound on log2 |n^e| summed over the numerator and the
+    denominator: e * ceil(log2 |n|) each, so 0 for 0 and 1, and exact for
+    powers of two."""
+    return e * sum(max(abs(n) - 1, 0).bit_length() for n in (base.numerator, base.denominator))
+
+
 def _eval(node, env: Env) -> Fraction:
     if isinstance(node, IntLit):
         return Fraction(node.value)
@@ -309,25 +334,32 @@ def _eval(node, env: Env) -> Fraction:
     if isinstance(node, Neg):
         return -_eval(node.operand, env)
     if isinstance(node, BinOp):
-        left = _eval(node.left, env)
         if node.op == "^":
+            left = _eval(node.left, env)
             exponent = _eval(node.right, env)
             e = _as_int(exponent, "exponent")
             if e < 0:
                 raise EvalError(f"exponent must be nonnegative, got {e}")
+            if _power_bits(left, e) > POWER_BITS_CAP:
+                raise EvalError(f"power would be wider than the cap of {POWER_BITS_CAP} bits")
             return int_pow(left, e)
-        right = _eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if right == 0:
+        if node.op not in ("+", "-", "*", "/"):
+            raise EvalError(f"unknown operator {node.op!r}")
+        first, tail = _chain(node)
+        acc = _eval(first, env)
+        for op, operand in tail:
+            right = _eval(operand, env)
+            if op == "+":
+                acc = acc + right
+            elif op == "-":
+                acc = acc - right
+            elif op == "*":
+                acc = acc * right
+            elif right == 0:
                 raise EvalError("division by zero")
-            return left / right
-        raise EvalError(f"unknown operator {node.op!r}")
+            else:
+                acc = acc / right
+        return acc
     if isinstance(node, Call):
         try:
             arity, fn = _BUILTINS[node.name]
@@ -394,9 +426,9 @@ def _render_raw(node) -> str:
         return "-" + _render(node.operand, _LEVEL_UNARY)
     if isinstance(node, BinOp):
         if node.op in ("+", "-"):
-            return f"{_render(node.left, _LEVEL_ADD)} {node.op} {_render(node.right, _LEVEL_MUL)}"
+            return _render_chain(node, _LEVEL_ADD, _LEVEL_MUL, " {} ")
         if node.op in ("*", "/"):
-            return f"{_render(node.left, _LEVEL_MUL)}{node.op}{_render(node.right, _LEVEL_UNARY)}"
+            return _render_chain(node, _LEVEL_MUL, _LEVEL_UNARY, "{}")
         return f"{_render(node.left, _LEVEL_ATOM)}^{_render(node.right, _LEVEL_UNARY)}"
     if isinstance(node, Call):
         inside = ", ".join(_render(a, _LEVEL_ADD) for a in node.args)
@@ -407,6 +439,16 @@ def _render_raw(node) -> str:
         body = _render(node.body, _LEVEL_ADD)
         return f"sum({node.var}={lo}..{hi}, {body})"
     raise TypeError(f"cannot render node {node!r}")
+
+
+def _render_chain(node, level: int, right_level: int, joint: str) -> str:
+    """A left-deep chain of one precedence level, printed by a loop."""
+    first, tail = _chain(node)
+    parts = [_render(first, level)]
+    for op, operand in tail:
+        parts.append(joint.format(op))
+        parts.append(_render(operand, right_level))
+    return "".join(parts)
 
 
 def to_source(node) -> str:

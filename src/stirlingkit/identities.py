@@ -76,8 +76,16 @@ class IdentitySpec:
     routes: tuple[str, str]
     n_range: tuple[int, int] | None = None
     p_max: int | None = None
-    uses_order: bool = False
-    uses_eps: bool = False
+
+    @property
+    def uses_order(self) -> bool:
+        """Series entries have no index range; a truncation order sets their size."""
+        return self.n_range is None
+
+    @property
+    def uses_eps(self) -> bool:
+        """Only the tail-bounded kind compares at a tolerance."""
+        return self.kind == "numeric-tolerance"
 
 
 def _sign(k: int) -> int:
@@ -88,7 +96,7 @@ def _fmt(v) -> str:
     if isinstance(v, Poly):
         return str(v)
     if isinstance(v, Egf):
-        return "[" + ", ".join(format_rational(c) for c in v.coeffs) + "]"
+        v = v.coeffs
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(format_rational(c) for c in v) + "]"
     return format_rational(v)
@@ -119,28 +127,37 @@ class _Run:
                 self.failures.append(Failure(p, _fmt(lhs), _fmt(rhs)))
 
 
+# -- registry --------------------------------------------------------
+
+_REGISTRY: dict[str, tuple[IdentitySpec, object]] = {}
+
+
+def _entry(*args, **kwargs):
+    """Register the decorated checker as the entry IdentitySpec(*args,
+    **kwargs); entries report in the order they are declared."""
+    spec = IdentitySpec(*args, **kwargs)
+
+    def register(checker):
+        _REGISTRY[spec.id] = (spec, checker)
+        return checker
+
+    return register
+
+
 # -- checkers --------------------------------------------------------
 #
 # Uniform signature: (ctx, run, n_lo, n_hi, p_hi, order, eps).  Unused
 # slots are simply ignored by entries that have no such parameter.
 
 
-def _chk_orth(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    for n in range(n_lo, n_hi + 1):
-        for j in range(n + 1):
-            want = 1 if n == j else 0
-            run.check(
-                {"n": n, "j": j, "form": "second-then-first"},
-                sum(ctx.stirling2(n, k) * ctx.stirling1(k, j) for k in range(j, n + 1)),
-                want,
-            )
-            run.check(
-                {"n": n, "j": j, "form": "first-then-second"},
-                sum(ctx.stirling1(n, k) * ctx.stirling2(k, j) for k in range(j, n + 1)),
-                want,
-            )
-
-
+@_entry(
+    "T1",
+    "alternating factorial-weighted partition sums of hyperharmonics collapse to a signed power rule",
+    "scalar-equality",
+    ("triangle-weighted sum over hyperharmonic closed forms", "signed power formula"),
+    n_range=(1, 40),
+    p_max=8,
+)
 def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     run.notes.append("order-0 instances rely on the conventions 0^0 = 1 and h(0, n) = 1/n")
     for p in range(p_hi + 1):
@@ -156,6 +173,13 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
             run.check({"p": p, "n": n}, lhs, rhs)
 
 
+@_entry(
+    "T1b",
+    "order-one case: alternating factorial-weighted partition sums of harmonics equal a signed index",
+    "scalar-equality",
+    ("triangle-weighted sum over harmonic numbers", "signed index"),
+    n_range=(0, 60),
+)
 def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         lhs = sum(
@@ -165,6 +189,14 @@ def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, lhs, Fraction(_sign(n) * n))
 
 
+@_entry(
+    "C2",
+    "first-kind inversion of the signed power rule recovers hyperharmonic numbers",
+    "scalar-equality",
+    ("first-kind weighted power sums", "hyperharmonic closed form"),
+    n_range=(0, 40),
+    p_max=8,
+)
 def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         for n in range(n_lo, n_hi + 1):
@@ -177,6 +209,13 @@ def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
             run.check({"p": p, "n": n}, lhs, rhs)
 
 
+@_entry(
+    "T3a",
+    "first-kind sums of Euler polynomials match half-power binomial-polynomial expansions",
+    "polynomial-equality",
+    ("first-kind sums of series-extracted Euler polynomials", "binomial-polynomial combination"),
+    n_range=(0, 15),
+)
 def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     half = Fraction(-1, 2)
     euler = euler_polys(n_hi)
@@ -202,6 +241,13 @@ def _geometric_blocks(binom, w):
     return blocks
 
 
+@_entry(
+    "T3b",
+    "Euler polynomials as second-kind sums of half-power binomial-polynomial blocks",
+    "polynomial-equality",
+    ("series-extracted Euler polynomial", "triangle-weighted binomial-polynomial blocks"),
+    n_range=(0, 15),
+)
 def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     euler = euler_polys(n_hi)
     blocks = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
@@ -212,6 +258,13 @@ def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, euler[n], rhs)
 
 
+@_entry(
+    "E9",
+    "Euler values at one half as nested central-binomial sums",
+    "scalar-equality",
+    ("Euler polynomial evaluated at one half", "central-binomial nested sum"),
+    n_range=(0, 20),
+)
 def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # one table fill from a single reciprocal series, rather than one per n
     ctx.euler_number(n_hi)
@@ -225,6 +278,13 @@ def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, ctx.euler_number(n), rhs)
 
 
+@_entry(
+    "T5a",
+    "first-kind sums of Bernoulli polynomials match reciprocal-weighted binomial-polynomial expansions",
+    "polynomial-equality",
+    ("first-kind sums of binomially built Bernoulli polynomials", "binomial-polynomial combination"),
+    n_range=(0, 15),
+)
 def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     bernoulli = [bernoulli_poly(k, ctx) for k in range(n_hi + 1)]
     binom = binom_polys(n_hi)
@@ -238,6 +298,13 @@ def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, lhs, ctx.factorial(n) * rhs)
 
 
+@_entry(
+    "T5b",
+    "Bernoulli polynomials as second-kind sums of reciprocal-weighted binomial-polynomial blocks",
+    "polynomial-equality",
+    ("binomially built Bernoulli polynomial", "triangle-weighted binomial-polynomial blocks"),
+    n_range=(0, 15),
+)
 def _chk_t5b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # the weights (-1)^m/(m+1) are not geometric, so each block is its own sum
     binom = binom_polys(n_hi)
@@ -252,6 +319,13 @@ def _chk_t5b(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, bernoulli_poly(n, ctx), rhs)
 
 
+@_entry(
+    "T5c",
+    "Bernoulli numbers: partition-sum formula against series-reciprocal coefficients",
+    "scalar-equality",
+    ("triangle-weighted alternating factorial sum", "reciprocal of the averaged exponential series"),
+    n_range=(0, 40),
+)
 def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # independent side: reciprocal of the series with a_m = 1/(m+1),
     # whose coefficients are the Bernoulli numbers
@@ -267,6 +341,13 @@ def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, lhs, series[n])
 
 
+@_entry(
+    "T6a",
+    "first-kind sums of Bernoulli numbers give factorial-weighted harmonic numbers",
+    "scalar-equality",
+    ("first-kind Bernoulli sums", "factorial-weighted harmonic closed form"),
+    n_range=(1, 40),
+)
 def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         lhs = sum((ctx.stirling1(n, k) * ctx.bernoulli(k - 1) for k in range(1, n + 1)), Fraction(0))
@@ -274,6 +355,13 @@ def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, lhs, rhs)
 
 
+@_entry(
+    "T6b",
+    "second-kind inversion carries factorial-weighted harmonics back to Bernoulli numbers",
+    "scalar-equality",
+    ("Bernoulli number from the partition-sum formula", "triangle-weighted harmonic sums"),
+    n_range=(1, 40),
+)
 def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         rhs = sum(
@@ -286,6 +374,13 @@ def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, ctx.bernoulli(n - 1), rhs)
 
 
+@_entry(
+    "T6c",
+    "alternating first-kind Bernoulli sums give factorial over square values",
+    "scalar-equality",
+    ("alternating first-kind Bernoulli sums", "factorial-over-square closed form"),
+    n_range=(1, 40),
+)
 def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         lhs = sum(
@@ -296,6 +391,13 @@ def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, lhs, rhs)
 
 
+@_entry(
+    "T6d",
+    "second-kind inversion of factorial-over-square values recovers Bernoulli numbers",
+    "scalar-equality",
+    ("Bernoulli number from the partition-sum formula", "alternating factorial-over-square sums"),
+    n_range=(1, 40),
+)
 def _chk_t6d(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         rhs = _sign(n) * sum(
@@ -317,6 +419,14 @@ _BELL_CLOSED_FORMS = {
 }
 
 
+@_entry(
+    "T7",
+    "triangle moments: operator recurrence against direct sums and Bell-number closed forms",
+    "scalar-equality",
+    ("moment recurrence", "direct weighted row sums and Bell combinations"),
+    n_range=(0, 20),
+    p_max=8,
+)
 def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         for n in range(n_lo, n_hi + 1):
@@ -328,6 +438,14 @@ def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
             run.check({"n": n, "p": p, "form": "bell-closed-form"}, ctx.moment(n, p), rhs)
 
 
+@_entry(
+    "L8",
+    "commutation rule for repeated x d/dx applied to exponential polynomials",
+    "polynomial-equality",
+    ("operator power on one index", "shifted operator power minus binomial correction"),
+    n_range=(0, 15),
+    p_max=6,
+)
 def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 1)
     for p in range(p_hi + 1):
@@ -340,6 +458,13 @@ def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
             run.check({"n": n, "p": p}, lhs, rhs)
 
 
+@_entry(
+    "E15",
+    "first and second x d/dx of exponential polynomials as three-term shift combinations",
+    "polynomial-equality",
+    ("triangle-weighted index sums", "operator calculus and shift combinations"),
+    n_range=(0, 15),
+)
 def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 2)
     for n in range(n_lo, n_hi + 1):
@@ -366,6 +491,13 @@ def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
         )
 
 
+@_entry(
+    "P9",
+    "reciprocal-index partition polynomials equal the damped power-sum series",
+    "series-equality",
+    ("triangle coefficients over index", "product of negative exponential and power-sum series"),
+    p_max=8,
+)
 def _chk_p9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     minus_exp = exp_series(order, -1)
     for p in range(p_hi + 1):
@@ -407,18 +539,46 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
             run.check({"n": n, "form": form}, partition_sum(n), rhs)
 
 
+@_entry(
+    "C10",
+    "reciprocal-index partition polynomials via Bernoulli-weighted convolution, two-term form",
+    "polynomial-equality",
+    ("triangle coefficients over index", "Bernoulli-weighted convolution of exponential polynomials"),
+    n_range=(2, 30),
+)
 def _chk_c10(ctx, run, n_lo, n_hi, p_hi, order, eps):
     _bernoulli_convolution(ctx, run, n_lo, n_hi, ctx.bernoulli, previous=True)
 
 
+@_entry(
+    "E21",
+    "reciprocal-index partition polynomials via plus-convention Bernoulli convolution",
+    "polynomial-equality",
+    ("triangle coefficients over index", "plus-convention Bernoulli convolution"),
+    n_range=(1, 30),
+)
 def _chk_e21(ctx, run, n_lo, n_hi, p_hi, order, eps):
     _bernoulli_convolution(ctx, run, n_lo, n_hi, ctx.bernoulli_plus)
 
 
+@_entry(
+    "E22",
+    "squared-reciprocal-index partition polynomials via iterated Bernoulli convolution",
+    "polynomial-equality",
+    ("triangle coefficients over squared index", "iterated plus-convention convolution"),
+    n_range=(1, 30),
+)
 def _chk_e22(ctx, run, n_lo, n_hi, p_hi, order, eps):
     _bernoulli_convolution(ctx, run, n_lo, n_hi, ctx.bernoulli_plus, depth=2)
 
 
+@_entry(
+    "P11",
+    "factorial-weighted partition polynomials factor through shifted geometric polynomials",
+    "polynomial-equality",
+    ("triangle coefficients with shifted factorials", "shifted geometric polynomial times a linear factor"),
+    n_range=(1, 15),
+)
 def _chk_p11(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         lhs = Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k) * ctx.factorial(k - 1)) for k in range(1, n + 1)])
@@ -426,6 +586,13 @@ def _chk_p11(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, lhs, rhs)
 
 
+@_entry(
+    "C12",
+    "geometric polynomials satisfy a first-order differential recurrence",
+    "polynomial-equality",
+    ("triangle-built geometric polynomial", "differential recurrence from the previous index"),
+    n_range=(1, 15),
+)
 def _chk_c12(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         prev = geom_poly(n - 1, ctx)
@@ -433,6 +600,13 @@ def _chk_c12(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, geom_poly(n, ctx), rhs)
 
 
+@_entry(
+    "C13",
+    "factorial-over-index partition sums double the ordered-partition count; the alternating form telescopes",
+    "scalar-equality",
+    ("shifted-factorial triangle sums", "ordered-partition closed form"),
+    n_range=(1, 40),
+)
 def _chk_c13(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         plain = sum(ctx.stirling2(n, k) * ctx.factorial(k - 1) for k in range(1, n + 1))
@@ -460,6 +634,13 @@ def _tail_cutoff(n: int, eps: Fraction) -> int:
         K *= 2
 
 
+@_entry(
+    "E30",
+    "ordered-partition counts as geometric-damped power series, tail-bounded",
+    "numeric-tolerance",
+    ("certified partial sum of the damped power series", "ordered-partition count"),
+    n_range=(0, 15),
+)
 def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         K = _tail_cutoff(n, eps)
@@ -472,12 +653,26 @@ def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
             )
 
 
+@_entry(
+    "C14",
+    "doubly shifted factorial partition sums count one less than the index",
+    "scalar-equality",
+    ("alternating doubly shifted factorial sums", "index minus one"),
+    n_range=(1, 40),
+)
 def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         lhs = sum(ctx.stirling2(n, k) * ctx.factorial(k - 2) * _sign(k) for k in range(2, n + 1))
         run.check({"n": n}, lhs, n - 1)
 
 
+@_entry(
+    "T15",
+    "three routes to the complementary Bell numbers agree",
+    "scalar-equality",
+    ("alternating derangement transform", "alternating binomial transform of Bell numbers"),
+    n_range=(0, 40),
+)
 def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         via_derangements = _sign(n) * sum(
@@ -494,6 +689,13 @@ def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
         )
 
 
+@_entry(
+    "L16",
+    "alternating binomial sums of exponential polynomials telescope",
+    "polynomial-equality",
+    ("alternating binomial sums", "telescoped partial sums"),
+    n_range=(0, 15),
+)
 def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi)
     for n in range(n_lo, n_hi + 1):
@@ -506,6 +708,36 @@ def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"n": n}, lhs, ONE + X * acc)
 
 
+@_entry(
+    "ORTH",
+    "the two triangles are mutually inverse in both multiplication orders",
+    "scalar-equality",
+    ("second-kind rows", "first-kind rows"),
+    n_range=(0, 30),
+)
+def _chk_orth(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    for n in range(n_lo, n_hi + 1):
+        for j in range(n + 1):
+            want = 1 if n == j else 0
+            run.check(
+                {"n": n, "j": j, "form": "second-then-first"},
+                sum(ctx.stirling2(n, k) * ctx.stirling1(k, j) for k in range(j, n + 1)),
+                want,
+            )
+            run.check(
+                {"n": n, "j": j, "form": "first-then-second"},
+                sum(ctx.stirling1(n, k) * ctx.stirling2(k, j) for k in range(j, n + 1)),
+                want,
+            )
+
+
+@_entry(
+    "GF6",
+    "hyperharmonic generating function: log-over-power product against signed factorial coefficients",
+    "series-equality",
+    ("series product of log and binomial series", "hyperharmonic closed form"),
+    p_max=5,
+)
 def _chk_gf6(ctx, run, n_lo, n_hi, p_hi, order, eps):
     neg_log = -log1p_series(order)
     for p in range(p_hi + 1):
@@ -514,6 +746,12 @@ def _chk_gf6(ctx, run, n_lo, n_hi, p_hi, order, eps):
         run.check({"p": p}, lhs, rhs)
 
 
+@_entry(
+    "DIL",
+    "dilogarithm of a geometric argument has harmonic-number coefficients",
+    "series-equality",
+    ("dilogarithm series composition", "harmonic-number closed form"),
+)
 def _chk_dil(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # inner: -t/(1-t), whose coefficients are a_n = -n! for n >= 1
     inner = Egf(Fraction(0) if i == 0 else Fraction(-ctx.factorial(i)) for i in range(order + 1))
@@ -531,6 +769,12 @@ _L4_SEQUENCES = (
 _L4_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
 
 
+@_entry(
+    "L4",
+    "partial-sum weights equal geometric-series convolution on ordinary coefficients",
+    "series-equality",
+    ("direct weighted partial sums", "series reciprocal and product"),
+)
 def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for name, gen in _L4_SEQUENCES:
         g = [gen(k) for k in range(order + 1)]
@@ -551,366 +795,32 @@ def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
                 )
 
 
+@_entry(
+    "E18",
+    "the Bernoulli closed form for power sums equals direct summation",
+    "scalar-equality",
+    ("Bernoulli-number closed form", "direct summation"),
+    n_range=(0, 30),
+    p_max=12,
+)
 def _chk_e18(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         for n in range(n_lo, n_hi + 1):
             run.check({"p": p, "n": n}, ctx.faulhaber(p, n), Fraction(ctx.power_sum(p, n)))
 
 
+@_entry(
+    "CBH",
+    "half-integer binomial coefficients in central-binomial form",
+    "scalar-equality",
+    ("falling-factorial generalized binomial", "central-binomial closed form"),
+    n_range=(0, 20),
+)
 def _chk_cbh(ctx, run, n_lo, n_hi, p_hi, order, eps):
     half = Fraction(1, 2)
     for j in range(n_lo, n_hi + 1):
         rhs = Fraction(binomial(2 * j, j) * -_sign(j), 2 ** (2 * j) * (2 * j - 1))
         run.check({"j": j}, binomial_rational(half, j), rhs)
-
-
-# -- registry --------------------------------------------------------
-
-_REGISTRY: dict[str, tuple[IdentitySpec, object]] = {}
-
-
-def _add(spec: IdentitySpec, checker) -> None:
-    _REGISTRY[spec.id] = (spec, checker)
-
-
-_add(
-    IdentitySpec(
-        "T1",
-        "alternating factorial-weighted partition sums of hyperharmonics collapse to a signed power rule",
-        "scalar-equality",
-        ("triangle-weighted sum over hyperharmonic closed forms", "signed power formula"),
-        n_range=(1, 40),
-        p_max=8,
-    ),
-    _chk_t1,
-)
-_add(
-    IdentitySpec(
-        "T1b",
-        "order-one case: alternating factorial-weighted partition sums of harmonics equal a signed index",
-        "scalar-equality",
-        ("triangle-weighted sum over harmonic numbers", "signed index"),
-        n_range=(0, 60),
-    ),
-    _chk_t1b,
-)
-_add(
-    IdentitySpec(
-        "C2",
-        "first-kind inversion of the signed power rule recovers hyperharmonic numbers",
-        "scalar-equality",
-        ("first-kind weighted power sums", "hyperharmonic closed form"),
-        n_range=(0, 40),
-        p_max=8,
-    ),
-    _chk_c2,
-)
-_add(
-    IdentitySpec(
-        "T3a",
-        "first-kind sums of Euler polynomials match half-power binomial-polynomial expansions",
-        "polynomial-equality",
-        ("first-kind sums of series-extracted Euler polynomials", "binomial-polynomial combination"),
-        n_range=(0, 15),
-    ),
-    _chk_t3a,
-)
-_add(
-    IdentitySpec(
-        "T3b",
-        "Euler polynomials as second-kind sums of half-power binomial-polynomial blocks",
-        "polynomial-equality",
-        ("series-extracted Euler polynomial", "triangle-weighted binomial-polynomial blocks"),
-        n_range=(0, 15),
-    ),
-    _chk_t3b,
-)
-_add(
-    IdentitySpec(
-        "E9",
-        "Euler values at one half as nested central-binomial sums",
-        "scalar-equality",
-        ("Euler polynomial evaluated at one half", "central-binomial nested sum"),
-        n_range=(0, 20),
-    ),
-    _chk_e9,
-)
-_add(
-    IdentitySpec(
-        "T5a",
-        "first-kind sums of Bernoulli polynomials match reciprocal-weighted binomial-polynomial expansions",
-        "polynomial-equality",
-        ("first-kind sums of binomially built Bernoulli polynomials", "binomial-polynomial combination"),
-        n_range=(0, 15),
-    ),
-    _chk_t5a,
-)
-_add(
-    IdentitySpec(
-        "T5b",
-        "Bernoulli polynomials as second-kind sums of reciprocal-weighted binomial-polynomial blocks",
-        "polynomial-equality",
-        ("binomially built Bernoulli polynomial", "triangle-weighted binomial-polynomial blocks"),
-        n_range=(0, 15),
-    ),
-    _chk_t5b,
-)
-_add(
-    IdentitySpec(
-        "T5c",
-        "Bernoulli numbers: partition-sum formula against series-reciprocal coefficients",
-        "scalar-equality",
-        ("triangle-weighted alternating factorial sum", "reciprocal of the averaged exponential series"),
-        n_range=(0, 40),
-    ),
-    _chk_t5c,
-)
-_add(
-    IdentitySpec(
-        "T6a",
-        "first-kind sums of Bernoulli numbers give factorial-weighted harmonic numbers",
-        "scalar-equality",
-        ("first-kind Bernoulli sums", "factorial-weighted harmonic closed form"),
-        n_range=(1, 40),
-    ),
-    _chk_t6a,
-)
-_add(
-    IdentitySpec(
-        "T6b",
-        "second-kind inversion carries factorial-weighted harmonics back to Bernoulli numbers",
-        "scalar-equality",
-        ("Bernoulli number from the partition-sum formula", "triangle-weighted harmonic sums"),
-        n_range=(1, 40),
-    ),
-    _chk_t6b,
-)
-_add(
-    IdentitySpec(
-        "T6c",
-        "alternating first-kind Bernoulli sums give factorial over square values",
-        "scalar-equality",
-        ("alternating first-kind Bernoulli sums", "factorial-over-square closed form"),
-        n_range=(1, 40),
-    ),
-    _chk_t6c,
-)
-_add(
-    IdentitySpec(
-        "T6d",
-        "second-kind inversion of factorial-over-square values recovers Bernoulli numbers",
-        "scalar-equality",
-        ("Bernoulli number from the partition-sum formula", "alternating factorial-over-square sums"),
-        n_range=(1, 40),
-    ),
-    _chk_t6d,
-)
-_add(
-    IdentitySpec(
-        "T7",
-        "triangle moments: operator recurrence against direct sums and Bell-number closed forms",
-        "scalar-equality",
-        ("moment recurrence", "direct weighted row sums and Bell combinations"),
-        n_range=(0, 20),
-        p_max=8,
-    ),
-    _chk_t7,
-)
-_add(
-    IdentitySpec(
-        "L8",
-        "commutation rule for repeated x d/dx applied to exponential polynomials",
-        "polynomial-equality",
-        ("operator power on one index", "shifted operator power minus binomial correction"),
-        n_range=(0, 15),
-        p_max=6,
-    ),
-    _chk_l8,
-)
-_add(
-    IdentitySpec(
-        "E15",
-        "first and second x d/dx of exponential polynomials as three-term shift combinations",
-        "polynomial-equality",
-        ("triangle-weighted index sums", "operator calculus and shift combinations"),
-        n_range=(0, 15),
-    ),
-    _chk_e15,
-)
-_add(
-    IdentitySpec(
-        "P9",
-        "reciprocal-index partition polynomials equal the damped power-sum series",
-        "series-equality",
-        ("triangle coefficients over index", "product of negative exponential and power-sum series"),
-        p_max=8,
-        uses_order=True,
-    ),
-    _chk_p9,
-)
-_add(
-    IdentitySpec(
-        "C10",
-        "reciprocal-index partition polynomials via Bernoulli-weighted convolution, two-term form",
-        "polynomial-equality",
-        ("triangle coefficients over index", "Bernoulli-weighted convolution of exponential polynomials"),
-        n_range=(2, 30),
-    ),
-    _chk_c10,
-)
-_add(
-    IdentitySpec(
-        "E21",
-        "reciprocal-index partition polynomials via plus-convention Bernoulli convolution",
-        "polynomial-equality",
-        ("triangle coefficients over index", "plus-convention Bernoulli convolution"),
-        n_range=(1, 30),
-    ),
-    _chk_e21,
-)
-_add(
-    IdentitySpec(
-        "E22",
-        "squared-reciprocal-index partition polynomials via iterated Bernoulli convolution",
-        "polynomial-equality",
-        ("triangle coefficients over squared index", "iterated plus-convention convolution"),
-        n_range=(1, 30),
-    ),
-    _chk_e22,
-)
-_add(
-    IdentitySpec(
-        "P11",
-        "factorial-weighted partition polynomials factor through shifted geometric polynomials",
-        "polynomial-equality",
-        ("triangle coefficients with shifted factorials", "shifted geometric polynomial times a linear factor"),
-        n_range=(1, 15),
-    ),
-    _chk_p11,
-)
-_add(
-    IdentitySpec(
-        "C12",
-        "geometric polynomials satisfy a first-order differential recurrence",
-        "polynomial-equality",
-        ("triangle-built geometric polynomial", "differential recurrence from the previous index"),
-        n_range=(1, 15),
-    ),
-    _chk_c12,
-)
-_add(
-    IdentitySpec(
-        "C13",
-        "factorial-over-index partition sums double the ordered-partition count; the alternating form telescopes",
-        "scalar-equality",
-        ("shifted-factorial triangle sums", "ordered-partition closed form"),
-        n_range=(1, 40),
-    ),
-    _chk_c13,
-)
-_add(
-    IdentitySpec(
-        "E30",
-        "ordered-partition counts as geometric-damped power series, tail-bounded",
-        "numeric-tolerance",
-        ("certified partial sum of the damped power series", "ordered-partition count"),
-        n_range=(0, 15),
-        uses_eps=True,
-    ),
-    _chk_e30,
-)
-_add(
-    IdentitySpec(
-        "C14",
-        "doubly shifted factorial partition sums count one less than the index",
-        "scalar-equality",
-        ("alternating doubly shifted factorial sums", "index minus one"),
-        n_range=(1, 40),
-    ),
-    _chk_c14,
-)
-_add(
-    IdentitySpec(
-        "T15",
-        "three routes to the complementary Bell numbers agree",
-        "scalar-equality",
-        ("alternating derangement transform", "alternating binomial transform of Bell numbers"),
-        n_range=(0, 40),
-    ),
-    _chk_t15,
-)
-_add(
-    IdentitySpec(
-        "L16",
-        "alternating binomial sums of exponential polynomials telescope",
-        "polynomial-equality",
-        ("alternating binomial sums", "telescoped partial sums"),
-        n_range=(0, 15),
-    ),
-    _chk_l16,
-)
-_add(
-    IdentitySpec(
-        "ORTH",
-        "the two triangles are mutually inverse in both multiplication orders",
-        "scalar-equality",
-        ("second-kind rows", "first-kind rows"),
-        n_range=(0, 30),
-    ),
-    _chk_orth,
-)
-_add(
-    IdentitySpec(
-        "GF6",
-        "hyperharmonic generating function: log-over-power product against signed factorial coefficients",
-        "series-equality",
-        ("series product of log and binomial series", "hyperharmonic closed form"),
-        p_max=5,
-        uses_order=True,
-    ),
-    _chk_gf6,
-)
-_add(
-    IdentitySpec(
-        "DIL",
-        "dilogarithm of a geometric argument has harmonic-number coefficients",
-        "series-equality",
-        ("dilogarithm series composition", "harmonic-number closed form"),
-        uses_order=True,
-    ),
-    _chk_dil,
-)
-_add(
-    IdentitySpec(
-        "L4",
-        "partial-sum weights equal geometric-series convolution on ordinary coefficients",
-        "series-equality",
-        ("direct weighted partial sums", "series reciprocal and product"),
-        uses_order=True,
-    ),
-    _chk_l4,
-)
-_add(
-    IdentitySpec(
-        "E18",
-        "the Bernoulli closed form for power sums equals direct summation",
-        "scalar-equality",
-        ("Bernoulli-number closed form", "direct summation"),
-        n_range=(0, 30),
-        p_max=12,
-    ),
-    _chk_e18,
-)
-_add(
-    IdentitySpec(
-        "CBH",
-        "half-integer binomial coefficients in central-binomial form",
-        "scalar-equality",
-        ("falling-factorial generalized binomial", "central-binomial closed form"),
-        n_range=(0, 20),
-    ),
-    _chk_cbh,
-)
 
 
 # -- public API ------------------------------------------------------

@@ -11,23 +11,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .egf import Egf, egf_reciprocal
-from .exact import binomial, format_rational, parse_rational
+from .exact import _convolve, _Vector, binomial, format_rational, parse_rational
 from .seq import SeqContext, context
 
 
-class Poly:
+class Poly(_Vector):
     """Immutable dense polynomial over Fraction."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()) -> None:
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    @staticmethod
+    def _shape(cs: list[Fraction]) -> tuple[Fraction, ...]:
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        return tuple(cs)
 
     @property
     def degree(self) -> int:
@@ -39,42 +36,11 @@ class Poly:
             return Fraction(0)
         return self.coeffs[k]
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        return Poly(Fraction(other) * c for c in self.coeffs)
+            a, b = self.coeffs, other.coeffs
+            return Poly(_convolve(a, b, len(a) + len(b) - 1))
+        return self.scale(other)
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -115,6 +115,36 @@ def padded(coeffs, size: int) -> list[Fraction]:
     return out
 
 
+# -- the two product loops that preceded the shared convolution ---------
+
+
+def poly_mul_oracle(a, b) -> list[Fraction]:
+    """Full Cauchy product of two coefficient lists, as Poly.__mul__
+    computed it; empty when either list is."""
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ordinary_mul_oracle(a, b) -> list[Fraction]:
+    """Cauchy product truncated to the shorter length, as
+    egf.ordinary_mul computed it."""
+    size = min(len(a), len(b))
+    out = [Fraction(0)] * size
+    for i in range(size):
+        if a[i] == 0:
+            continue
+        for j in range(size - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
 def binom_poly_oracle(k: int) -> Poly:
     """x(x-1)...(x-k+1)/k! as the k-fold product of linear factors."""
     p = ONE

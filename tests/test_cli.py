@@ -417,3 +417,14 @@ def test_deep_nesting_is_one_line_parse_error(capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: syntax error at line 1, column 101: nesting deeper than 100 levels")
     assert err.count("\n") == 1
+
+
+def test_long_flat_chain_evaluates(capsys):
+    code, out, err = run_cli(capsys, "eval", "+".join(["1"] * 1200))
+    assert (code, out, err) == (0, '"1200"\n', "")
+
+
+def test_power_over_the_width_cap_is_one_line_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "2^(3*10^6)")
+    assert code == 2 and out == ""
+    assert err == "error: power would be wider than the cap of 1048576 bits\n"

@@ -1,18 +1,24 @@
-"""Rational arithmetic layer: canonical form, binomials, wire format."""
+"""Rational arithmetic layer: canonical form, binomials, wire format, and
+the coefficient vector shared by Poly and Egf."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stirlingkit import (
+    Egf,
+    Poly,
     binomial,
     binomial_rational,
     format_rational,
     int_pow,
+    ordinary_mul,
     parse_rational,
 )
+
+from support import ordinary_mul_oracle, poly_mul_oracle
 
 small_rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -110,3 +116,27 @@ def test_format_is_reduced():
     assert format_rational(Fraction(2, 4)) == "1/2"
     assert format_rational(Fraction(-3, 1)) == "-3"
     assert format_rational(Fraction(0, 5)) == "0"
+
+
+# -- the shared coefficient vector -------------------------------------
+
+vectors = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=12), max_size=40)
+
+
+@settings(max_examples=60)
+@given(vectors, vectors)
+def test_products_match_the_former_loops(a, b):
+    assert (Poly(a) * Poly(b)).coeffs == Poly(poly_mul_oracle(a, b)).coeffs
+    assert ordinary_mul(a, b) == ordinary_mul_oracle(a, b)
+
+
+def test_polys_and_egfs_never_compare_equal():
+    assert Poly([1, 2]).coeffs == Egf([1, 2]).coeffs
+    assert Poly([1, 2]) != Egf([1, 2])
+    assert Egf([1, 2]) != Poly([1, 2])
+
+
+def test_vectors_name_their_type_when_refusing_a_write():
+    for value, name in ((Poly([1]), "Poly"), (Egf([1]), "Egf")):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            value.coeffs = ()

@@ -176,6 +176,37 @@ def test_nesting_cap():
             parse(src)
 
 
+@pytest.mark.parametrize("terms", [1200, 10000])
+def test_flat_chains_evaluate_and_print_without_recursion(terms):
+    # a chain parses into a left-deep tree as deep as it is long
+    chains = (
+        ("+".join(["1"] * terms), " + ".join(["1"] * terms), Fraction(terms)),
+        ("-".join(["1"] * terms), " - ".join(["1"] * terms), Fraction(2 - terms)),
+        ("*".join(["3"] * terms), "*".join(["3"] * terms), Fraction(3**terms)),
+        ("/".join(["2"] * terms), "/".join(["2"] * terms), Fraction(2, 2**(terms - 1))),
+        ("x+x-" * terms + "x", "x + x - " * terms + "x", Fraction(7)),
+        ("x*x/" * terms + "x", "x*x/" * terms + "x", Fraction(7)),
+    )
+    for src, printed, want in chains:
+        node = parse(src)
+        assert evaluate(node, Env(bindings={"x": Fraction(7)})) == want
+        assert to_source(node) == printed
+        assert to_source(parse(printed)) == printed
+
+
+def test_power_width_cap():
+    from stirlingkit.expr import POWER_BITS_CAP
+
+    assert POWER_BITS_CAP == 2**20
+    assert evaluate(parse("2^1048576")) == 2**POWER_BITS_CAP
+    assert evaluate(parse("(1/4)^524288")) == Fraction(1, 2**POWER_BITS_CAP)
+    # 0 and 1 need no bits, whatever the exponent
+    assert evaluate(parse("(-1)^(10^9+1) + 0^(10^9) + 1^(10^12)")) == 0
+    for src in ("2^1048577", "(1/2)^1048577", "(2/3)^(10^6)", "2^(10^8)", "2^2^2^2^2^2"):
+        with pytest.raises(EvalError, match="wider than the cap of 1048576 bits"):
+            evaluate(parse(src))
+
+
 def test_sum_bounds_must_be_integers():
     with pytest.raises(EvalError):
         evaluate(parse("sum(k=0..1/2, k)"))

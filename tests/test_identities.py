@@ -1,10 +1,12 @@
 """Identity registry mechanics: ordering, knobs, fault visibility."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
 from stirlingkit import (
+    Egf,
     Failure,
     IdentityReport,
     Poly,
@@ -12,10 +14,12 @@ from stirlingkit import (
     X,
     check_identity,
     list_identities,
+    log_substitution,
     parse_rational,
     run_all,
+    stirling_substitution,
 )
-from stirlingkit import identities, poly
+from stirlingkit import egf, exact, identities, poly
 from stirlingkit.identities import DEFAULT_SERIES_ORDER, ENV_MAX_N
 
 from support import binom_poly_oracle
@@ -242,3 +246,36 @@ def test_empty_effective_range_is_refused():
     with pytest.raises(ValueError, match="no instance"):
         check_identity("T3b", max_n=-1)
     assert check_identity("T3b", max_n=0).checked == 1
+
+
+# -- the shared convolution --------------------------------------------
+
+# every entry whose routes take a product of two polynomials or series
+CONVOLUTION_ENTRIES = {"L8", "E15", "P9", "P11", "C12", "L16", "GF6", "DIL", "L4"}
+
+
+def _faulty_convolve(a, b, size):
+    out = exact._convolve(a, b, size)
+    if size >= 3:
+        out[2] += 1
+    return out
+
+
+def test_convolution_fault_cannot_cancel_across_routes(monkeypatch):
+    # Poly and Egf share one product loop; corrupting it must fail exactly
+    # the entries that multiply, so no defect in it cancels between the
+    # two routes of an entry
+    users = {
+        name
+        for name, module in sys.modules.items()
+        if name.startswith("stirlingkit.") and getattr(module, "_convolve", None) is exact._convolve
+    }
+    assert users == {"stirlingkit.exact", "stirlingkit.poly", "stirlingkit.egf"}
+    monkeypatch.setattr(poly, "_convolve", _faulty_convolve)
+    monkeypatch.setattr(egf, "_convolve", _faulty_convolve)
+    reports = run_all(ctx=SeqContext())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == CONVOLUTION_ENTRIES
+    for substitution in (stirling_substitution, log_substitution):
+        with pytest.raises(ArithmeticError):
+            substitution(Egf([1, 2, 3, 4, 5]), 1, 1, SeqContext())
