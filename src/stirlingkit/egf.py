@@ -5,8 +5,10 @@ a_n t^n / n! for n <= N.  All arithmetic is exact and order-strict:
 products and compositions require equal orders, differentiation drops one
 order, integration adds one.  Nothing ever extends a truncation silently.
 
-The ordinary-coefficient view c_n = a_n / n! is exposed for the places
-where plain Cauchy convolution is the natural tool; conversion in both
+Coefficients are stored as integer numerators over one denominator, and
+the product, composition and reciprocal work on those integers.  The
+ordinary-coefficient view c_n = a_n / n! is exposed for the places where
+plain Cauchy convolution is the natural tool; conversion in both
 directions is exact.
 
 The two substitution routines at the bottom are the load-bearing piece:
@@ -23,8 +25,9 @@ and once by literal series composition with (mu/lam)(e^(lam t) - 1) or
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd
 
-from .exact import _convolve, _Vector, binomial, factorial, int_pow
+from .exact import _convolve, _Vector, common_denominator, factorial, int_pow
 from .seq import SeqContext
 from .transform import weighted_stirling_transform
 
@@ -39,10 +42,10 @@ class Egf(_Vector):
     __slots__ = ()
 
     @staticmethod
-    def _shape(cs: list[Fraction]) -> tuple[Fraction, ...]:
-        if not cs:
+    def _shape(nums: list[int]) -> tuple[int, ...]:
+        if not nums:
             raise ValueError("an Egf needs at least the constant coefficient")
-        return tuple(cs)
+        return tuple(nums)
 
     def _match(self, other: "Egf") -> None:
         if self.order != other.order:
@@ -50,7 +53,7 @@ class Egf(_Vector):
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def __repr__(self) -> str:
         inside = ", ".join(str(c) for c in self.coeffs)
@@ -59,7 +62,8 @@ class Egf(_Vector):
 
 def to_ordinary(f: Egf) -> tuple[Fraction, ...]:
     """Ordinary power-series coefficients c_n = a_n / n!."""
-    return tuple(a / factorial(n) for n, a in enumerate(f.coeffs))
+    den = f._den
+    return tuple(Fraction(a, den * factorial(n)) for n, a in enumerate(f._nums))
 
 
 def from_ordinary(coeffs) -> Egf:
@@ -70,49 +74,92 @@ def from_ordinary(coeffs) -> Egf:
 def ordinary_mul(a, b) -> list[Fraction]:
     """Cauchy product of ordinary coefficient lists, truncated to the
     shorter length."""
-    return _convolve(a, b, min(len(a), len(b)))
+    an, ad = common_denominator(a)
+    bn, bd = common_denominator(b)
+    den = ad * bd
+    return [Fraction(c, den) for c in _convolve(an, bn, min(len(an), len(bn)))]
+
+
+def _ordinary_nums(f: Egf) -> list[int]:
+    """Numerators of the ordinary view of f over den * N!, N the order:
+    a_n / n! = (a_n N!/n!) / N!."""
+    nums = f._nums
+    weights = [1]  # N!/k! for k = N, N-1, ..., 0
+    for k in range(len(nums) - 1, 0, -1):
+        weights.append(weights[-1] * k)
+    return [a * w for a, w in zip(nums, reversed(weights))]
+
+
+def _from_ordinary_nums(nums: list[int], den: int) -> Egf:
+    """The Egf whose ordinary view is nums / den."""
+    scaled = []
+    fact = 1
+    for n, c in enumerate(nums):
+        scaled.append(c * fact)
+        fact *= n + 1
+    return Egf._from_nums(scaled, den)
 
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
-    """Product via binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k}."""
+    """Product via binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k},
+    as one Cauchy product of the N!-scaled ordinary numerators."""
     f._match(g)
-    return from_ordinary(ordinary_mul(to_ordinary(f), to_ordinary(g)))
+    scale = factorial(f.order)
+    prod = _convolve(_ordinary_nums(f), _ordinary_nums(g), f.order + 1)
+    return _from_ordinary_nums(prod, f._den * g._den * scale * scale)
 
 
 def egf_compose(f: Egf, g: Egf) -> Egf:
     """f(g(t)) for an inner series with zero constant term.
 
-    Runs Horner's scheme on the ordinary views, so each step is one
-    truncated Cauchy product; with g(0) = 0 the truncation is exact.
+    Runs Horner's scheme on the integer ordinary numerators, so each step
+    is one truncated Cauchy product reduced by its gcd; with g(0) = 0 the
+    truncation is exact.
     """
     f._match(g)
-    if g.coeffs[0] != 0:
+    if g._nums[0] != 0:
         raise ValueError("inner series must have zero constant term")
     n = f.order
-    fo = to_ordinary(f)
-    go = list(to_ordinary(g))
-    acc = [Fraction(0)] * (n + 1)
+    size = n + 1
+    fo = _ordinary_nums(f)  # over f._den * n!
+    go = _ordinary_nums(g)  # over g_den = g._den * n!
+    g_den = g._den * factorial(n)
+    acc = [0] * size
     acc[0] = fo[n]
+    den = 1
     for i in range(n - 1, -1, -1):
-        acc = ordinary_mul(acc, go)
-        acc[0] += fo[i]
-    return from_ordinary(acc)
+        acc = _convolve(acc, go, size)
+        den *= g_den
+        acc[0] += fo[i] * den
+        common = gcd(den, *acc)
+        if common != 1:
+            acc = [c // common for c in acc]
+            den //= common
+    return _from_ordinary_nums(acc, den * f._den * factorial(n))
 
 
 def egf_reciprocal(f: Egf) -> Egf:
-    """1/f for a_0 != 0, by binomial-convolution long division."""
-    a = f.coeffs
-    if a[0] == 0:
+    """1/f for a_0 != 0, by the integer long division
+
+        B_0 = 1,  B_m = -sum_{k=1..m} C(m, k) a_k a_0^(k-1) B_(m-k)
+
+    on the numerators a_k of f = a / den, for which 1/a has coefficients
+    B_m / a_0^(m+1); so 1/f = den B_m a_0^(n-m) / a_0^(n+1).
+    """
+    a = f._nums
+    a0 = a[0]
+    if a0 == 0:
         raise ZeroDivisionError("reciprocal of a series with zero constant term")
     n = f.order
-    b = [Fraction(0)] * (n + 1)
-    b[0] = 1 / Fraction(a[0])
+    pows = [1]
+    for _ in range(n):
+        pows.append(pows[-1] * a0)
+    b = [1]
     for m in range(1, n + 1):
-        acc = Fraction(0)
-        for k in range(1, m + 1):
-            acc += binomial(m, k) * a[k] * b[m - k]
-        b[m] = -acc / a[0]
-    return Egf(b)
+        b.append(-sum(comb(m, k) * a[k] * pows[k - 1] * b[m - k] for k in range(1, m + 1)))
+    top = pows[n] * a0
+    scale = f._den if top > 0 else -f._den  # the sign moves to the numerators
+    return Egf._from_nums([scale * bm * pows[n - m] for m, bm in enumerate(b)], abs(top))
 
 
 def egf_derivative(f: Egf) -> Egf:

@@ -116,23 +116,47 @@ def parse_rational(text: str) -> Fraction:
 
 
 class _Vector:
-    """Immutable tuple of Fraction coefficients, with the storage,
+    """Immutable vector of rational coefficients, with the storage,
     equality and linear arithmetic that ``Poly`` and ``Egf`` share.
 
-    A subclass shapes the stored tuple in ``_shape`` and refuses an
+    The coefficients are integer numerators over one positive
+    denominator, kept canonical: the denominator shares no factor with
+    every numerator, and the zero vector has denominator 1.  Equal values
+    therefore have equal storage, so equality and hashing compare it
+    directly.  ``coeffs``, the tuple of ``Fraction``s, is built on first
+    read and cached.
+
+    A subclass shapes the numerator list in ``_shape`` and refuses an
     operand it cannot combine with in ``_match``.  Values of different
     subclasses never compare equal.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs=()) -> None:
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        object.__setattr__(self, "coeffs", self._shape(cs))
+        # over the lcm of reduced denominators the gcd is already 1
+        nums, den = common_denominator(coeffs)
+        self._store(nums, den)
+
+    def _store(self, nums: list[int], den: int) -> None:
+        object.__setattr__(self, "_nums", self._shape(nums))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _from_nums(cls, nums: list[int], den: int):
+        """The vector nums / den, for den > 0, brought to canonical form."""
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        out = object.__new__(cls)
+        out._store(nums, den)
+        return out
 
     @staticmethod
-    def _shape(cs: list[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(cs)
+    def _shape(nums: list[int]) -> tuple[int, ...]:
+        return tuple(nums)
 
     def _match(self, other: "_Vector") -> None:
         """Vectors of any two lengths combine unless a subclass says not."""
@@ -140,44 +164,56 @@ class _Vector:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        cs = self._coeffs
+        if cs is None:
+            den = self._den
+            cs = tuple(Fraction(x, den) for x in self._nums)
+            object.__setattr__(self, "_coeffs", cs)
+        return cs
+
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self._den == other._den and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._den, self._nums))
 
     def __add__(self, other):
         self._match(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._nums, other._nums
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        den = da * ma
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return type(self)(out)
+            a, b, ma, mb = b, a, mb, ma
+        out = [x * ma + y * mb for x, y in zip(a, b)]
+        out.extend(x * ma for x in a[len(b):])
+        return self._from_nums(out, den)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return type(self)(-c for c in self.coeffs)
+        return self._from_nums([-x for x in self._nums], self._den)
 
     def scale(self, c):
         c = Fraction(c)
-        return type(self)(c * a for a in self.coeffs)
+        p = c.numerator
+        return self._from_nums([p * x for x in self._nums], self._den * c.denominator)
 
 
-def _convolve(a, b, size: int) -> list[Fraction]:
+def _convolve(a, b, size: int) -> list[int]:
     """The first ``size`` coefficients of the Cauchy product of two
-    coefficient sequences: out[k] is the sum of a[i] b[j] over i + j = k."""
-    out = [Fraction(0)] * size
+    integer sequences: out[k] is the sum of a[i] b[j] over i + j = k."""
+    out = [0] * size
     for i in range(min(len(a), size)):
         ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(min(len(b), size - i)):
-            out[i + j] += ai * b[j]
+        if ai:
+            end = i + min(len(b), size - i)
+            out[i:end] = [o + ai * y for o, y in zip(out[i:end], b)]
     return out

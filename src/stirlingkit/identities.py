@@ -36,7 +36,7 @@ from .egf import (
     dilog_series,
     to_ordinary,
 )
-from .exact import binomial, binomial_rational, format_rational, int_pow
+from .exact import binomial, binomial_rational, common_denominator, format_rational, int_pow
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
 
@@ -161,14 +161,11 @@ def _entry(*args, **kwargs):
 def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     run.notes.append("order-0 instances rely on the conventions 0^0 = 1 and h(0, n) = 1/n")
     for p in range(p_hi + 1):
+        # the hyperharmonics h(p, 0..n_hi) over their common denominator
+        nums, den = common_denominator(ctx.hyperharmonic(p, k) for k in range(n_hi + 1))
         for n in range(n_lo, n_hi + 1):
-            lhs = sum(
-                (
-                    ctx.stirling2(n, k) * _sign(k) * ctx.factorial(k) * ctx.hyperharmonic(p, k)
-                    for k in range(n + 1)
-                ),
-                Fraction(0),
-            )
+            total = sum(ctx.stirling2(n, k) * _sign(k) * ctx.factorial(k) * nums[k] for k in range(n + 1))
+            lhs = Fraction(total, den)
             rhs = _sign(n) * n * int_pow(p, n - 1)
             run.check({"p": p, "n": n}, lhs, rhs)
 
@@ -201,10 +198,7 @@ def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         for n in range(n_lo, n_hi + 1):
             # the k = 0 summand carries a factor k, so the sum starts at 1
-            lhs = sum(
-                (ctx.stirling1(n, k) * _sign(k) * k * int_pow(p, k - 1) for k in range(1, n + 1)),
-                Fraction(0),
-            )
+            lhs = sum(ctx.stirling1(n, k) * _sign(k) * k * p ** (k - 1) for k in range(1, n + 1))
             rhs = _sign(n) * ctx.factorial(n) * ctx.hyperharmonic(p, n)
             run.check({"p": p, "n": n}, lhs, rhs)
 
@@ -268,14 +262,17 @@ def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # one table fill from a single reciprocal series, rather than one per n
     ctx.euler_number(n_hi)
+    # inner_k = sum_(j<=k) C(2j, j) / ((1-2j) 2^(k+j)) = P_k / 2^k, with P_k
+    # the prefix sums of C(2j, j) / ((1-2j) 2^j); all over one denominator
+    inner = []
+    prefix = Fraction(0)
+    for k in range(n_hi + 1):
+        prefix += Fraction(binomial(2 * k, k), (1 - 2 * k) * 2**k)
+        inner.append(prefix / 2**k)
+    nums, den = common_denominator(inner)
     for n in range(n_lo, n_hi + 1):
-        rhs = Fraction(0)
-        for k in range(n + 1):
-            inner = Fraction(0)
-            for j in range(k + 1):
-                inner += Fraction(binomial(2 * j, j), (1 - 2 * j) * 2 ** (k + j))
-            rhs += ctx.stirling2(n, k) * ctx.factorial(k) * _sign(k) * inner
-        run.check({"n": n}, ctx.euler_number(n), rhs)
+        total = sum(ctx.stirling2(n, k) * ctx.factorial(k) * _sign(k) * nums[k] for k in range(n + 1))
+        run.check({"n": n}, ctx.euler_number(n), Fraction(total, den))
 
 
 @_entry(
@@ -517,25 +514,30 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
     to the exponential polynomials phi_k, with b the given Bernoulli
     convention, and adds phi_{n-1} when ``previous`` is set.  The
     polynomial form runs for n <= 12; the scalar form, at x = 1 with Bell
-    numbers for phi, runs over the whole range.
+    numbers for phi, runs over the whole range.  Each convolution level is
+    built once per form, bottom-up, for every index up to the form's cap.
     """
+    poly_hi = min(n_hi, 12)
     forms = (
-        ("polynomial", min(n_hi, 12), exp_polys(min(n_hi, 12)).__getitem__, ZERO,
+        ("polynomial", poly_hi, exp_polys(poly_hi), ZERO,
          lambda n: Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k), k**depth) for k in range(1, n + 1)])),
-        ("scalar", n_hi, ctx.bell, Fraction(0),
+        ("scalar", n_hi, [ctx.bell(k) for k in range(n_hi + 1)], Fraction(0),
          lambda n: sum((Fraction(ctx.stirling2(n, k), k**depth) for k in range(1, n + 1)), Fraction(0))),
     )
     for form, hi, phi, zero, partition_sum in forms:
-
-        def convolve(n: int, level: int):
-            inner = phi if level == 1 else (lambda k: convolve(k, level - 1))
-            acc = sum((binomial(n, k) * bernoulli(n - k) * inner(k) for k in range(1, n + 1)), zero)
-            return Fraction(1, n) * acc
-
+        weights = [bernoulli(j) for j in range(hi + 1)]
+        level = phi
+        for _ in range(depth):
+            # index 0 has no convolution and is never read
+            level = [zero] + [
+                Fraction(1, n)
+                * sum((binomial(n, k) * weights[n - k] * level[k] for k in range(1, n + 1)), zero)
+                for n in range(1, hi + 1)
+            ]
         for n in range(n_lo, hi + 1):
-            rhs = convolve(n, depth)
+            rhs = level[n]
             if previous:
-                rhs = phi(n - 1) + rhs
+                rhs = phi[n - 1] + rhs
             run.check({"n": n, "form": form}, partition_sum(n), rhs)
 
 
@@ -644,7 +646,8 @@ def _tail_cutoff(n: int, eps: Fraction) -> int:
 def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         K = _tail_cutoff(n, eps)
-        partial = sum((Fraction(k**n, 2 ** (k + 1)) for k in range(K + 1)), Fraction(0))
+        # sum_(k<=K) k^n / 2^(k+1) as one integer over 2^(K+1)
+        partial = Fraction(sum(k**n << (K - k) for k in range(K + 1)), 2 ** (K + 1))
         target = ctx.fubini(n)
         run.checked += 1
         if abs(partial - target) >= eps:

@@ -1,9 +1,9 @@
 """Dense univariate polynomials and the classical families built on them.
 
 Coefficients are exact rationals stored lowest degree first with no
-trailing zeros; the zero polynomial has an empty coefficient tuple and
-degree -1.  Equality is coefficientwise and nothing here ever compares
-through floating point.
+trailing zeros, as integer numerators over one denominator; the zero
+polynomial has an empty coefficient tuple and degree -1.  Equality is
+coefficientwise and nothing here ever compares through floating point.
 """
 
 from __future__ import annotations
@@ -21,40 +21,46 @@ class Poly(_Vector):
     __slots__ = ()
 
     @staticmethod
-    def _shape(cs: list[Fraction]) -> tuple[Fraction, ...]:
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return tuple(cs)
+    def _shape(nums: list[int]) -> tuple[int, ...]:
+        end = len(nums)
+        while end and nums[end - 1] == 0:
+            end -= 1
+        return tuple(nums[:end])
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x^k (zero beyond the degree)."""
-        if k < 0 or k >= len(self.coeffs):
+        if k < 0 or k >= len(self._nums):
             return Fraction(0)
         return self.coeffs[k]
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            return Poly(_convolve(a, b, len(a) + len(b) - 1))
+            a, b = self._nums, other._nums
+            return Poly._from_nums(_convolve(a, b, len(a) + len(b) - 1), self._den * other._den)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __call__(self, x) -> Fraction:
-        """Evaluate by Horner's scheme."""
+        """Evaluate by Horner's scheme on the numerators: with x = p/q and
+        degree d, the value is sum_k c_k p^k q^(d-k) over q^d den."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        acc = 0
+        qpow = 1
+        for c in reversed(self._nums):
+            acc = acc * p + c * qpow
+            qpow *= q
+        # the loop leaves qpow one factor q above q^d
+        return Fraction(acc * q, self._den * qpow)
 
     def derivative(self) -> "Poly":
-        return Poly(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        return Poly._from_nums([k * c for k, c in enumerate(self._nums)][1:], self._den)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -100,7 +106,7 @@ def xd_apply(a: Poly, times: int) -> Poly:
     """
     if times < 0:
         raise ValueError(f"negative operator power {times}")
-    return Poly(c * k**times for k, c in enumerate(a.coeffs))
+    return Poly._from_nums([c * k**times for k, c in enumerate(a._nums)], a._den)
 
 
 def exp_polys(n: int) -> list[Poly]:
@@ -113,9 +119,10 @@ def exp_polys(n: int) -> list[Poly]:
     if n < 0:
         raise ValueError(f"negative index {n}")
     out = [ONE]
+    cs = [1]
     for _ in range(n):
-        cs = out[-1].coeffs
-        out.append(Poly(i * a + b for i, (a, b) in enumerate(zip(cs + (0,), (0,) + cs))))
+        cs = [i * a + b for i, (a, b) in enumerate(zip(cs + [0], [0] + cs))]
+        out.append(Poly._from_nums(cs, 1))
     return out
 
 
@@ -151,8 +158,9 @@ def euler_polys(n: int) -> list[Poly]:
     if n < 0:
         raise ValueError(f"negative index {n}")
     # 2/(e^t + 1) is the reciprocal of [1, 1/2, 1/2, ...]
-    r = egf_reciprocal(Egf([Fraction(1)] + [Fraction(1, 2)] * n)).coeffs
-    return [Poly(binomial(m, k) * r[m - k] for k in range(m + 1)) for m in range(n + 1)]
+    r = egf_reciprocal(Egf([Fraction(1)] + [Fraction(1, 2)] * n))
+    nums, den = r._nums, r._den
+    return [Poly._from_nums([binomial(m, k) * nums[m - k] for k in range(m + 1)], den) for m in range(n + 1)]
 
 
 def euler_poly(n: int) -> Poly:
@@ -166,10 +174,11 @@ def binom_polys(n: int) -> list[Poly]:
     if n < 0:
         raise ValueError(f"negative index {n}")
     out = [ONE]
+    falling = [1]  # numerators of x(x-1)...(x-k+1), over k!
     for k in range(1, n + 1):
-        cs = out[-1].coeffs
-        # x binom_(k-1) is a shift up one degree; subtract (k-1) binom_(k-1)
-        out.append(Poly((a - (k - 1) * b) / k for a, b in zip((0,) + cs, cs + (0,))))
+        # x times the last is a shift up one degree; subtract (k-1) times it
+        falling = [a - (k - 1) * b for a, b in zip([0] + falling, falling + [0])]
+        out.append(Poly._from_nums(falling, out[-1]._den * k))
     return out
 
 

@@ -102,6 +102,7 @@ class SeqContext:
         self._harmonic: list[Fraction] = [Fraction(0)]
         self._factorial: list[int] = [1]
         self._moment: dict[tuple[int, int], int] = {}
+        self._power_sums: dict[int, list[int]] = {}
 
     # -- triangles ---------------------------------------------------
 
@@ -293,16 +294,23 @@ class SeqContext:
         with self._lock:
             table = self._euler
             if len(table) <= n:
-                table.extend(e(Fraction(1, 2)) for e in euler_polys(n)[len(table):])
+                # at least doubling, so rising indices build O(log n) tables
+                polys = euler_polys(max(n, 2 * len(table)))
+                table.extend(e(Fraction(1, 2)) for e in polys[len(table):])
             return table[n]
 
     def power_sum(self, p: int, n: int) -> int:
-        """1^p + 2^p + ... + n^p by direct summation (0 terms give 0)."""
+        """1^p + 2^p + ... + n^p by direct summation (0 terms give 0),
+        kept as a running prefix table per exponent."""
         if p < 0:
             raise ValueError(f"negative exponent {p}")
         if n < 0:
             raise ValueError(f"negative index {n}")
-        return sum(i**p for i in range(1, n + 1))
+        with self._lock:
+            table = self._power_sums.setdefault(p, [0])
+            while len(table) <= n:
+                table.append(table[-1] + len(table) ** p)
+            return table[n]
 
     def faulhaber(self, p: int, n: int) -> Fraction:
         """Closed form for 1^p + ... + n^p via Bernoulli numbers.

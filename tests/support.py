@@ -8,6 +8,7 @@ so agreement is evidence rather than an echo of the same code.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import comb, factorial
 
@@ -143,6 +144,97 @@ def ordinary_mul_oracle(a, b) -> list[Fraction]:
         for j in range(size - i):
             out[i + j] += a[i] * b[j]
     return out
+
+
+# -- the Fraction kernels that preceded the integer-numerator vector ------
+
+
+def convolve_oracle(a, b, size: int) -> list[Fraction]:
+    """The first ``size`` Cauchy-product coefficients, one Fraction
+    product and one Fraction add per term, as exact._convolve computed
+    them before it moved onto integer numerators."""
+    out = [Fraction(0)] * size
+    for i in range(min(len(a), size)):
+        ai = Fraction(a[i])
+        if ai == 0:
+            continue
+        for j in range(min(len(b), size - i)):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def vector_add_oracle(a, b) -> list[Fraction]:
+    """Coefficientwise sum, the shorter operand padded with zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [Fraction(c) for c in a]
+    for i, c in enumerate(b):
+        out[i] += c
+    return out
+
+
+def vector_scale_oracle(a, c) -> list[Fraction]:
+    c = Fraction(c)
+    return [c * x for x in a]
+
+
+def _ordinary(a) -> list[Fraction]:
+    return [Fraction(x) / factorial(n) for n, x in enumerate(a)]
+
+
+def _exponential(c) -> list[Fraction]:
+    return [x * factorial(n) for n, x in enumerate(c)]
+
+
+def egf_mul_oracle(a, b) -> list[Fraction]:
+    """EGF product of two equal-length coefficient lists through the
+    ordinary views: to ordinary, Cauchy product, back."""
+    return _exponential(convolve_oracle(_ordinary(a), _ordinary(b), len(a)))
+
+
+def egf_compose_oracle(f, g) -> list[Fraction]:
+    """f(g(t)) for g(0) = 0, by Horner's scheme on the ordinary views with
+    one truncated Fraction Cauchy product per step."""
+    n = len(f) - 1
+    fo, go = _ordinary(f), _ordinary(g)
+    acc = [Fraction(0)] * (n + 1)
+    acc[0] = fo[n]
+    for i in range(n - 1, -1, -1):
+        acc = convolve_oracle(acc, go, n + 1)
+        acc[0] += fo[i]
+    return _exponential(acc)
+
+
+def egf_reciprocal_oracle(a) -> list[Fraction]:
+    """1/f for a_0 != 0, by binomial-convolution long division in
+    Fractions."""
+    n = len(a) - 1
+    b = [Fraction(0)] * (n + 1)
+    b[0] = 1 / Fraction(a[0])
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for k in range(1, m + 1):
+            acc += comb(m, k) * a[k] * b[m - k]
+        b[m] = -acc / a[0]
+    return b
+
+
+def assert_canonical(v) -> None:
+    """The storage invariants of a Poly or Egf: integer numerators over a
+    positive denominator that shares no factor with all of them, no
+    trailing zero numerator in a Poly, denominator 1 for a zero vector,
+    and ``coeffs`` the matching tuple of exact Fractions."""
+    nums, den = v._nums, v._den
+    assert type(nums) is tuple and all(type(x) is int for x in nums)
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *nums) == 1
+    if isinstance(v, Poly):
+        assert not nums or nums[-1] != 0
+    if not any(nums):
+        assert den == 1
+    assert type(v.coeffs) is tuple
+    assert all(type(c) is Fraction for c in v.coeffs)
+    assert v.coeffs == tuple(Fraction(x, den) for x in nums)
 
 
 def binom_poly_oracle(k: int) -> Poly:

@@ -32,7 +32,13 @@ from stirlingkit import (
     to_ordinary,
 )
 
-from support import random_rationals
+from support import (
+    assert_canonical,
+    egf_compose_oracle,
+    egf_mul_oracle,
+    egf_reciprocal_oracle,
+    random_rationals,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +148,46 @@ def test_reciprocal_multiplies_to_one(seq):
     f = Egf(seq)
     prod = egf_mul(f, egf_reciprocal(f))
     assert prod.coeffs == (1,) + (0,) * f.order
+
+
+# -- the integer kernels against the Fraction loops they replaced -------
+
+# zeros drawn often, so that sparse and cancelling series are exercised
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def egf_pairs(draw, max_size=40):
+    a = draw(st.lists(rationals, min_size=1, max_size=max_size))
+    b = draw(st.lists(rationals, min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(egf_pairs())
+def test_egf_mul_matches_the_ordinary_round_trip(pair):
+    a, b = pair
+    prod = egf_mul(Egf(a), Egf(b))
+    assert_canonical(prod)
+    assert list(prod.coeffs) == egf_mul_oracle(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(egf_pairs())
+def test_egf_compose_matches_the_fraction_horner_loop(pair):
+    f, g = pair
+    g = [Fraction(0)] + g[1:]
+    out = egf_compose(Egf(f), Egf(g))
+    assert_canonical(out)
+    assert list(out.coeffs) == egf_compose_oracle(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=40).filter(lambda a: a[0] != 0))
+def test_egf_reciprocal_matches_the_fraction_long_division(a):
+    out = egf_reciprocal(Egf(a))
+    assert_canonical(out)
+    assert list(out.coeffs) == egf_reciprocal_oracle(a)
 
 
 def test_reciprocal_rejects_zero_constant():

@@ -12,13 +12,25 @@ from stirlingkit import (
     Poly,
     binomial,
     binomial_rational,
+    egf_mul,
     format_rational,
     int_pow,
     ordinary_mul,
     parse_rational,
 )
 
-from support import ordinary_mul_oracle, poly_mul_oracle
+from stirlingkit.exact import _convolve, common_denominator
+from stirlingkit.poly import X, ZERO, xd_apply
+
+from support import (
+    assert_canonical,
+    convolve_oracle,
+    ordinary_mul_oracle,
+    padded,
+    poly_mul_oracle,
+    vector_add_oracle,
+    vector_scale_oracle,
+)
 
 small_rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -140,3 +152,67 @@ def test_vectors_name_their_type_when_refusing_a_write():
     for value, name in ((Poly([1]), "Poly"), (Egf([1]), "Egf")):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             value.coeffs = ()
+
+
+# -- integer numerators against the Fraction loops ---------------------
+
+# zeros drawn often, so that cancellation and trailing zeros are exercised
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+long_vectors = st.lists(rationals, max_size=40)
+
+
+@settings(max_examples=60)
+@given(long_vectors, long_vectors, st.integers(min_value=0, max_value=81))
+def test_integer_convolution_matches_the_fraction_loop(a, b, size):
+    an, ad = common_denominator(a)
+    bn, bd = common_denominator(b)
+    got = _convolve(an, bn, size)
+    assert all(type(c) is int for c in got)
+    assert [Fraction(c, ad * bd) for c in got] == convolve_oracle(a, b, size)
+
+
+@settings(max_examples=60)
+@given(long_vectors, long_vectors, rationals)
+def test_linear_arithmetic_matches_the_fraction_loops(a, b, c):
+    p, q = Poly(a), Poly(b)
+    size = max(len(a), len(b))
+    assert padded((p + q).coeffs, size) == vector_add_oracle(a, b)
+    assert padded((p - q).coeffs, size) == vector_add_oracle(a, [-x for x in b])
+    assert padded(p.scale(c).coeffs, len(a)) == vector_scale_oracle(a, c)
+    for v in (p, q, p + q, p - q, -p, p.scale(c), p * q):
+        assert_canonical(v)
+    m = min(len(a), len(b))
+    if m:
+        f, g = Egf(a[:m]), Egf(b[:m])
+        assert list((f + g).coeffs) == vector_add_oracle(a[:m], b[:m])
+        assert list(f.scale(c).coeffs) == vector_scale_oracle(a[:m], c)
+        for v in (f, g, f + g, f - g, -f, f.scale(c)):
+            assert_canonical(v)
+
+
+def test_equal_values_from_different_routes_compare_and_hash_equal():
+    third = Fraction(1, 3)
+    polys = [
+        Poly([Fraction(1, 2), -third]),
+        Poly([Fraction(1, 2), -third, 0, 0]),
+        Poly([3, -2]).scale(Fraction(1, 6)),
+        Poly([Fraction(3, 2), -1]) * Poly([third]),
+        Poly([1, Fraction(-2, 3), 5]) + Poly([Fraction(-1, 2), third, -5]),
+        xd_apply(Poly([Fraction(1, 2), -third]), 0),
+    ]
+    zeros = [ZERO, Poly([0, 0]), Poly([third]) - Poly([third]), Poly([third]).scale(0), X * ZERO]
+    egfs = [
+        Egf([Fraction(1, 2), 1]),
+        Egf([1, 2]).scale(Fraction(1, 2)),
+        egf_mul(Egf([1, 0]), Egf([Fraction(1, 2), 1])),
+        Egf([1, 3]) - Egf([Fraction(1, 2), 2]),
+    ]
+    egf_zeros = [Egf([0, 0]), Egf([third, 0]) - Egf([third, 0]), Egf([5, third]).scale(0)]
+    for group in (polys, zeros, egfs, egf_zeros):
+        for v in group:
+            assert_canonical(v)
+            assert v == group[0]
+            assert hash(v) == hash(group[0])
+            assert v.coeffs == group[0].coeffs
+    assert polys[0].coeffs == (Fraction(1, 2), -third)
+    assert all(z._den == 1 for z in zeros + egf_zeros)

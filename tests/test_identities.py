@@ -1,5 +1,6 @@
 """Identity registry mechanics: ordering, knobs, fault visibility."""
 
+import gc
 import sys
 from fractions import Fraction
 
@@ -279,3 +280,15 @@ def test_convolution_fault_cannot_cancel_across_routes(monkeypatch):
     for substitution in (stirling_substitution, log_substitution):
         with pytest.raises(ArithmeticError):
             substitution(Egf([1, 2, 3, 4, 5]), 1, 1, SeqContext())
+
+
+def test_a_registry_pass_leaves_no_reference_cycles():
+    # cycles would keep Polys and context tables alive until a collection
+    run_all(ctx=SeqContext())  # imports and the default context settle
+    gc.disable()
+    try:
+        gc.collect()
+        run_all(ctx=SeqContext())
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

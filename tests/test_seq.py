@@ -11,6 +11,7 @@ from support import (
     bernoulli_oracle,
     derangement_oracle,
     euler_poly_oracle,
+    euler_polys_oracle,
     stirling1_row_oracle,
     stirling2_oracle,
 )
@@ -173,6 +174,40 @@ def test_power_sum_direct(ctx):
     assert ctx.power_sum(2, 3) == 14
     assert ctx.power_sum(0, 5) == 5
     assert ctx.power_sum(3, 0) == 0
+
+
+def test_rising_euler_indices_grow_the_table_by_doubling(monkeypatch):
+    import stirlingkit.poly as poly
+
+    calls = []
+    build = poly.euler_polys
+
+    def counting(n):
+        calls.append(n)
+        return build(n)
+
+    monkeypatch.setattr(poly, "euler_polys", counting)
+    fresh = SeqContext()
+    got = [fresh.euler_number(n) for n in range(201)]
+    assert len(calls) <= 9
+    half = Fraction(1, 2)
+    for n, coeffs in enumerate(euler_polys_oracle(100)):
+        assert got[n] == sum(c * half**j for j, c in enumerate(coeffs)), n
+    # one table built at once agrees with the doubled one past the oracle
+    once = SeqContext()
+    once.euler_number(200)
+    assert got == [once.euler_number(n) for n in range(201)]
+
+
+def test_power_sums_in_any_order_equal_direct_sums():
+    import random
+
+    rng = random.Random(7)
+    queries = [(p, n) for p in range(13) for n in range(201)]
+    rng.shuffle(queries)
+    fresh = SeqContext()
+    for p, n in queries:
+        assert fresh.power_sum(p, n) == sum(i**p for i in range(1, n + 1)), (p, n)
 
 
 def test_faulhaber_equals_power_sum_and_is_integral(ctx):
