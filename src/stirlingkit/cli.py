@@ -12,19 +12,15 @@ import json
 import re
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import egf as egf_mod
+# Only exact and seq load with the command line.  Each subcommand imports
+# the modules it runs, so a call pays start-up time for those alone.
 from .exact import format_rational, parse_rational
-from .expr import Env, ExprError, evaluate, parse
-from .identities import IdentityReport, check_identity, list_identities, run_all
-from .poly import bernoulli_poly, binom_poly, euler_poly, exp_poly, geom_poly
-from .seq import FAMILIES, IndexedValue, context
-from .transform import (
-    binomial_transform,
-    stirling_inverse,
-    stirling_transform,
-    weighted_stirling_transform,
-)
+from .seq import FAMILIES, context
+
+if TYPE_CHECKING:
+    from .identities import IdentityReport
 
 _JSON_SEPARATORS = (",", ":")
 
@@ -34,13 +30,11 @@ def _dumps(data) -> str:
 
 
 def emit(data, fmt: str) -> str:
-    """Render a value list, a row table, or a report list to text.
+    """Render a value list or a row table to text.
 
     Value lists (list of canonical rational strings) index implicitly
     from 0; row tables are lists of dicts with a shared key order.
     """
-    if data and isinstance(data[0], IdentityReport):
-        return _emit_reports(data, fmt)
     if all(isinstance(item, str) for item in data):
         return _emit_values(data, fmt)
     return _emit_rows(data, fmt)
@@ -109,12 +103,13 @@ def _emit_reports(reports: list[IdentityReport], fmt: str) -> str:
 
 _SEQ_BY_NAME = {family.cli_name: family for family in FAMILIES}
 
+# Command-line name -> builder in stirlingkit.poly.
 _POLY_FAMILIES = {
-    "exponential": exp_poly,
-    "geometric": geom_poly,
-    "bernoulli": bernoulli_poly,
-    "euler": euler_poly,
-    "binomial": binom_poly,
+    "exponential": "exp_poly",
+    "geometric": "geom_poly",
+    "bernoulli": "bernoulli_poly",
+    "euler": "euler_poly",
+    "binomial": "binom_poly",
 }
 
 
@@ -138,18 +133,16 @@ def _cmd_seq(args) -> int:
 def _cmd_triangle(args) -> int:
     _check_n(args.n)
     ctx = context()
-    entry = ctx.stirling2 if args.triangle == "stirling2" else ctx.stirling1
-    rows = [
-        IndexedValue(n, entry(n, k), k=k).as_row()
-        for n in range(args.n + 1)
-        for k in range(n + 1)
-    ]
+    row_of = ctx.stirling2_row if args.triangle == "stirling2" else ctx.stirling1_row
+    rows = [{"n": n, "k": k, "value": value} for n in range(args.n + 1) for k, value in enumerate(row_of(n))]
     print(emit(rows, args.format))
     return 0
 
 
 def _cmd_poly(args) -> int:
-    p = _POLY_FAMILIES[args.family](args.n)
+    from . import poly
+
+    p = getattr(poly, _POLY_FAMILIES[args.family])(args.n)
     if args.format == "json":
         print(_dumps(p.to_json()))
     elif args.format == "csv":
@@ -161,6 +154,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .egf import egf_elementary, to_ordinary
+
     kwargs = {}
     if args.kind == "pow1p":
         if args.x is None:
@@ -171,8 +166,8 @@ def _cmd_series(args) -> int:
             raise ValueError("series monomial needs --c and --m")
         kwargs["c"] = args.c
         kwargs["m"] = args.m
-    f = egf_mod.egf_elementary(args.kind, args.order, **kwargs)
-    ordinary = egf_mod.to_ordinary(f)
+    f = egf_elementary(args.kind, args.order, **kwargs)
+    ordinary = to_ordinary(f)
     rows = [
         {"n": n, "egf": format_rational(a), "ordinary": format_rational(c)}
         for n, (a, c) in enumerate(zip(f.coeffs, ordinary))
@@ -193,6 +188,8 @@ def _input_rational(item) -> Fraction:
 
 
 def _cmd_transform(args) -> int:
+    from .transform import binomial_transform, stirling_inverse, stirling_transform, weighted_stirling_transform
+
     if args.input is None:
         raw = sys.stdin.read()
     else:
@@ -231,16 +228,20 @@ def _parse_eps(text: str) -> Fraction:
 
 
 def _cmd_verify(args) -> int:
+    from .identities import check_identity, run_all
+
     eps = None if args.eps is None else _parse_eps(args.eps)
     if args.all:
         reports = run_all(max_n=args.max_n, series_order=args.order, eps=eps)
     else:
         reports = [check_identity(args.id, max_n=args.max_n, order=args.order, eps=eps)]
-    print(emit(reports, args.format))
+    print(_emit_reports(reports, args.format))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_identities(args) -> int:
+    from .identities import list_identities
+
     rows = [
         {"id": spec.id, "kind": spec.kind, "description": spec.description}
         for spec in list_identities()
@@ -250,14 +251,19 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .expr import Env, ExprError, evaluate, parse
+
     bindings = {}
     for item in args.define:
         name, _, value = item.partition("=")
         if not name or not value:
             raise ValueError(f"bad definition {item!r}; use name=value")
         bindings[name] = parse_rational(value)
-    env = Env(bindings=bindings)
-    result = evaluate(parse(args.expression), env)
+    try:
+        result = evaluate(parse(args.expression), Env(bindings=bindings))
+    except ExprError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = format_rational(result)
     if args.format == "json":
         print(_dumps(text))
@@ -388,9 +394,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
         detail = exc.args[0] if exc.args else exc
         print(f"error: {detail}", file=sys.stderr)

@@ -25,8 +25,8 @@ the expression language both read their names and argument orders here.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exact import binomial, int_pow
 
@@ -36,35 +36,18 @@ from .exact import binomial, int_pow
 MOMENT_ORDER_CAP = 256
 
 
-@dataclass(frozen=True)
-class IndexedValue:
-    """One labelled entry of a sequence or triangle."""
-
-    n: int
-    value: Fraction | int
-    k: int | None = None
-    p: int | None = None
-
-    def as_row(self) -> dict:
-        row: dict = {"n": self.n}
-        if self.k is not None:
-            row["k"] = self.k
-        if self.p is not None:
-            row["p"] = self.p
-        row["value"] = self.value
-        return row
-
-
-@dataclass(frozen=True)
 class Family:
     """One named sequence: its command-line name, its expression-language
     name, the ``SeqContext`` method that computes it, and that method's
     parameter order ("n" is the index, "p" the order or exponent)."""
 
-    cli_name: str
-    expr_name: str
-    method: str
-    params: tuple[str, ...]
+    __slots__ = ("cli_name", "expr_name", "method", "params")
+
+    def __init__(self, cli_name: str, expr_name: str, method: str, params: tuple[str, ...]) -> None:
+        self.cli_name = cli_name
+        self.expr_name = expr_name
+        self.method = method
+        self.params = params
 
     def __call__(self, ctx: SeqContext, *args):
         """The value at ``args``, given in ``params`` order.  The method is
@@ -92,8 +75,8 @@ class SeqContext:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._s2_rows: list[list[int]] = [[1]]
-        self._s1_rows: list[list[int]] = [[1]]
+        self._s2_rows: list[tuple[int, ...]] = [(1,)]
+        self._s1_rows: list[tuple[int, ...]] = [(1,)]
         self._bell: list[int] = []
         self._fubini: list[int] = []
         self._bernoulli: list[Fraction] = []
@@ -125,24 +108,24 @@ class SeqContext:
     # The row methods are the one place the public triangle entries come
     # from, so a subclass that overrides them changes every entry lookup
     # and every transform.  The families below read the private rows.
-    # A row that is already built never changes, so reading it needs no
-    # lock; only growth takes one.
+    # A row is stored as a tuple once built and never changes, so reading
+    # it needs no lock and no copy; only growth takes the lock.
 
     def stirling2_row(self, n: int) -> tuple[int, ...]:
         """Row n of the partition triangle: S(n, 0), ..., S(n, n)."""
         if n < 0:
             raise ValueError(f"negative row index {n}")
         rows = self._s2_rows
-        return tuple(rows[n] if n < len(rows) else self._s2_row(n))
+        return rows[n] if n < len(rows) else self._s2_row(n)
 
     def stirling1_row(self, n: int) -> tuple[int, ...]:
         """Row n of the signed first-kind triangle: s(n, 0), ..., s(n, n)."""
         if n < 0:
             raise ValueError(f"negative row index {n}")
         rows = self._s1_rows
-        return tuple(rows[n] if n < len(rows) else self._s1_row(n))
+        return rows[n] if n < len(rows) else self._s1_row(n)
 
-    def _s2_row(self, n: int) -> list[int]:
+    def _s2_row(self, n: int) -> tuple[int, ...]:
         with self._lock:
             rows = self._s2_rows
             while len(rows) <= n:
@@ -152,10 +135,10 @@ class SeqContext:
                 for k in range(1, m + 1):
                     above = prev[k] if k < m else 0
                     row[k] = k * above + prev[k - 1]
-                rows.append(row)
+                rows.append(tuple(row))
             return rows[n]
 
-    def _s1_row(self, n: int) -> list[int]:
+    def _s1_row(self, n: int) -> tuple[int, ...]:
         with self._lock:
             rows = self._s1_rows
             while len(rows) <= n:
@@ -165,7 +148,7 @@ class SeqContext:
                 for k in range(1, m + 1):
                     above = prev[k] if k < m else 0
                     row[k] = prev[k - 1] - (m - 1) * above
-                rows.append(row)
+                rows.append(tuple(row))
             return rows[n]
 
     # -- integer sequences -------------------------------------------
@@ -256,6 +239,9 @@ class SeqContext:
         """B_n with B_1 = -1/2, via the second-kind triangle:
 
         B_n = sum_k S(n, k) (-1)^k k!/(k+1).
+
+        The terms are summed as integers over lcm(1, ..., n+1), which every
+        k+1 divides, so each entry builds a single ``Fraction``.
         """
         if n < 0:
             raise ValueError(f"negative index {n}")
@@ -264,10 +250,12 @@ class SeqContext:
             while len(table) <= n:
                 m = len(table)
                 row = self._s2_row(m)
-                total = Fraction(0)
+                den = lcm(*range(1, m + 2))
+                total = 0
                 for k in range(m + 1):
-                    total += Fraction(row[k] * self.factorial(k), k + 1) * (-1 if k % 2 else 1)
-                table.append(total)
+                    term = row[k] * self.factorial(k) * (den // (k + 1))
+                    total += -term if k % 2 else term
+                table.append(Fraction(total, den))
             return table[n]
 
     def bernoulli_plus(self, n: int) -> Fraction:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import stirlingkit.cli as cli
+import stirlingkit.identities as identities
 from stirlingkit import Failure, IdentityReport
 from stirlingkit.cli import main
 
@@ -196,7 +197,7 @@ def test_verify_failure_exit_code_and_counterexample(capsys, monkeypatch):
     broken = IdentityReport(
         "T1", 4, (Failure({"n": 3, "p": 1}, "5", "7"),)
     )
-    monkeypatch.setattr(cli, "check_identity", lambda *a, **kw: broken)
+    monkeypatch.setattr(identities, "check_identity", lambda *a, **kw: broken)
     code, out, _ = run_cli(capsys, "verify", "--id", "T1", "--format", "text")
     assert code == 1
     assert "FAIL" in out
@@ -207,7 +208,7 @@ def test_verify_failure_exit_code_and_counterexample(capsys, monkeypatch):
 
 def test_verify_failure_json_payload(capsys, monkeypatch):
     broken = IdentityReport("C2", 2, (Failure({"n": 1, "p": 0}, "1/2", "1/3"),))
-    monkeypatch.setattr(cli, "run_all", lambda *a, **kw: [broken])
+    monkeypatch.setattr(identities, "run_all", lambda *a, **kw: [broken])
     code, out, _ = run_cli(capsys, "verify", "--all", "--format", "json")
     assert code == 1
     payload = json.loads(out)
@@ -341,7 +342,7 @@ def test_eps_is_read_exactly(capsys, monkeypatch, eps):
         seen.append(kw["eps"])
         return IdentityReport(identity_id, 1, ())
 
-    monkeypatch.setattr(cli, "check_identity", spy)
+    monkeypatch.setattr(identities, "check_identity", spy)
     code, out, _ = run_cli(capsys, "verify", "--id", "E30", "--eps", eps)
     assert code == 0
     assert seen == [Fraction(1, 10**6)]

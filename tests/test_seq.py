@@ -48,6 +48,12 @@ def test_rows_are_tuples_equal_to_entry_lookups(ctx):
             row(-1)
 
 
+def test_rows_are_stored_once_and_returned_without_copying(ctx):
+    for n in (0, 7, 40):
+        assert ctx.stirling2_row(n) is ctx.stirling2_row(n)
+        assert ctx.stirling1_row(n) is ctx.stirling1_row(n)
+
+
 def test_stirling_out_of_range_is_zero(ctx):
     assert ctx.stirling2(5, 7) == 0
     assert ctx.stirling2(5, -1) == 0
@@ -142,6 +148,15 @@ def test_hyperharmonic_closed_form_matches_definition(ctx):
 def test_bernoulli_matches_pascal_recurrence(ctx):
     for n in range(0, 31):
         assert ctx.bernoulli(n) == bernoulli_oracle(n), n
+
+
+def test_bernoulli_integer_row_sum_matches_oracle_to_60():
+    want = [bernoulli_oracle(n) for n in range(61)]
+    at_once = SeqContext()
+    assert at_once.bernoulli(60) == want[60]
+    assert [at_once.bernoulli(n) for n in range(61)] == want
+    stepwise = SeqContext()
+    assert [stepwise.bernoulli(n) for n in range(61)] == want
 
 
 def test_bernoulli_sign_variants(ctx):
@@ -273,15 +288,6 @@ def test_memoized_equals_fresh(n):
     assert warm.bell(n) == cold.bell(n)
     assert warm.bernoulli(n) == cold.bernoulli(n)
     assert warm.stirling2(n, n // 2) == cold.stirling2(n, n // 2)
-
-
-def test_indexed_value_row_shape(ctx):
-    from stirlingkit import IndexedValue
-
-    row = IndexedValue(3, ctx.stirling2(3, 2), k=2).as_row()
-    assert row == {"n": 3, "k": 2, "value": 3}
-    bare = IndexedValue(4, ctx.bell(4)).as_row()
-    assert bare == {"n": 4, "value": 15}
 
 
 def test_factorial_table(ctx):
