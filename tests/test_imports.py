@@ -73,6 +73,7 @@ def test_every_public_name_is_its_submodules_object():
             continue
         home = stirlingkit._HOME[name]
         assert getattr(stirlingkit, name) is getattr(getattr(stirlingkit, home), name), name
+        assert name in vars(stirlingkit), name  # kept, so the next lookup skips __getattr__
     namespace = {}
     exec("from stirlingkit import *", namespace)
     assert set(stirlingkit.__all__) <= set(namespace)

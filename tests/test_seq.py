@@ -38,7 +38,9 @@ def test_stirling1_matches_falling_factorial(ctx):
 
 def test_rows_are_tuples_equal_to_entry_lookups(ctx):
     for n in range(0, 31):
-        for row, entry in ((ctx.stirling2_row(n), ctx.stirling2), (ctx.stirling1_row(n), ctx.stirling1)):
+        for row_of, entry in ((ctx.stirling2_row, ctx.stirling2), (ctx.stirling1_row, ctx.stirling1)):
+            row = row_of(n)
+            assert row is row_of(n), n  # stored once, returned without a copy
             assert type(row) is tuple and len(row) == n + 1, n
             assert row == tuple(entry(n, k) for k in range(n + 1)), n
     assert ctx.stirling1_row(9) == tuple(stirling1_row_oracle(9))
@@ -46,12 +48,6 @@ def test_rows_are_tuples_equal_to_entry_lookups(ctx):
     for row in (ctx.stirling2_row, ctx.stirling1_row):
         with pytest.raises(ValueError):
             row(-1)
-
-
-def test_rows_are_stored_once_and_returned_without_copying(ctx):
-    for n in (0, 7, 40):
-        assert ctx.stirling2_row(n) is ctx.stirling2_row(n)
-        assert ctx.stirling1_row(n) is ctx.stirling1_row(n)
 
 
 def test_stirling_out_of_range_is_zero(ctx):
@@ -145,12 +141,7 @@ def test_hyperharmonic_closed_form_matches_definition(ctx):
             assert ctx.hyperharmonic(p, n) == level[n], (p, n)
 
 
-def test_bernoulli_matches_pascal_recurrence(ctx):
-    for n in range(0, 31):
-        assert ctx.bernoulli(n) == bernoulli_oracle(n), n
-
-
-def test_bernoulli_integer_row_sum_matches_oracle_to_60():
+def test_bernoulli_matches_pascal_recurrence():
     want = [bernoulli_oracle(n) for n in range(61)]
     at_once = SeqContext()
     assert at_once.bernoulli(60) == want[60]
