@@ -63,7 +63,7 @@ class Egf(_Vector):
 def to_ordinary(f: Egf) -> tuple[Fraction, ...]:
     """Ordinary power-series coefficients c_n = a_n / n!."""
     den = f._den
-    return tuple(Fraction(a, den * factorial(n)) for n, a in enumerate(f._nums))
+    return tuple([Fraction(a, den * factorial(n)) for n, a in enumerate(f._nums)])
 
 
 def from_ordinary(coeffs) -> Egf:

@@ -6,7 +6,8 @@ value equality is structural equality.  The wire format is the string
 "p/q", or just "p" when the value is an integer.
 
 The immutable coefficient vector under ``Poly`` and ``Egf`` lives here
-too, with the one Cauchy-product loop both of them use.
+too, with the one Cauchy-product loop and the one linear-combination
+loop both of them use.
 """
 
 from __future__ import annotations
@@ -70,7 +71,10 @@ def common_denominator(values) -> tuple[list[int], int]:
     gives ([], 1).
     """
     fracs = [v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
+    # a list, not a generator: CPython builds a tuple from a generator by
+    # resizing one from another size's free list, and frees it into the
+    # list of its final size, so those lists would grow on every call
+    den = math.lcm(*[f.denominator for f in fracs])
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
@@ -169,7 +173,7 @@ class _Vector:
         cs = self._coeffs
         if cs is None:
             den = self._den
-            cs = tuple(Fraction(x, den) for x in self._nums)
+            cs = tuple([Fraction(x, den) for x in self._nums])
             object.__setattr__(self, "_coeffs", cs)
         return cs
 
@@ -217,3 +221,27 @@ def _convolve(a, b, size: int) -> list[int]:
             end = i + min(len(b), size - i)
             out[i:end] = [o + ai * y for o, y in zip(out[i:end], b)]
     return out
+
+
+def _combine(weights, vectors):
+    """The vector sum_k weights[k] vectors[k] for one or more vectors of
+    one subclass, in a single pass over integers.
+
+    The weights go over their common denominator and the vectors over the
+    lcm of theirs, so each term is an integer multiple of a numerator
+    tuple, and the sum is reduced once at the end.  Vectors may differ in
+    length (a shorter one is padded with zeros) unless ``_match`` refuses
+    the pair, as it does for ``Egf``s of different orders.
+    """
+    first = vectors[0]
+    for v in vectors:
+        first._match(v)
+    wn, wd = common_denominator(weights)
+    den = math.lcm(*[v._den for v in vectors])
+    out = [0] * max([len(v._nums) for v in vectors])
+    for w, v in zip(wn, vectors):
+        if w:
+            m = w * (den // v._den)
+            nums = v._nums
+            out[: len(nums)] = [o + m * x for o, x in zip(out, nums)]
+    return first._from_nums(out, den * wd)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .egf import (
     Egf,
@@ -36,7 +37,7 @@ from .egf import (
     dilog_series,
     to_ordinary,
 )
-from .exact import binomial, binomial_rational, common_denominator, format_rational, int_pow
+from .exact import _combine, binomial, binomial_rational, common_denominator, format_rational, int_pow
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
 
@@ -90,6 +91,11 @@ class IdentitySpec:
 
 def _sign(k: int) -> int:
     return -1 if k % 2 else 1
+
+
+def _dot(a, b) -> int:
+    """sum of a[k] b[k] over the indices both sequences have."""
+    return sum(map(mul, a, b))
 
 
 def _fmt(v) -> str:
@@ -148,6 +154,12 @@ def _entry(*args, **kwargs):
 #
 # Uniform signature: (ctx, run, n_lo, n_hi, p_hi, order, eps).  Unused
 # slots are simply ignored by entries that have no such parameter.
+#
+# A triangle-weighted sum reads its row once per index.  Scalar sums
+# multiply it by integer weights over one denominator built once per
+# call, so each instance builds one Fraction; polynomial sums go to
+# ``_combine``, which builds one vector.  Weights past the row's end are
+# never read, since ``_dot`` and ``_combine`` stop at the shorter input.
 
 
 @_entry(
@@ -160,12 +172,13 @@ def _entry(*args, **kwargs):
 )
 def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     run.notes.append("order-0 instances rely on the conventions 0^0 = 1 and h(0, n) = 1/n")
+    signed_fact = [_sign(k) * ctx.factorial(k) for k in range(n_hi + 1)]
     for p in range(p_hi + 1):
         # the hyperharmonics h(p, 0..n_hi) over their common denominator
-        nums, den = common_denominator(ctx.hyperharmonic(p, k) for k in range(n_hi + 1))
+        nums, den = common_denominator([ctx.hyperharmonic(p, k) for k in range(n_hi + 1)])
+        weights = list(map(mul, signed_fact, nums))
         for n in range(n_lo, n_hi + 1):
-            total = sum(ctx.stirling2(n, k) * _sign(k) * ctx.factorial(k) * nums[k] for k in range(n + 1))
-            lhs = Fraction(total, den)
+            lhs = Fraction(_dot(ctx.stirling2_row(n), weights), den)
             rhs = _sign(n) * n * int_pow(p, n - 1)
             run.check({"p": p, "n": n}, lhs, rhs)
 
@@ -178,11 +191,10 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 60),
 )
 def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    nums, den = common_denominator([ctx.harmonic(k) for k in range(n_hi + 1)])
+    weights = [_sign(k) * ctx.factorial(k) * x for k, x in enumerate(nums)]
     for n in range(n_lo, n_hi + 1):
-        lhs = sum(
-            (ctx.stirling2(n, k) * _sign(k) * ctx.factorial(k) * ctx.harmonic(k) for k in range(n + 1)),
-            Fraction(0),
-        )
+        lhs = Fraction(_dot(ctx.stirling2_row(n), weights), den)
         run.check({"n": n}, lhs, Fraction(_sign(n) * n))
 
 
@@ -196,9 +208,10 @@ def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
+        # the k = 0 summand carries a factor k, so its weight is 0
+        weights = [_sign(k) * k * p ** (k - 1) if k else 0 for k in range(n_hi + 1)]
         for n in range(n_lo, n_hi + 1):
-            # the k = 0 summand carries a factor k, so the sum starts at 1
-            lhs = sum(ctx.stirling1(n, k) * _sign(k) * k * p ** (k - 1) for k in range(1, n + 1))
+            lhs = _dot(ctx.stirling1_row(n), weights)
             rhs = _sign(n) * ctx.factorial(n) * ctx.hyperharmonic(p, n)
             run.check({"p": p, "n": n}, lhs, rhs)
 
@@ -211,16 +224,12 @@ def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 15),
 )
 def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    half = Fraction(-1, 2)
+    half_powers = [Fraction(-1, 2) ** m for m in range(n_hi + 1)]
     euler = euler_polys(n_hi)
     binom = binom_polys(n_hi)
     for n in range(n_lo, n_hi + 1):
-        lhs = ZERO
-        for k in range(n + 1):
-            lhs = lhs + ctx.stirling1(n, k) * euler[k]
-        rhs = ZERO
-        for k in range(n + 1):
-            rhs = rhs + int_pow(half, n - k) * binom[k]
+        lhs = _combine(ctx.stirling1_row(n), euler[: n + 1])
+        rhs = _combine([half_powers[n - k] for k in range(n + 1)], binom[: n + 1])
         run.check({"n": n}, lhs, ctx.factorial(n) * rhs)
 
 
@@ -245,10 +254,9 @@ def _geometric_blocks(binom, w):
 def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     euler = euler_polys(n_hi)
     blocks = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
+    fact = [ctx.factorial(k) for k in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        rhs = ZERO
-        for k in range(n + 1):
-            rhs = rhs + ctx.stirling2(n, k) * ctx.factorial(k) * blocks[k]
+        rhs = _combine(list(map(mul, ctx.stirling2_row(n), fact)), blocks[: n + 1])
         run.check({"n": n}, euler[n], rhs)
 
 
@@ -270,9 +278,9 @@ def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
         prefix += Fraction(binomial(2 * k, k), (1 - 2 * k) * 2**k)
         inner.append(prefix / 2**k)
     nums, den = common_denominator(inner)
+    weights = [ctx.factorial(k) * _sign(k) * x for k, x in enumerate(nums)]
     for n in range(n_lo, n_hi + 1):
-        total = sum(ctx.stirling2(n, k) * ctx.factorial(k) * _sign(k) * nums[k] for k in range(n + 1))
-        run.check({"n": n}, ctx.euler_number(n), Fraction(total, den))
+        run.check({"n": n}, ctx.euler_number(n), Fraction(_dot(ctx.stirling2_row(n), weights), den))
 
 
 @_entry(
@@ -285,13 +293,10 @@ def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     bernoulli = [bernoulli_poly(k, ctx) for k in range(n_hi + 1)]
     binom = binom_polys(n_hi)
+    recip = [Fraction(_sign(m), m + 1) for m in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        lhs = ZERO
-        for k in range(n + 1):
-            lhs = lhs + ctx.stirling1(n, k) * bernoulli[k]
-        rhs = ZERO
-        for k in range(n + 1):
-            rhs = rhs + Fraction(_sign(n - k), n - k + 1) * binom[k]
+        lhs = _combine(ctx.stirling1_row(n), bernoulli[: n + 1])
+        rhs = _combine([recip[n - k] for k in range(n + 1)], binom[: n + 1])
         run.check({"n": n}, lhs, ctx.factorial(n) * rhs)
 
 
@@ -305,14 +310,11 @@ def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_t5b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # the weights (-1)^m/(m+1) are not geometric, so each block is its own sum
     binom = binom_polys(n_hi)
-    blocks = [
-        sum((Fraction(_sign(k - j), k - j + 1) * binom[j] for j in range(k + 1)), ZERO)
-        for k in range(n_hi + 1)
-    ]
+    recip = [Fraction(_sign(m), m + 1) for m in range(n_hi + 1)]
+    blocks = [_combine([recip[k - j] for j in range(k + 1)], binom[: k + 1]) for k in range(n_hi + 1)]
+    fact = [ctx.factorial(k) for k in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        rhs = ZERO
-        for k in range(n + 1):
-            rhs = rhs + ctx.stirling2(n, k) * ctx.factorial(k) * blocks[k]
+        rhs = _combine(list(map(mul, ctx.stirling2_row(n), fact)), blocks[: n + 1])
         run.check({"n": n}, bernoulli_poly(n, ctx), rhs)
 
 
@@ -327,14 +329,9 @@ def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # independent side: reciprocal of the series with a_m = 1/(m+1),
     # whose coefficients are the Bernoulli numbers
     series = egf_reciprocal(Egf(Fraction(1, m + 1) for m in range(n_hi + 1))).coeffs
+    nums, den = common_denominator([Fraction(ctx.factorial(k) * _sign(k), k + 1) for k in range(n_hi + 1)])
     for n in range(n_lo, n_hi + 1):
-        lhs = sum(
-            (
-                Fraction(ctx.stirling2(n, k) * ctx.factorial(k) * _sign(k), k + 1)
-                for k in range(n + 1)
-            ),
-            Fraction(0),
-        )
+        lhs = Fraction(_dot(ctx.stirling2_row(n), nums), den)
         run.check({"n": n}, lhs, series[n])
 
 
@@ -346,8 +343,10 @@ def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    # B_(k-1) for k >= 1; the k = 0 summand is absent
+    nums, den = common_denominator([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)])
     for n in range(n_lo, n_hi + 1):
-        lhs = sum((ctx.stirling1(n, k) * ctx.bernoulli(k - 1) for k in range(1, n + 1)), Fraction(0))
+        lhs = Fraction(_dot(ctx.stirling1_row(n), nums), den)
         rhs = -_sign(n) * ctx.factorial(n - 1) * ctx.harmonic(n)
         run.check({"n": n}, lhs, rhs)
 
@@ -360,14 +359,10 @@ def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    nums, den = common_denominator([ctx.harmonic(k) for k in range(n_hi + 1)])
+    weights = [0] + [-_sign(k) * ctx.factorial(k - 1) * nums[k] for k in range(1, n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        rhs = sum(
-            (
-                -ctx.stirling2(n, k) * _sign(k) * ctx.factorial(k - 1) * ctx.harmonic(k)
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
+        rhs = Fraction(_dot(ctx.stirling2_row(n), weights), den)
         run.check({"n": n}, ctx.bernoulli(n - 1), rhs)
 
 
@@ -379,11 +374,9 @@ def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    nums, den = common_denominator([0] + [ctx.bernoulli(k - 1) * _sign(k) for k in range(1, n_hi + 1)])
     for n in range(n_lo, n_hi + 1):
-        lhs = sum(
-            (ctx.stirling1(n, k) * ctx.bernoulli(k - 1) * _sign(k) for k in range(1, n + 1)),
-            Fraction(0),
-        )
+        lhs = Fraction(_dot(ctx.stirling1_row(n), nums), den)
         rhs = Fraction(_sign(n) * ctx.factorial(n), n * n)
         run.check({"n": n}, lhs, rhs)
 
@@ -396,14 +389,11 @@ def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6d(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    nums, den = common_denominator(
+        [0] + [Fraction(ctx.factorial(k) * _sign(k), k * k) for k in range(1, n_hi + 1)]
+    )
     for n in range(n_lo, n_hi + 1):
-        rhs = _sign(n) * sum(
-            (
-                ctx.stirling2(n, k) * Fraction(ctx.factorial(k), k * k) * _sign(k)
-                for k in range(1, n + 1)
-            ),
-            Fraction(0),
-        )
+        rhs = Fraction(_sign(n) * _dot(ctx.stirling2_row(n), nums), den)
         run.check({"n": n}, ctx.bernoulli(n - 1), rhs)
 
 
@@ -426,8 +416,9 @@ _BELL_CLOSED_FORMS = {
 )
 def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
+        powers = [k**p for k in range(n_hi + 1)]
         for n in range(n_lo, n_hi + 1):
-            direct = sum(ctx.stirling2(n, k) * k**p for k in range(n + 1))
+            direct = _dot(ctx.stirling2_row(n), powers)
             run.check({"n": n, "p": p, "form": "recurrence-vs-direct"}, ctx.moment(n, p), direct)
     for p, combo in _BELL_CLOSED_FORMS.items():
         for n in range(n_lo, n_hi + 1):
@@ -448,9 +439,7 @@ def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         for n in range(n_lo, n_hi + 1):
             lhs = xd_apply(phi[n], p + 1)
-            acc = ZERO
-            for j in range(p + 1):
-                acc = acc + binomial(p, j) * xd_apply(phi[n], j)
+            acc = _combine([binomial(p, j) for j in range(p + 1)], [xd_apply(phi[n], j) for j in range(p + 1)])
             rhs = xd_apply(phi[n + 1], p) - X * acc
             run.check({"n": n, "p": p}, lhs, rhs)
 
@@ -465,7 +454,7 @@ def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 2)
     for n in range(n_lo, n_hi + 1):
-        row = [ctx.stirling2(n, k) for k in range(n + 1)]
+        row = ctx.stirling2_row(n)
         first_sum = Poly(Fraction(c * k) for k, c in enumerate(row))
         first_op = xd_apply(phi[n], 1)
         first_comb = phi[n + 1] - X * phi[n]
@@ -518,22 +507,30 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
     built once per form, bottom-up, for every index up to the form's cap.
     """
     poly_hi = min(n_hi, 12)
+    # 1/k^depth over one denominator; the k = 0 summand is absent
+    inv, inv_den = common_denominator([0] + [Fraction(1, k**depth) for k in range(1, n_hi + 1)])
+
+    def poly_level(level, conv, bden):
+        return [_combine(conv[n], level[1 : n + 1]).scale(Fraction(1, n * bden)) for n in range(1, len(level))]
+
+    def scalar_level(level, conv, bden):
+        nums, den = common_denominator(level[1:])
+        return [Fraction(_dot(conv[n], nums), n * bden * den) for n in range(1, len(level))]
+
     forms = (
-        ("polynomial", poly_hi, exp_polys(poly_hi), ZERO,
-         lambda n: Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k), k**depth) for k in range(1, n + 1)])),
-        ("scalar", n_hi, [ctx.bell(k) for k in range(n_hi + 1)], Fraction(0),
-         lambda n: sum((Fraction(ctx.stirling2(n, k), k**depth) for k in range(1, n + 1)), Fraction(0))),
+        ("polynomial", poly_hi, exp_polys(poly_hi), poly_level,
+         lambda n: Poly._from_nums(list(map(mul, ctx.stirling2_row(n), inv)), inv_den)),
+        ("scalar", n_hi, [ctx.bell(k) for k in range(n_hi + 1)], scalar_level,
+         lambda n: Fraction(_dot(ctx.stirling2_row(n), inv), inv_den)),
     )
-    for form, hi, phi, zero, partition_sum in forms:
-        weights = [bernoulli(j) for j in range(hi + 1)]
+    for form, hi, phi, next_level, partition_sum in forms:
+        bnums, bden = common_denominator([bernoulli(j) for j in range(hi + 1)])
+        # conv[n][k - 1] = C(n, k) b_(n-k) for 1 <= k <= n, over bden
+        conv = [[binomial(n, k) * bnums[n - k] for k in range(1, n + 1)] for n in range(hi + 1)]
         level = phi
         for _ in range(depth):
             # index 0 has no convolution and is never read
-            level = [zero] + [
-                Fraction(1, n)
-                * sum((binomial(n, k) * weights[n - k] * level[k] for k in range(1, n + 1)), zero)
-                for n in range(1, hi + 1)
-            ]
+            level = [None] + next_level(level, conv, bden)
         for n in range(n_lo, hi + 1):
             rhs = level[n]
             if previous:
@@ -610,11 +607,14 @@ def _chk_c12(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_c13(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    plain_weights = [0] + [ctx.factorial(k - 1) for k in range(1, n_hi + 1)]
+    alt_weights = [_sign(k) * w for k, w in enumerate(plain_weights)]
     for n in range(n_lo, n_hi + 1):
-        plain = sum(ctx.stirling2(n, k) * ctx.factorial(k - 1) for k in range(1, n + 1))
+        row = ctx.stirling2_row(n)
+        plain = _dot(row, plain_weights)
         want_plain = 1 if n == 1 else 2 * ctx.fubini(n - 1)
         run.check({"n": n, "form": "plain"}, plain, want_plain)
-        alt = sum(ctx.stirling2(n, k) * ctx.factorial(k - 1) * _sign(k) for k in range(1, n + 1))
+        alt = _dot(row, alt_weights)
         want_alt = -1 if n == 1 else 0
         run.check({"n": n, "form": "alternating"}, alt, want_alt)
 
@@ -664,8 +664,9 @@ def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    weights = [0, 0] + [ctx.factorial(k - 2) * _sign(k) for k in range(2, n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        lhs = sum(ctx.stirling2(n, k) * ctx.factorial(k - 2) * _sign(k) for k in range(2, n + 1))
+        lhs = _dot(ctx.stirling2_row(n), weights)
         run.check({"n": n}, lhs, n - 1)
 
 
@@ -677,12 +678,12 @@ def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 40),
 )
 def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    signed_derangements = [_sign(k) * ctx.derangement(k) for k in range(n_hi + 1)]
+    signed_bell = [_sign(k) * ctx.bell(k) for k in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        via_derangements = _sign(n) * sum(
-            ctx.stirling2(n, k) * _sign(k) * ctx.derangement(k) for k in range(n + 1)
-        )
-        via_binomial = sum(binomial(n, k) * _sign(k) * ctx.bell(k) for k in range(n + 1))
-        telescoped = 1 + sum(-_sign(j) * ctx.bell(j) for j in range(n))
+        via_derangements = _sign(n) * _dot(ctx.stirling2_row(n), signed_derangements)
+        via_binomial = sum(binomial(n, k) * signed_bell[k] for k in range(n + 1))
+        telescoped = 1 - sum(signed_bell[:n])
         run.check_members(
             {"n": n},
             (
@@ -702,12 +703,8 @@ def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi)
     for n in range(n_lo, n_hi + 1):
-        lhs = ZERO
-        for k in range(n + 1):
-            lhs = lhs + binomial(n, k) * _sign(k) * phi[k]
-        acc = ZERO
-        for j in range(n):
-            acc = acc + (-_sign(j)) * phi[j]
+        lhs = _combine([binomial(n, k) * _sign(k) for k in range(n + 1)], phi[: n + 1])
+        acc = _combine([-_sign(j) for j in range(n)], phi[:n]) if n else ZERO
         run.check({"n": n}, lhs, ONE + X * acc)
 
 
@@ -719,17 +716,22 @@ def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 30),
 )
 def _chk_orth(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    second = [ctx.stirling2_row(n) for n in range(n_hi + 1)]
+    first = [ctx.stirling1_row(n) for n in range(n_hi + 1)]
+    # column j of each triangle, zero above the diagonal
+    second_cols = [[row[j] if j < len(row) else 0 for row in second] for j in range(n_hi + 1)]
+    first_cols = [[row[j] if j < len(row) else 0 for row in first] for j in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
         for j in range(n + 1):
             want = 1 if n == j else 0
             run.check(
                 {"n": n, "j": j, "form": "second-then-first"},
-                sum(ctx.stirling2(n, k) * ctx.stirling1(k, j) for k in range(j, n + 1)),
+                _dot(second[n], first_cols[j]),
                 want,
             )
             run.check(
                 {"n": n, "j": j, "form": "first-then-second"},
-                sum(ctx.stirling1(n, k) * ctx.stirling2(k, j) for k in range(j, n + 1)),
+                _dot(first[n], second_cols[j]),
                 want,
             )
 

@@ -28,7 +28,7 @@ import threading
 from fractions import Fraction
 from math import lcm
 
-from .exact import binomial, int_pow
+from .exact import binomial, common_denominator
 
 # M(n, p) takes about p^3/6 big-integer products and p^2/2 memo entries
 # (with n = 0, p = 300 took 5 s and p = 400 took 22 s under CPython 3.11
@@ -312,10 +312,15 @@ class SeqContext:
             raise ValueError(f"negative index {n}")
         if p == 0:
             return Fraction(n)
-        acc = Fraction(0)
+        # one integer sum over the lcm of the Bernoulli denominators
+        bnums, bden = common_denominator([self.bernoulli(j) for j in range(p + 1)])
+        total = 0
+        npow = 1
         for k in range(1, p + 2):
-            acc += binomial(p + 1, k) * self.bernoulli(p + 1 - k) * int_pow(n, k)
-        return Fraction(n**p) + acc / (p + 1)
+            npow *= n
+            total += binomial(p + 1, k) * bnums[p + 1 - k] * npow
+        den = bden * (p + 1)
+        return Fraction(n**p * den + total, den)
 
     def moment(self, n: int, p: int) -> int:
         """M(n, p) = sum_k S(n, k) k^p, computed by the recurrence

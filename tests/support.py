@@ -178,6 +178,19 @@ def vector_scale_oracle(a, c) -> list[Fraction]:
     return [c * x for x in a]
 
 
+def combine_oracle(weights, vectors) -> list[Fraction]:
+    """sum_k weights[k] vectors[k], coefficientwise, as the registry's
+    ``acc = acc + c * v`` loops computed it before they moved onto one
+    integer pass: one Fraction product and one Fraction add per term,
+    shorter vectors padded with zeros."""
+    out: list[Fraction] = []
+    for w, v in zip(weights, vectors):
+        out.extend(Fraction(0) for _ in range(len(v) - len(out)))
+        for i, x in enumerate(v):
+            out[i] += Fraction(w) * x
+    return out
+
+
 def _ordinary(a) -> list[Fraction]:
     return [Fraction(x) / factorial(n) for n, x in enumerate(a)]
 

@@ -19,11 +19,13 @@ from stirlingkit import (
     parse_rational,
 )
 
-from stirlingkit.exact import _convolve, common_denominator
+from stirlingkit.egf import OrderMismatchError
+from stirlingkit.exact import _combine, _convolve, common_denominator
 from stirlingkit.poly import X, ZERO, xd_apply
 
 from support import (
     assert_canonical,
+    combine_oracle,
     convolve_oracle,
     ordinary_mul_oracle,
     padded,
@@ -188,6 +190,33 @@ def test_linear_arithmetic_matches_the_fraction_loops(a, b, c):
         assert list(f.scale(c).coeffs) == vector_scale_oracle(a[:m], c)
         for v in (f, g, f + g, f - g, -f, f.scale(c)):
             assert_canonical(v)
+
+
+weights = st.one_of(rationals, st.integers(min_value=-50, max_value=50))
+
+
+@settings(max_examples=60)
+@given(st.lists(st.tuples(weights, long_vectors), min_size=1, max_size=8))
+def test_combination_kernel_matches_the_fraction_loop(terms):
+    ws = [w for w, _ in terms]
+    vs = [v for _, v in terms]
+    got = _combine(ws, [Poly(v) for v in vs])
+    assert type(got) is Poly
+    assert_canonical(got)
+    assert padded(got.coeffs, max(len(v) for v in vs)) == combine_oracle(ws, vs)
+    m = min(len(v) for v in vs)
+    if m:
+        cut = [v[:m] for v in vs]
+        got = _combine(ws, [Egf(v) for v in cut])
+        assert type(got) is Egf
+        assert_canonical(got)
+        assert list(got.coeffs) == combine_oracle(ws, cut)
+
+
+def test_combination_kernel_refuses_mixed_egf_orders():
+    with pytest.raises(OrderMismatchError):
+        _combine([1, 1], [Egf([1, 2]), Egf([1, 2, 3])])
+    assert _combine([Fraction(1, 2), 3], [Poly([1, 2]), Poly([1, 2, 3])]) == Poly([Fraction(7, 2), 7, 9])
 
 
 def test_equal_values_from_different_routes_compare_and_hash_equal():

@@ -1,8 +1,12 @@
 """Identity registry mechanics: ordering, knobs, fault visibility."""
 
 import gc
+import os
+import subprocess
 import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,14 +38,43 @@ EXPECTED_ORDER = [
 
 
 class SignFlippedContext(SeqContext):
-    """Deliberately corrupted context: one triangle entry has the wrong
-    sign.  Any identity whose routes consult that entry must fail."""
+    """Deliberately corrupted context: s(3, 2) has the wrong sign.  It is
+    injected through the row method, which entry lookups, transforms and
+    checkers all read, so any identity whose routes consult that entry
+    must fail."""
+
+    def stirling1_row(self, n):
+        row = super().stirling1_row(n)
+        if n == 3:
+            return row[:2] + (-row[2],) + row[3:]
+        return row
+
+
+class PartitionBumpedContext(SeqContext):
+    """Deliberately corrupted context: S(4, 2) is one too large, injected
+    through the row method."""
+
+    def stirling2_row(self, n):
+        row = super().stirling2_row(n)
+        if n == 4:
+            return row[:2] + (row[2] + 1,) + row[3:]
+        return row
+
+
+class EntryCountingContext(SeqContext):
+    """Counts single-entry triangle lookups."""
+
+    def __init__(self):
+        super().__init__()
+        self.entry_calls = 0
+
+    def stirling2(self, n, k):
+        self.entry_calls += 1
+        return super().stirling2(n, k)
 
     def stirling1(self, n, k):
-        value = super().stirling1(n, k)
-        if (n, k) == (3, 2):
-            return -value
-        return value
+        self.entry_calls += 1
+        return super().stirling1(n, k)
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +208,31 @@ def test_sign_fault_leaves_unrelated_identity_alone():
     assert r.passed
 
 
+# every entry whose routes read the corrupted row entry
+ROW_FAULT_ENTRIES = {
+    SignFlippedContext: {"C2", "ORTH", "T3a", "T5a", "T6a", "T6c"},
+    PartitionBumpedContext: {
+        "C10", "C12", "C13", "C14", "E15", "E21", "E22", "E9", "ORTH", "P11",
+        "P9", "T1", "T15", "T1b", "T3b", "T5b", "T5c", "T6b", "T6d", "T7",
+    },
+}
+
+
+@pytest.mark.parametrize("faulty", list(ROW_FAULT_ENTRIES), ids=lambda c: c.__name__)
+def test_row_faults_fail_exactly_the_entries_that_read_the_entry(faulty):
+    reports = run_all(ctx=faulty())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == ROW_FAULT_ENTRIES[faulty]
+
+
+def test_registry_reads_triangle_rows_not_entries():
+    # work-count guard: one locked lookup per summand made about 51,000
+    # entry calls in a default pass; the checkers read whole rows
+    ctx = EntryCountingContext()
+    assert all(r.passed for r in run_all(ctx=ctx))
+    assert ctx.entry_calls <= 1000
+
+
 def test_report_passed_property():
     good = IdentityReport("X1", 3, ())
     bad = IdentityReport("X2", 3, (Failure({"n": 1}, "0", "1"),))
@@ -216,16 +274,23 @@ def test_exp_builder_fault_breaks_exponential_entries(monkeypatch, entry):
 @pytest.mark.parametrize("entry", ["T3b", "T5b", "L8"])
 def test_family_lists_bound_polynomial_products(monkeypatch, entry):
     # a per-summand rebuild of the families makes over 20,000 products
-    # for each of these entries at n <= 30
+    # for each of these entries at n <= 30; products and linear
+    # combinations are counted together
     calls = []
     mul = Poly.__mul__
+    combine = identities._combine
 
     def counting(self, other):
         calls.append(None)
         return mul(self, other)
 
+    def counting_combine(weights, vectors):
+        calls.append(None)
+        return combine(weights, vectors)
+
     monkeypatch.setenv(ENV_MAX_N, "30")
     monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(identities, "_combine", counting_combine)
     r = check_identity(entry, ctx=SeqContext())
     assert r.passed and r.checked >= 31
     assert 0 < len(calls) <= 2000
@@ -282,6 +347,34 @@ def test_convolution_fault_cannot_cancel_across_routes(monkeypatch):
             substitution(Egf([1, 2, 3, 4, 5]), 1, 1, SeqContext())
 
 
+# -- the shared linear combination -------------------------------------
+
+# every entry whose polynomial sums go through the combination kernel
+COMBINATION_ENTRIES = {"T3a", "T3b", "T5a", "T5b", "L8", "C10", "E21", "E22", "L16"}
+
+
+def _faulty_combine(weights, vectors):
+    return exact._combine(weights, vectors) + X * X
+
+
+def test_combination_fault_cannot_cancel_across_routes(monkeypatch):
+    # corrupting the one kernel must fail every entry that calls it, so
+    # no defect in it cancels between the two routes of an entry
+    src = Path(exact.__file__).parent
+    definitions = sum(path.read_text().count("def _combine(") for path in src.glob("*.py"))
+    assert definitions == 1
+    users = {
+        name
+        for name, module in sys.modules.items()
+        if name.startswith("stirlingkit.") and getattr(module, "_combine", None) is exact._combine
+    }
+    assert users == {"stirlingkit.exact", "stirlingkit.identities"}
+    monkeypatch.setattr(identities, "_combine", _faulty_combine)
+    reports = run_all(ctx=SeqContext())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == COMBINATION_ENTRIES
+
+
 def test_a_registry_pass_leaves_no_reference_cycles():
     # cycles would keep Polys and context tables alive until a collection
     run_all(ctx=SeqContext())  # imports and the default context settle
@@ -292,3 +385,26 @@ def test_a_registry_pass_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_repeated_registry_passes_do_not_grow_the_allocator():
+    # CPython builds a tuple from a generator by resizing one taken from
+    # another size's free list, and frees it into the list of its final
+    # size, so every such build moves one tuple between free lists; a
+    # pass runs no full collection to empty them, so they only grow.
+    probe = textwrap.dedent(
+        """
+        import sys
+        from stirlingkit import SeqContext, run_all
+        for _ in range(3):
+            run_all(ctx=SeqContext())
+        before = sys.getallocatedblocks()
+        for _ in range(20):
+            run_all(ctx=SeqContext())
+        print(sys.getallocatedblocks() - before)
+        """
+    )
+    src = str(Path(exact.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert int(proc.stdout) < 1000
