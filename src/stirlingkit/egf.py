@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
-from .exact import _convolve, _Vector, common_denominator, factorial, int_pow
+from .exact import _convolve, _Vector, common_denominator, factorial, format_rational, int_pow
 from .seq import SeqContext
 from .transform import weighted_stirling_transform
 
@@ -284,7 +284,12 @@ def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fr
     inner = (expm1_series if kind == "second" else log1p_series)(f.order, lam)
     composed = egf_compose(f, inner.scale(mu / lam)).coeffs
     if list(composed) != direct:
-        raise ArithmeticError("substitution routes disagree; engine defect")
+        i = next(i for i, (d, c) in enumerate(zip(direct, composed)) if d != c)
+        raise ArithmeticError(
+            f"substitution routes disagree; engine defect: kind {kind}, index {i}, "
+            f"direct {format_rational(direct[i])}, composed {format_rational(composed[i])}, "
+            f"lam {format_rational(lam)}, mu {format_rational(mu)}, order {f.order}"
+        )
     return direct
 
 

@@ -37,7 +37,7 @@ from .egf import (
     dilog_series,
     to_ordinary,
 )
-from .exact import _combine, binomial, binomial_rational, common_denominator, format_rational, int_pow
+from .exact import _combine, binomial, binomial_rational, common_denominator, format_rational
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
 
@@ -179,7 +179,7 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
         weights = list(map(mul, signed_fact, nums))
         for n in range(n_lo, n_hi + 1):
             lhs = Fraction(_dot(ctx.stirling2_row(n), weights), den)
-            rhs = _sign(n) * n * int_pow(p, n - 1)
+            rhs = _sign(n) * n * p ** (n - 1)
             run.check({"p": p, "n": n}, lhs, rhs)
 
 
@@ -436,11 +436,13 @@ def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 1)
+    # right side only: powers[n][j] = (xD)^j phi_n, built once per index
+    powers = [[xd_apply(f, j) for j in range(p_hi + 1)] for f in phi]
     for p in range(p_hi + 1):
+        weights = [binomial(p, j) for j in range(p + 1)]
         for n in range(n_lo, n_hi + 1):
             lhs = xd_apply(phi[n], p + 1)
-            acc = _combine([binomial(p, j) for j in range(p + 1)], [xd_apply(phi[n], j) for j in range(p + 1)])
-            rhs = xd_apply(phi[n + 1], p) - X * acc
+            rhs = powers[n + 1][p] - X * _combine(weights, powers[n][: p + 1])
             run.check({"n": n, "p": p}, lhs, rhs)
 
 
@@ -487,10 +489,9 @@ def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_p9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     minus_exp = exp_series(order, -1)
     for p in range(p_hi + 1):
-        lhs = Egf(
-            Fraction(ctx.factorial(i - 1) * ctx.stirling2(p + 1, i)) if 1 <= i <= p + 1 else Fraction(0)
-            for i in range(order + 1)
-        )
+        row = ctx.stirling2_row(p + 1)
+        nums = [0] + [ctx.factorial(i - 1) * row[i] for i in range(1, p + 2)] + [0] * order
+        lhs = Egf._from_nums(nums[: order + 1], 1)
         sums = Egf(Fraction(ctx.power_sum(p, m)) for m in range(order + 1))
         run.check({"p": p}, lhs, egf_mul(minus_exp, sums))
 
@@ -580,7 +581,8 @@ def _chk_e22(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_p11(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
-        lhs = Poly([Fraction(0)] + [Fraction(ctx.stirling2(n, k) * ctx.factorial(k - 1)) for k in range(1, n + 1)])
+        row = ctx.stirling2_row(n)
+        lhs = Poly._from_nums([0] + [row[k] * ctx.factorial(k - 1) for k in range(1, n + 1)], 1)
         rhs = X if n == 1 else (X + ONE) * geom_poly(n - 1, ctx)
         run.check({"n": n}, lhs, rhs)
 
@@ -774,6 +776,19 @@ _L4_SEQUENCES = (
 _L4_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
 
 
+def _weighted_partial_sums(nums, den, apows, bpows):
+    """The partial sums sum_(k<=i) g_k w^(i-k), for g = nums / den and a
+    weight w = a/b given by its powers apows[j] = a^j and bpows[j] = b^j
+    (b > 0, and 0^0 = 1): entry i is sum_k nums_k a^(i-k) b^k over den b^i."""
+    out = []
+    for i in range(len(nums)):
+        total = 0
+        for k in range(i + 1):
+            total += nums[k] * apows[i - k] * bpows[k]
+        out.append(Fraction(total, den * bpows[i]))
+    return out
+
+
 @_entry(
     "L4",
     "partial-sum weights equal geometric-series convolution on ordinary coefficients",
@@ -783,16 +798,17 @@ _L4_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(
 def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for name, gen in _L4_SEQUENCES:
         g = [gen(k) for k in range(order + 1)]
+        nums, den = common_denominator(g)
         for lam in _L4_LAMBDAS:
+            # the weight is lam for "minus" and -lam for "plus"
+            apows = [lam.numerator**j for j in range(order + 1)]
+            bpows = [lam.denominator**j for j in range(order + 1)]
             for form, denom_sign in (("minus", -1), ("plus", 1)):
                 denom = Egf([Fraction(1), Fraction(denom_sign) * lam] + [Fraction(0)] * (order - 1))
                 product = egf_mul(from_ordinary(g), egf_reciprocal(denom))
                 via_series = list(to_ordinary(product))
-                weight = lam if form == "minus" else -lam
-                direct = [
-                    sum((g[k] * int_pow(weight, i - k) for k in range(i + 1)), Fraction(0))
-                    for i in range(order + 1)
-                ]
+                signed = apows if form == "minus" else [_sign(j) * x for j, x in enumerate(apows)]
+                direct = _weighted_partial_sums(nums, den, signed, bpows)
                 run.check(
                     {"sequence": name, "lambda": format_rational(lam), "form": form},
                     direct,

@@ -136,7 +136,8 @@ def geom_poly(n: int, ctx: SeqContext | None = None) -> Poly:
     if n < 0:
         raise ValueError(f"negative index {n}")
     ctx = context(ctx)
-    return Poly(ctx.stirling2(n, k) * ctx.factorial(k) for k in range(n + 1))
+    row = ctx.stirling2_row(n)
+    return Poly._from_nums([row[k] * ctx.factorial(k) for k in range(n + 1)], 1)
 
 
 def bernoulli_poly(n: int, ctx: SeqContext | None = None) -> Poly:

@@ -86,6 +86,8 @@ class SeqContext:
         self._factorial: list[int] = [1]
         self._moment: dict[tuple[int, int], int] = {}
         self._power_sums: dict[int, list[int]] = {}
+        self._hyperharmonic: dict[tuple[int, int], Fraction] = {}
+        self._faulhaber: dict[int, tuple[tuple[int, ...], int]] = {}
 
     # -- triangles ---------------------------------------------------
 
@@ -233,7 +235,11 @@ class SeqContext:
             return Fraction(0) if n == 0 else Fraction(1, n)
         if p == 1:
             return self.harmonic(n)
-        return binomial(n + p - 1, n) * (self.harmonic(n + p - 1) - self.harmonic(p - 1))
+        with self._lock:
+            memo = self._hyperharmonic
+            if (p, n) not in memo:
+                memo[p, n] = binomial(n + p - 1, n) * (self.harmonic(n + p - 1) - self.harmonic(p - 1))
+            return memo[p, n]
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n with B_1 = -1/2, via the second-kind triangle:
@@ -304,7 +310,9 @@ class SeqContext:
         """Closed form for 1^p + ... + n^p via Bernoulli numbers.
 
         For p >= 1:  n^p + (1/(p+1)) sum_{k=1}^{p+1} C(p+1, k) B_{p+1-k} n^k.
-        That display needs p >= 1, so p = 0 returns n directly.
+        That display needs p >= 1, so p = 0 returns n directly.  The
+        polynomial in n is kept per exponent as integer coefficients over
+        one denominator, so each value is one Horner pass.
         """
         if p < 0:
             raise ValueError(f"negative exponent {p}")
@@ -312,15 +320,19 @@ class SeqContext:
             raise ValueError(f"negative index {n}")
         if p == 0:
             return Fraction(n)
-        # one integer sum over the lcm of the Bernoulli denominators
-        bnums, bden = common_denominator([self.bernoulli(j) for j in range(p + 1)])
+        with self._lock:
+            if p not in self._faulhaber:
+                # over the lcm of the Bernoulli denominators, times p + 1
+                bnums, bden = common_denominator([self.bernoulli(j) for j in range(p + 1)])
+                coeffs = [0] + [binomial(p + 1, k) * bnums[p + 1 - k] for k in range(1, p + 2)]
+                den = bden * (p + 1)
+                coeffs[p] += den
+                self._faulhaber[p] = (tuple(coeffs), den)
+            coeffs, den = self._faulhaber[p]
         total = 0
-        npow = 1
-        for k in range(1, p + 2):
-            npow *= n
-            total += binomial(p + 1, k) * bnums[p + 1 - k] * npow
-        den = bden * (p + 1)
-        return Fraction(n**p * den + total, den)
+        for c in reversed(coeffs):
+            total = total * n + c
+        return Fraction(total, den)
 
     def moment(self, n: int, p: int) -> int:
         """M(n, p) = sum_k S(n, k) k^p, computed by the recurrence

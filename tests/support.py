@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from stirlingkit.exact import binomial, int_pow
+from stirlingkit.exact import binomial, common_denominator, int_pow
 from stirlingkit.poly import ONE, Poly, X, xd_apply
 
 
@@ -320,3 +320,33 @@ def weighted_stirling_transform_oracle(a, lam, mu, kind, ctx) -> list[Fraction]:
         )
         for n in range(len(vals))
     ]
+
+
+# -- registry loops that moved onto integers over one denominator --------
+
+
+def weighted_partial_sums_oracle(g, weight) -> list[Fraction]:
+    """Entry i is sum_(k<=i) g_k weight^(i-k), one Fraction power, product
+    and add per term, as L4's direct side computed it before it moved
+    onto integers."""
+    return [
+        sum((Fraction(g[k]) * int_pow(weight, i - k) for k in range(i + 1)), Fraction(0))
+        for i in range(len(g))
+    ]
+
+
+def faulhaber_oracle(p: int, n: int, ctx) -> Fraction:
+    """1^p + ... + n^p from the Bernoulli closed form, with the Bernoulli
+    numbers put over one denominator on every call, as
+    ``SeqContext.faulhaber`` computed it before it kept a table per
+    exponent."""
+    if p == 0:
+        return Fraction(n)
+    bnums, bden = common_denominator([ctx.bernoulli(j) for j in range(p + 1)])
+    total = 0
+    npow = 1
+    for k in range(1, p + 2):
+        npow *= n
+        total += binomial(p + 1, k) * bnums[p + 1 - k] * npow
+    den = bden * (p + 1)
+    return Fraction(n**p * den + total, den)

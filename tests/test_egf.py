@@ -2,6 +2,7 @@
 series, composition, reciprocals, and the substitution engines."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from stirlingkit import (
     egf_truncate,
     exp_series,
     expm1_series,
+    format_rational,
     from_ordinary,
     geom_series,
     log1p_series,
@@ -429,9 +431,17 @@ def test_substitutions_raise_when_one_route_is_corrupted(ctx, monkeypatch, route
         coeffs[3] += 1
         return Egf(coeffs) if isinstance(out, Egf) else coeffs
 
-    monkeypatch.setattr(egf_module, route, corrupted)
     f = Egf(random_rationals(random.Random(47), ORDER + 1))
-    with pytest.raises(ArithmeticError):
-        stirling_substitution(f, 2, Fraction(1, 3), ctx)
-    with pytest.raises(ArithmeticError):
-        log_substitution(f, -1, 2, ctx)
+    cases = ((stirling_substitution, "second", 2, Fraction(1, 3)), (log_substitution, "first", -1, 2))
+    exact = [substitution(f, lam, mu, ctx)[3] for substitution, _, lam, mu in cases]
+    monkeypatch.setattr(egf_module, route, corrupted)
+    for (substitution, kind, lam, mu), value in zip(cases, exact):
+        # the message names the first differing index and both routes' values
+        direct, composed = (value + 1, value) if route == "weighted_stirling_transform" else (value, value + 1)
+        want = (
+            f"substitution routes disagree; engine defect: kind {kind}, index 3, "
+            f"direct {format_rational(direct)}, composed {format_rational(composed)}, "
+            f"lam {format_rational(lam)}, mu {format_rational(mu)}, order {ORDER}"
+        )
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(want)}$"):
+            substitution(f, lam, mu, ctx)

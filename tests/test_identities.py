@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stirlingkit import (
     Egf,
@@ -27,7 +28,7 @@ from stirlingkit import (
 from stirlingkit import egf, exact, identities, poly
 from stirlingkit.identities import DEFAULT_SERIES_ORDER, ENV_MAX_N
 
-from support import binom_poly_oracle
+from support import binom_poly_oracle, weighted_partial_sums_oracle
 
 EXPECTED_ORDER = [
     "T1", "T1b", "C2", "T3a", "T3b", "E9", "T5a", "T5b", "T5c",
@@ -227,10 +228,60 @@ def test_row_faults_fail_exactly_the_entries_that_read_the_entry(faulty):
 
 def test_registry_reads_triangle_rows_not_entries():
     # work-count guard: one locked lookup per summand made about 51,000
-    # entry calls in a default pass; the checkers read whole rows
+    # entry calls in a default pass; the checkers and the geometric
+    # polynomials read whole rows
     ctx = EntryCountingContext()
     assert all(r.passed for r in run_all(ctx=ctx))
-    assert ctx.entry_calls <= 1000
+    assert ctx.entry_calls == 0
+
+
+class BernoulliBumpedContext(SeqContext):
+    """Deliberately corrupted context: B_4 is one too large."""
+
+    def bernoulli(self, n):
+        value = super().bernoulli(n)
+        return value + 1 if n == 4 else value
+
+
+class HarmonicBumpedContext(SeqContext):
+    """Deliberately corrupted context: H_4 is one too large."""
+
+    def harmonic(self, n):
+        value = super().harmonic(n)
+        return value + 1 if n == 4 else value
+
+
+class PowerSumBumpedContext(SeqContext):
+    """Deliberately corrupted context: 1^p + ... + 4^p is one too large
+    for every p."""
+
+    def power_sum(self, p, n):
+        value = super().power_sum(p, n)
+        return value + 1 if n == 4 else value
+
+
+# every entry whose routes read the corrupted table entry; the Faulhaber
+# and hyperharmonic tables are filled through the faulty methods
+TABLE_FAULT_ENTRIES = {
+    BernoulliBumpedContext: {"C10", "E18", "E21", "E22", "T5a", "T5b", "T6a", "T6b", "T6c", "T6d"},
+    HarmonicBumpedContext: {"C2", "DIL", "GF6", "T1", "T1b", "T6a", "T6b"},
+    PowerSumBumpedContext: {"E18", "P9"},
+}
+
+
+@pytest.mark.parametrize("faulty", list(TABLE_FAULT_ENTRIES), ids=lambda c: c.__name__)
+def test_table_faults_fail_exactly_the_entries_that_read_the_table(faulty):
+    reports = run_all(ctx=faulty())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == TABLE_FAULT_ENTRIES[faulty]
+
+
+def test_context_tables_are_filled_through_the_faulty_methods():
+    # a table filled from the private lists would hide the fault from
+    # every order p >= 2 and every Faulhaber exponent
+    clean = SeqContext()
+    assert HarmonicBumpedContext().hyperharmonic(2, 3) == clean.hyperharmonic(2, 3) + 4
+    assert BernoulliBumpedContext().faulhaber(4, 2) != clean.faulhaber(4, 2)
 
 
 def test_report_passed_property():
@@ -373,6 +424,22 @@ def test_combination_fault_cannot_cancel_across_routes(monkeypatch):
     reports = run_all(ctx=SeqContext())
     assert [r.id for r in reports] == EXPECTED_ORDER
     assert {r.id for r in reports if not r.passed} == COMBINATION_ENTRIES
+
+
+# -- L4's direct side ----------------------------------------------------
+
+l4_terms = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+l4_weights = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@settings(max_examples=80)
+@given(st.lists(l4_terms, min_size=1, max_size=40), l4_weights)
+def test_weighted_partial_sums_match_the_fraction_loop(g, weight):
+    nums, den = exact.common_denominator(g)
+    apows = [weight.numerator**j for j in range(len(g))]
+    bpows = [weight.denominator**j for j in range(len(g))]
+    got = identities._weighted_partial_sums(nums, den, apows, bpows)
+    assert got == weighted_partial_sums_oracle(g, weight)
 
 
 def test_a_registry_pass_leaves_no_reference_cycles():

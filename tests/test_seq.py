@@ -12,6 +12,7 @@ from support import (
     derangement_oracle,
     euler_poly_oracle,
     euler_polys_oracle,
+    faulhaber_oracle,
     stirling1_row_oracle,
     stirling2_oracle,
 )
@@ -222,6 +223,50 @@ def test_faulhaber_equals_power_sum_and_is_integral(ctx):
             v = ctx.faulhaber(p, n)
             assert v == ctx.power_sum(p, n), (p, n)
             assert v.denominator == 1, (p, n)
+
+
+def test_faulhaber_table_equals_the_per_call_formula():
+    import random
+
+    rng = random.Random(11)
+    queries = [(p, n) for p in range(25) for n in range(201)]
+    rng.shuffle(queries)
+    reference = SeqContext()
+    shared = SeqContext()
+    for p, n in queries:
+        assert shared.faulhaber(p, n) == faulhaber_oracle(p, n, reference), (p, n)
+    for p, n in queries[:200]:
+        assert SeqContext().faulhaber(p, n) == faulhaber_oracle(p, n, reference), (p, n)
+
+
+def test_faulhaber_and_hyperharmonic_tables_fill_safely_between_threads():
+    import random
+    import sys
+    import threading
+
+    reference = SeqContext()
+    queries = [(p, n) for p in range(2, 17) for n in range(60)]
+    want = {q: (reference.faulhaber(*q), reference.hyperharmonic(*q)) for q in queries}
+    shared = SeqContext()
+    results = {}
+
+    def work(seed):
+        order = list(queries)
+        random.Random(seed).shuffle(order)
+        results[seed] = {q: (shared.faulhaber(*q), shared.hyperharmonic(*q)) for q in order}
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[seed] == want for seed in range(4))
 
 
 def test_moment_recurrence_equals_direct_sum(ctx):
