@@ -48,6 +48,7 @@ class Egf(_Vector):
         return tuple(nums)
 
     def _match(self, other: "Egf") -> None:
+        super()._match(other)
         if self.order != other.order:
             raise OrderMismatchError(f"orders differ: {self.order} vs {other.order}")
 

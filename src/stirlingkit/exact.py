@@ -163,7 +163,9 @@ class _Vector:
         return tuple(nums)
 
     def _match(self, other: "_Vector") -> None:
-        """Vectors of any two lengths combine unless a subclass says not."""
+        """Vectors of one subclass combine at any lengths unless it says not."""
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

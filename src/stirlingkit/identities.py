@@ -827,7 +827,7 @@ def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_e18(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         for n in range(n_lo, n_hi + 1):
-            run.check({"p": p, "n": n}, ctx.faulhaber(p, n), Fraction(ctx.power_sum(p, n)))
+            run.check({"p": p, "n": n}, ctx.faulhaber(p, n), ctx.power_sum(p, n))
 
 
 @_entry(

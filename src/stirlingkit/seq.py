@@ -1,9 +1,10 @@
 """Named integer and rational sequences behind a memoizing context.
 
 A ``SeqContext`` owns the two Stirling triangles and every sequence built
-from them.  Tables only ever append and each update happens under a lock,
-so a context can be shared between threads; returned values are ints,
-Fractions, or tuples and never mutate.
+from them.  Tables only ever grow and each update happens under a lock,
+while every table reads a built entry without it, so a context can be
+shared between threads; returned values are ints, Fractions, or tuples
+and never mutate.
 
 Triangle recurrences, row by row:
 
@@ -89,6 +90,29 @@ class SeqContext:
         self._hyperharmonic: dict[tuple[int, int], Fraction] = {}
         self._faulhaber: dict[int, tuple[tuple[int, ...], int]] = {}
 
+    def _grow(self, table: list, n: int, step):
+        """``table[n]``, first appending ``step(m)`` for each missing index m
+        in order.  Every table reads a built entry without the lock, which
+        only growth takes: lists only append and no dict entry is replaced,
+        so an entry another thread can see is complete."""
+        if n < len(table):
+            return table[n]
+        with self._lock:
+            while len(table) <= n:
+                table.append(step(len(table)))
+            return table[n]
+
+    def _memo(self, memo: dict, key, compute):
+        """``memo[key]``, first storing ``compute()`` if the key is missing.
+        No stored value is None."""
+        value = memo.get(key)
+        if value is not None:
+            return value
+        with self._lock:
+            if key not in memo:
+                memo[key] = compute()
+            return memo[key]
+
     # -- triangles ---------------------------------------------------
 
     def stirling2(self, n: int, k: int) -> int:
@@ -110,82 +134,61 @@ class SeqContext:
     # The row methods are the one place the public triangle entries come
     # from, so a subclass that overrides them changes every entry lookup
     # and every transform.  The families below read the private rows.
-    # A row is stored as a tuple once built and never changes, so reading
-    # it needs no lock and no copy; only growth takes the lock.
+    # A row is stored as a tuple, so it is returned without a copy.
 
     def stirling2_row(self, n: int) -> tuple[int, ...]:
         """Row n of the partition triangle: S(n, 0), ..., S(n, n)."""
         if n < 0:
             raise ValueError(f"negative row index {n}")
-        rows = self._s2_rows
-        return rows[n] if n < len(rows) else self._s2_row(n)
+        return self._s2_row(n)
 
     def stirling1_row(self, n: int) -> tuple[int, ...]:
         """Row n of the signed first-kind triangle: s(n, 0), ..., s(n, n)."""
         if n < 0:
             raise ValueError(f"negative row index {n}")
-        rows = self._s1_rows
-        return rows[n] if n < len(rows) else self._s1_row(n)
+        return self._grow(self._s1_rows, n, self._next_s1_row)
 
     def _s2_row(self, n: int) -> tuple[int, ...]:
-        with self._lock:
-            rows = self._s2_rows
-            while len(rows) <= n:
-                m = len(rows)
-                prev = rows[m - 1]
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    above = prev[k] if k < m else 0
-                    row[k] = k * above + prev[k - 1]
-                rows.append(tuple(row))
-            return rows[n]
+        return self._grow(self._s2_rows, n, self._next_s2_row)
 
-    def _s1_row(self, n: int) -> tuple[int, ...]:
-        with self._lock:
-            rows = self._s1_rows
-            while len(rows) <= n:
-                m = len(rows)
-                prev = rows[m - 1]
-                row = [0] * (m + 1)
-                for k in range(1, m + 1):
-                    above = prev[k] if k < m else 0
-                    row[k] = prev[k - 1] - (m - 1) * above
-                rows.append(tuple(row))
-            return rows[n]
+    def _next_s2_row(self, m: int) -> tuple[int, ...]:
+        prev = self._s2_rows[m - 1]
+        row = [0] * (m + 1)
+        for k in range(1, m + 1):
+            above = prev[k] if k < m else 0
+            row[k] = k * above + prev[k - 1]
+        return tuple(row)
+
+    def _next_s1_row(self, m: int) -> tuple[int, ...]:
+        prev = self._s1_rows[m - 1]
+        row = [0] * (m + 1)
+        for k in range(1, m + 1):
+            above = prev[k] if k < m else 0
+            row[k] = prev[k - 1] - (m - 1) * above
+        return tuple(row)
 
     # -- integer sequences -------------------------------------------
 
     def factorial(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"factorial of negative index {n}")
-        with self._lock:
-            table = self._factorial
-            while len(table) <= n:
-                table.append(table[-1] * len(table))
-            return table[n]
+        return self._grow(self._factorial, n, lambda m: self._factorial[m - 1] * m)
 
     def bell(self, n: int) -> int:
         """Row sum of the partition triangle."""
         if n < 0:
             raise ValueError(f"negative index {n}")
-        with self._lock:
-            table = self._bell
-            while len(table) <= n:
-                m = len(table)
-                table.append(sum(self._s2_row(m)))
-            return table[n]
+        return self._grow(self._bell, n, lambda m: sum(self._s2_row(m)))
 
     def fubini(self, n: int) -> int:
         """Ordered set partitions: sum of S(n, k) k! over the row."""
         if n < 0:
             raise ValueError(f"negative index {n}")
-        with self._lock:
-            table = self._fubini
-            while len(table) <= n:
-                m = len(table)
-                row = self._s2_row(m)
-                table.append(sum(row[k] * self.factorial(k) for k in range(m + 1)))
-            return table[n]
+        return self._grow(self._fubini, n, self._next_fubini)
+
+    def _next_fubini(self, m: int) -> int:
+        row = self._s2_row(m)
+        return sum(row[k] * self.factorial(k) for k in range(m + 1))
 
     def derangement(self, n: int) -> int:
         """Fixed-point-free permutations, by inclusion-exclusion.
@@ -195,17 +198,16 @@ class SeqContext:
         """
         if n < 0:
             raise ValueError(f"negative index {n}")
-        with self._lock:
-            table = self._derangement
-            while len(table) <= n:
-                m = len(table)
-                total = 0
-                term = 1  # m!/j!, walked downward so it grows by integer multiplies
-                for j in range(m, -1, -1):
-                    total += term if j % 2 == 0 else -term
-                    term *= j
-                table.append(total)
-            return table[n]
+        return self._grow(self._derangement, n, self._next_derangement)
+
+    @staticmethod
+    def _next_derangement(m: int) -> int:
+        total = 0
+        term = 1  # m!/j!, walked downward so it grows by integer multiplies
+        for j in range(m, -1, -1):
+            total += term if j % 2 == 0 else -term
+            term *= j
+        return total
 
     # -- rational sequences ------------------------------------------
 
@@ -213,11 +215,7 @@ class SeqContext:
         """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
         if n < 0:
             raise ValueError(f"negative index {n}")
-        with self._lock:
-            table = self._harmonic
-            while len(table) <= n:
-                table.append(table[-1] + Fraction(1, len(table)))
-            return table[n]
+        return self._grow(self._harmonic, n, lambda m: self._harmonic[m - 1] + Fraction(1, m))
 
     def hyperharmonic(self, p: int, n: int) -> Fraction:
         """Order-p hyperharmonic number h_n^(p).
@@ -235,11 +233,11 @@ class SeqContext:
             return Fraction(0) if n == 0 else Fraction(1, n)
         if p == 1:
             return self.harmonic(n)
-        with self._lock:
-            memo = self._hyperharmonic
-            if (p, n) not in memo:
-                memo[p, n] = binomial(n + p - 1, n) * (self.harmonic(n + p - 1) - self.harmonic(p - 1))
-            return memo[p, n]
+        return self._memo(
+            self._hyperharmonic,
+            (p, n),
+            lambda: binomial(n + p - 1, n) * (self.harmonic(n + p - 1) - self.harmonic(p - 1)),
+        )
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n with B_1 = -1/2, via the second-kind triangle:
@@ -251,18 +249,16 @@ class SeqContext:
         """
         if n < 0:
             raise ValueError(f"negative index {n}")
-        with self._lock:
-            table = self._bernoulli
-            while len(table) <= n:
-                m = len(table)
-                row = self._s2_row(m)
-                den = lcm(*range(1, m + 2))
-                total = 0
-                for k in range(m + 1):
-                    term = row[k] * self.factorial(k) * (den // (k + 1))
-                    total += -term if k % 2 else term
-                table.append(Fraction(total, den))
-            return table[n]
+        return self._grow(self._bernoulli, n, self._next_bernoulli)
+
+    def _next_bernoulli(self, m: int) -> Fraction:
+        row = self._s2_row(m)
+        den = lcm(*range(1, m + 2))
+        total = 0
+        for k in range(m + 1):
+            term = row[k] * self.factorial(k) * (den // (k + 1))
+            total += -term if k % 2 else term
+        return Fraction(total, den)
 
     def bernoulli_plus(self, n: int) -> Fraction:
         """B_n with the sign of B_1 flipped to +1/2.
@@ -283,10 +279,12 @@ class SeqContext:
         """
         if n < 0:
             raise ValueError(f"negative index {n}")
+        table = self._euler
+        if n < len(table):
+            return table[n]
         from .poly import euler_polys  # deferred: poly builds on this module
 
         with self._lock:
-            table = self._euler
             if len(table) <= n:
                 # at least doubling, so rising indices build O(log n) tables
                 polys = euler_polys(max(n, 2 * len(table)))
@@ -300,11 +298,8 @@ class SeqContext:
             raise ValueError(f"negative exponent {p}")
         if n < 0:
             raise ValueError(f"negative index {n}")
-        with self._lock:
-            table = self._power_sums.setdefault(p, [0])
-            while len(table) <= n:
-                table.append(table[-1] + len(table) ** p)
-            return table[n]
+        table = self._memo(self._power_sums, p, lambda: [0])
+        return self._grow(table, n, lambda m: table[m - 1] + m**p)
 
     def faulhaber(self, p: int, n: int) -> Fraction:
         """Closed form for 1^p + ... + n^p via Bernoulli numbers.
@@ -320,19 +315,19 @@ class SeqContext:
             raise ValueError(f"negative index {n}")
         if p == 0:
             return Fraction(n)
-        with self._lock:
-            if p not in self._faulhaber:
-                # over the lcm of the Bernoulli denominators, times p + 1
-                bnums, bden = common_denominator([self.bernoulli(j) for j in range(p + 1)])
-                coeffs = [0] + [binomial(p + 1, k) * bnums[p + 1 - k] for k in range(1, p + 2)]
-                den = bden * (p + 1)
-                coeffs[p] += den
-                self._faulhaber[p] = (tuple(coeffs), den)
-            coeffs, den = self._faulhaber[p]
+        coeffs, den = self._memo(self._faulhaber, p, lambda: self._faulhaber_poly(p))
         total = 0
         for c in reversed(coeffs):
             total = total * n + c
         return Fraction(total, den)
+
+    def _faulhaber_poly(self, p: int) -> tuple[tuple[int, ...], int]:
+        # over the lcm of the Bernoulli denominators, times p + 1
+        bnums, bden = common_denominator([self.bernoulli(j) for j in range(p + 1)])
+        coeffs = [0] + [binomial(p + 1, k) * bnums[p + 1 - k] for k in range(1, p + 2)]
+        den = bden * (p + 1)
+        coeffs[p] += den
+        return tuple(coeffs), den
 
     def moment(self, n: int, p: int) -> int:
         """M(n, p) = sum_k S(n, k) k^p, computed by the recurrence
@@ -351,22 +346,23 @@ class SeqContext:
             raise ValueError(f"moment exponent {p} exceeds the cap {MOMENT_ORDER_CAP}")
         if p == 0:
             return self.bell(n)
-        with self._lock:
-            memo = self._moment
-            if (n, p) in memo:
-                return memo[n, p]
+        return self._memo(self._moment, (n, p), lambda: self._fill_moments(n, p))
 
-            def known(m: int, q: int) -> int:
-                return self.bell(m) if q == 0 else memo[m, q]
+    def _fill_moments(self, n: int, p: int) -> int:
+        # under the lock, inside _memo: stores every M(m, q >= 1) it needs
+        memo = self._moment
 
-            for q in range(1, p + 1):
-                for m in range(n, n + p - q + 1):
-                    if (m, q) not in memo:
-                        total = known(m + 1, q - 1)
-                        for j in range(q):
-                            total -= binomial(q - 1, j) * known(m, j)
-                        memo[m, q] = total
-            return memo[n, p]
+        def known(m: int, q: int) -> int:
+            return self.bell(m) if q == 0 else memo[m, q]
+
+        for q in range(1, p + 1):
+            for m in range(n, n + p - q + 1):
+                if (m, q) not in memo:
+                    total = known(m + 1, q - 1)
+                    for j in range(q):
+                        total -= binomial(q - 1, j) * known(m, j)
+                    memo[m, q] = total
+        return memo[n, p]
 
 
 _DEFAULT = SeqContext()

@@ -150,6 +150,22 @@ def test_polys_and_egfs_never_compare_equal():
     assert Egf([1, 2]) != Poly([1, 2])
 
 
+def test_vectors_refuse_an_operand_of_another_type():
+    # a Poly plus an Egf once came back as a Poly, and a number raised
+    # AttributeError from inside the arithmetic
+    egf = Egf([1, 2, 3])
+    cases = (
+        (lambda: X + egf, "Poly with Egf"),
+        (lambda: _combine([1, 1], [X, egf]), "Poly with Egf"),
+        (lambda: Egf([1, 2]) + X, "Egf with Poly"),
+        (lambda: X + 1, "Poly with int"),
+        (lambda: X - 1, "Poly with int"),
+    )
+    for call, names in cases:
+        with pytest.raises(TypeError, match=f"^cannot combine {names}$"):
+            call()
+
+
 def test_vectors_name_their_type_when_refusing_a_write():
     for value, name in ((Poly([1]), "Poly"), (Egf([1]), "Egf")):
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):

@@ -260,12 +260,46 @@ class PowerSumBumpedContext(SeqContext):
         return value + 1 if n == 4 else value
 
 
+def _bumped_at_5(method):
+    """A context whose public ``method`` is one too large at index 5, or
+    at entry (5, 2) for a triangle row; every other method is sound."""
+
+    def bumped(self, *args):
+        value = getattr(SeqContext, method)(self, *args)
+        if method.endswith("_row"):
+            return value[:2] + (value[2] + 1,) + value[3:] if args[0] == 5 else value
+        index = args[0] if method == "moment" else args[-1]
+        return value + 1 if index == 5 else value
+
+    return type(f"{method}_bumped_at_5", (SeqContext,), {method: bumped})
+
+
 # every entry whose routes read the corrupted table entry; the Faulhaber
-# and hyperharmonic tables are filled through the faulty methods
+# and hyperharmonic tables are filled through the faulty methods.  The
+# entry-5 sets pin which table each route reads.
 TABLE_FAULT_ENTRIES = {
     BernoulliBumpedContext: {"C10", "E18", "E21", "E22", "T5a", "T5b", "T6a", "T6b", "T6c", "T6d"},
     HarmonicBumpedContext: {"C2", "DIL", "GF6", "T1", "T1b", "T6a", "T6b"},
     PowerSumBumpedContext: {"E18", "P9"},
+    _bumped_at_5("factorial"): {
+        "C10", "C12", "C13", "C14", "C2", "DIL", "E18", "E21", "E22", "E30", "E9", "GF6", "P11",
+        "P9", "T1", "T1b", "T3a", "T3b", "T5a", "T5b", "T5c", "T6a", "T6b", "T6c", "T6d",
+    },
+    _bumped_at_5("stirling2_row"): {
+        "C10", "C12", "C13", "C14", "E15", "E21", "E22", "E9", "ORTH", "P11",
+        "P9", "T1", "T15", "T1b", "T3b", "T5b", "T5c", "T6b", "T6d", "T7",
+    },
+    _bumped_at_5("stirling1_row"): {"C2", "ORTH", "T3a", "T5a", "T6a", "T6c"},
+    _bumped_at_5("bell"): {"C10", "E21", "E22", "T15", "T7"},
+    _bumped_at_5("fubini"): {"C13", "E30"},
+    _bumped_at_5("derangement"): {"T15"},
+    _bumped_at_5("harmonic"): {"C2", "DIL", "GF6", "T1", "T1b", "T6a", "T6b"},
+    _bumped_at_5("hyperharmonic"): {"C2", "GF6", "T1"},
+    _bumped_at_5("bernoulli"): {"C10", "E18", "E21", "E22", "T5a", "T5b", "T6a", "T6b", "T6c", "T6d"},
+    _bumped_at_5("euler_number"): {"E9"},
+    _bumped_at_5("power_sum"): {"E18", "P9"},
+    _bumped_at_5("faulhaber"): {"E18"},
+    _bumped_at_5("moment"): {"T7"},
 }
 
 
@@ -278,10 +312,11 @@ def test_table_faults_fail_exactly_the_entries_that_read_the_table(faulty):
 
 def test_context_tables_are_filled_through_the_faulty_methods():
     # a table filled from the private lists would hide the fault from
-    # every order p >= 2 and every Faulhaber exponent
+    # every order p >= 2, every Faulhaber exponent and every moment
     clean = SeqContext()
     assert HarmonicBumpedContext().hyperharmonic(2, 3) == clean.hyperharmonic(2, 3) + 4
     assert BernoulliBumpedContext().faulhaber(4, 2) != clean.faulhaber(4, 2)
+    assert _bumped_at_5("bell")().moment(4, 1) == clean.moment(4, 1) + 1  # M(4, 1) = B_5 - B_4
 
 
 def test_report_passed_property():

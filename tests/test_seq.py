@@ -1,11 +1,13 @@
 """Sequence families against enumeration and textbook-recurrence oracles."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stirlingkit import SeqContext, binomial
+from stirlingkit.seq import FAMILIES
 
 from support import (
     bernoulli_oracle,
@@ -239,21 +241,36 @@ def test_faulhaber_table_equals_the_per_call_formula():
         assert SeqContext().faulhaber(p, n) == faulhaber_oracle(p, n, reference), (p, n)
 
 
+def _family_calls(n_end, p_end):
+    """(method, args) for every ``FAMILIES`` entry over n < n_end and, for
+    the two-argument families, p < p_end."""
+    values = {"n": range(n_end), "p": range(p_end)}
+    return [
+        (family.method, args)
+        for family in FAMILIES
+        for args in product(*[values[name] for name in family.params])
+    ]
+
+
 def test_faulhaber_and_hyperharmonic_tables_fill_safely_between_threads():
     import random
     import sys
     import threading
 
+    queries = [(method, (p, n)) for method in ("faulhaber", "hyperharmonic")
+               for p in range(2, 17) for n in range(60)]
+    queries += _family_calls(40, 5)
+    queries += [(method, (n,)) for method in ("stirling2_row", "stirling1_row") for n in range(40)]
     reference = SeqContext()
-    queries = [(p, n) for p in range(2, 17) for n in range(60)]
-    want = {q: (reference.faulhaber(*q), reference.hyperharmonic(*q)) for q in queries}
+    want = {q: getattr(reference, q[0])(*q[1]) for q in queries}
     shared = SeqContext()
     results = {}
 
     def work(seed):
         order = list(queries)
         random.Random(seed).shuffle(order)
-        results[seed] = {q: (shared.faulhaber(*q), shared.hyperharmonic(*q)) for q in order}
+        order.sort(key=lambda q: q[1][-1])  # rising indices, so the threads grow tables together
+        results[seed] = {q: getattr(shared, q[0])(*q[1]) for q in order}
 
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -267,6 +284,40 @@ def test_faulhaber_and_hyperharmonic_tables_fill_safely_between_threads():
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
     assert all(results[seed] == want for seed in range(4))
+
+
+def test_built_entries_are_read_without_the_lock():
+    import threading
+
+    ctx = SeqContext()
+    calls = _family_calls(30, 5) + [("faulhaber", (p, n)) for p in range(5) for n in range(30)]
+    calls += [(method, (n,)) for method in ("stirling2_row", "stirling1_row") for n in range(30)]
+
+    def read_all():
+        for method, args in calls:
+            getattr(ctx, method)(*args)
+
+    read_all()
+    held = threading.Event()
+    release = threading.Event()
+
+    def hold():
+        with ctx._lock:
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold)
+    reader = threading.Thread(target=read_all)
+    holder.start()
+    try:
+        assert held.wait(2)
+        reader.start()
+        reader.join(timeout=2)
+        assert not reader.is_alive(), "a read of a built entry waited for the lock"
+    finally:
+        release.set()
+        holder.join(timeout=10)
+        reader.join(timeout=10)
 
 
 def test_moment_recurrence_equals_direct_sum(ctx):
