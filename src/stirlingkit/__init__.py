@@ -45,12 +45,9 @@ _EXPORTS = {
         "OrderMismatchError",
         "dilog_series",
         "egf_compose",
-        "egf_derivative",
         "egf_elementary",
-        "egf_integrate",
         "egf_mul",
         "egf_reciprocal",
-        "egf_truncate",
         "exp_series",
         "expm1_series",
         "from_ordinary",

@@ -2,8 +2,8 @@
 
 An ``Egf`` of order N stores coefficients a_0..a_N and denotes the sum of
 a_n t^n / n! for n <= N.  All arithmetic is exact and order-strict:
-products and compositions require equal orders, differentiation drops one
-order, integration adds one.  Nothing ever extends a truncation silently.
+products and compositions require equal orders.  Nothing ever extends a
+truncation silently.
 
 Coefficients are stored as integer numerators over one denominator, and
 the product, composition and reciprocal work on those integers.  The
@@ -161,24 +161,6 @@ def egf_reciprocal(f: Egf) -> Egf:
     top = pows[n] * a0
     scale = f._den if top > 0 else -f._den  # the sign moves to the numerators
     return Egf._from_nums([scale * bm * pows[n - m] for m, bm in enumerate(b)], abs(top))
-
-
-def egf_derivative(f: Egf) -> Egf:
-    """d/dt, shifting coefficients down; the order drops by one."""
-    if f.order == 0:
-        raise ValueError("cannot differentiate an order-0 truncation")
-    return Egf(f.coeffs[1:])
-
-
-def egf_integrate(f: Egf) -> Egf:
-    """Antiderivative with zero constant term; the order grows by one."""
-    return Egf((Fraction(0),) + f.coeffs)
-
-
-def egf_truncate(f: Egf, order: int) -> Egf:
-    if order < 0 or order > f.order:
-        raise ValueError(f"cannot truncate order {f.order} to {order}")
-    return Egf(f.coeffs[: order + 1])
 
 
 # -- elementary series -----------------------------------------------

@@ -268,8 +268,6 @@ def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 20),
 )
 def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    # one table fill from a single reciprocal series, rather than one per n
-    ctx.euler_number(n_hi)
     # inner_k = sum_(j<=k) C(2j, j) / ((1-2j) 2^(k+j)) = P_k / 2^k, with P_k
     # the prefix sums of C(2j, j) / ((1-2j) 2^j); all over one denominator
     inner = []

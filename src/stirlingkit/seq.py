@@ -1,10 +1,12 @@
 """Named integer and rational sequences behind a memoizing context.
 
 A ``SeqContext`` owns the two Stirling triangles and every sequence built
-from them.  Tables only ever grow and each update happens under a lock,
-while every table reads a built entry without it, so a context can be
-shared between threads; returned values are ints, Fractions, or tuples
-and never mutate.
+from them.  Every table grows through one of two primitives: ``_grow``
+appends list entries one index at a time, each from the entries before
+it, and ``_memo`` fills keyed tables.  Only growth takes the lock and
+every table reads a built entry without it, so a context can be shared
+between threads; returned values are ints, Fractions, or tuples and
+never mutate.
 
 Triangle recurrences, row by row:
 
@@ -13,6 +15,8 @@ Triangle recurrences, row by row:
 
 Everything downstream (Bell, Fubini, Bernoulli, moments) is a weighted
 row sum, which keeps each family on a single authoritative code path.
+The Euler values come from their own integer recurrence, so this module
+builds on ``exact`` alone.
 
 Functions that take ``ctx=None`` resolve it through :func:`context` to one
 process-wide default context, so their memo tables are shared and live as
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .exact import binomial, common_denominator
 
@@ -82,6 +86,7 @@ class SeqContext:
         self._fubini: list[int] = []
         self._bernoulli: list[Fraction] = []
         self._euler: list[Fraction] = []
+        self._euler_r: list[int] = []  # R_j = 2^j r_j, r the coefficients of 2/(e^t + 1)
         self._derangement: list[int] = []
         self._harmonic: list[Fraction] = [Fraction(0)]
         self._factorial: list[int] = [1]
@@ -140,7 +145,7 @@ class SeqContext:
         """Row n of the partition triangle: S(n, 0), ..., S(n, n)."""
         if n < 0:
             raise ValueError(f"negative row index {n}")
-        return self._s2_row(n)
+        return self._grow(self._s2_rows, n, self._next_s2_row)
 
     def stirling1_row(self, n: int) -> tuple[int, ...]:
         """Row n of the signed first-kind triangle: s(n, 0), ..., s(n, n)."""
@@ -276,20 +281,26 @@ class SeqContext:
         """E_n(1/2) as an exact rational, e.g. E_2 = -1/4.
 
         The classical integer Euler numbers are 2^n times these values.
+        E_n(x) has x^k coefficient C(n, k) r_(n-k), with r the coefficients
+        of 2/(e^t + 1), so E_n(1/2) = sum_j C(n, j) R_j / 2^n over the
+        integers R_j = 2^j r_j.  R_j is zero for even j >= 2, since
+        2/(e^t + 1) - 1 = -tanh(t/2) is odd, so only odd j enter the sums.
         """
         if n < 0:
             raise ValueError(f"negative index {n}")
-        table = self._euler
-        if n < len(table):
-            return table[n]
-        from .poly import euler_polys  # deferred: poly builds on this module
+        return self._grow(self._euler, n, self._next_euler)
 
-        with self._lock:
-            if len(table) <= n:
-                # at least doubling, so rising indices build O(log n) tables
-                polys = euler_polys(max(n, 2 * len(table)))
-                table.extend(e(Fraction(1, 2)) for e in polys[len(table):])
-            return table[n]
+    def _next_euler(self, m: int) -> Fraction:
+        r = self._euler_r
+        self._grow(r, m, self._next_euler_r)
+        return Fraction(r[0] + sum(comb(m, j) * r[j] for j in range(1, m + 1, 2)), 2**m)
+
+    def _next_euler_r(self, j: int) -> int:
+        # R_j = -sum_(i<j) C(j, i) 2^(j-i-1) R_i, from (e^t + 1)/2 times 2/(e^t + 1) = 1
+        if j % 2 == 0:
+            return 0 if j else 1
+        r = self._euler_r
+        return -((1 << (j - 1)) + sum(comb(j, i) * r[i] << (j - i - 1) for i in range(1, j, 2)))
 
     def power_sum(self, p: int, n: int) -> int:
         """1^p + 2^p + ... + n^p by direct summation (0 terms give 0),

@@ -13,12 +13,9 @@ from stirlingkit import (
     OrderMismatchError,
     SeqContext,
     egf_compose,
-    egf_derivative,
     egf_elementary,
-    egf_integrate,
     egf_mul,
     egf_reciprocal,
-    egf_truncate,
     exp_series,
     expm1_series,
     format_rational,
@@ -92,14 +89,6 @@ def test_order_mismatch_raises():
         Egf([1, 2]) + Egf([1, 2, 3])
     with pytest.raises(OrderMismatchError):
         egf_mul(Egf([1, 2]), Egf([1, 2, 3]))
-
-
-def test_truncate():
-    f = Egf([1, 2, 3, 4])
-    assert egf_truncate(f, 1) == Egf([1, 2])
-    assert egf_truncate(f, 3) == f
-    with pytest.raises(ValueError):
-        egf_truncate(f, 9)
 
 
 # -- ordinary view ---------------------------------------------------
@@ -220,23 +209,6 @@ def test_compose_with_scaled_argument():
     # e^(2t) via composition equals the directly scaled series
     inner = Egf([0, 2] + [0] * (ORDER - 1))
     assert egf_compose(exp_series(ORDER), inner) == exp_series(ORDER, scale=2)
-
-
-# -- calculus --------------------------------------------------------
-
-
-def test_derivative_shifts_coefficients():
-    f = Egf([5, 1, 2, 3])
-    assert egf_derivative(f) == Egf([1, 2, 3])
-    with pytest.raises(ValueError):
-        egf_derivative(Egf([1]))
-
-
-@given(frac_lists)
-def test_derivative_undoes_integration(seq):
-    f = Egf(seq)
-    assert egf_derivative(egf_integrate(f)) == f
-    assert egf_integrate(f).coeffs[0] == 0
 
 
 # -- elementary series -----------------------------------------------

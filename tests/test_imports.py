@@ -55,9 +55,9 @@ def probe(*argvs):
 
 
 def test_cli_loads_only_exact_and_seq_for_seq_and_triangle():
-    bare, *steps = probe(["seq", "bell", "--n", "3"], ["triangle", "stirling1", "--n", "3"])
+    bare, *steps = probe(["seq", "bell", "--n", "3"], ["seq", "euler", "--n", "3"], ["triangle", "stirling1", "--n", "3"])
     assert bare == ["stirlingkit"]
-    assert steps == [[CLI_BASE, False]] * 3
+    assert steps == [[CLI_BASE, False]] * 4
 
 
 @pytest.mark.parametrize("argv", [["poly", "euler", "--n", "3"], ["series", "dilog", "--order", "4"]])

@@ -185,27 +185,59 @@ def test_power_sum_direct(ctx):
     assert ctx.power_sum(3, 0) == 0
 
 
-def test_rising_euler_indices_grow_the_table_by_doubling(monkeypatch):
-    import stirlingkit.poly as poly
+def test_euler_table_grows_one_index_at_a_time_and_equals_the_polynomials_at_one_half():
+    import random
+    import time
 
-    calls = []
-    build = poly.euler_polys
+    from stirlingkit.egf import Egf, egf_reciprocal
+    from stirlingkit.poly import euler_polys
 
-    def counting(n):
-        calls.append(n)
-        return build(n)
-
-    monkeypatch.setattr(poly, "euler_polys", counting)
-    fresh = SeqContext()
-    got = [fresh.euler_number(n) for n in range(201)]
-    assert len(calls) <= 9
     half = Fraction(1, 2)
-    for n, coeffs in enumerate(euler_polys_oracle(100)):
-        assert got[n] == sum(c * half**j for j, c in enumerate(coeffs)), n
-    # one table built at once agrees with the doubled one past the oracle
+    want = [sum(c * half**j for j, c in enumerate(coeffs)) for coeffs in euler_polys_oracle(120)]
+    polys = [e(half) for e in euler_polys(300)]
+    # 2/(e^t + 1), the reciprocal euler_polys reads its coefficients from
+    r = egf_reciprocal(Egf([Fraction(1)] + [half] * 300)).coeffs
+    start = time.perf_counter()  # times the table work, not the oracles
+    rising = SeqContext()
+    for n in range(521):
+        rising.euler_number(n)
+    assert len(rising._euler) == 521
+    order = list(range(121))
+    random.Random(5).shuffle(order)
+    shuffled = SeqContext()
+    for n in order:
+        assert shuffled.euler_number(n) == want[n], n
     once = SeqContext()
-    once.euler_number(200)
-    assert got == [once.euler_number(n) for n in range(201)]
+    once.euler_number(300)
+    assert once._euler == polys
+    assert once._euler_r == [2**j * c for j, c in enumerate(r)]
+    assert time.perf_counter() - start < 3.0
+
+
+def test_only_the_growth_primitives_take_the_lock_and_seq_builds_on_exact_alone():
+    import ast
+    import inspect
+
+    import stirlingkit.seq as seq
+
+    blocks, uses, imports = [], [], []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            blocks.extend(fn for item in node.items if "_lock" in ast.unparse(item.context_expr))
+        elif isinstance(node, ast.Attribute) and node.attr == "_lock":
+            uses.append(fn)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            imports.append(node.module)
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(inspect.getsource(seq)), None)
+    assert blocks == ["_grow", "_memo"]
+    assert sorted(uses) == ["__init__", "_grow", "_memo"]  # no acquire() or lock handed out elsewhere
+    assert imports == ["exact"]
 
 
 def test_power_sums_in_any_order_equal_direct_sums():
