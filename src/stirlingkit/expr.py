@@ -17,14 +17,17 @@ range is 0; ranges are capped at 1_000_000 terms, and nesting at 100
 levels.  Exponents must evaluate to nonnegative integers, with 0^0 = 1,
 and a power may be at most about 2^20 bits wide.  Chains of + - or * /
 have no length cap: they evaluate and print by a loop, not recursion.
+Each evaluation compiles the tree once into closures; integral values
+stay ints while they run, and the result is a Fraction.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import binomial, int_pow
+from .exact import binomial
 from .seq import FAMILIES, SeqContext, context
 
 SUM_TERM_CAP = 1_000_000
@@ -88,9 +91,9 @@ def tokenize(src: str) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             tokens.append(Token("int", src[i:j], line, col))
             col += j - i
@@ -286,10 +289,19 @@ _BUILTINS = {
 }
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
+def _num(value):
+    """An exact value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _as_int(value, what: str) -> int:
+    if type(value) is not int:
         raise EvalError(f"{what} must be an integer, got {value}")
-    return int(value)
+    return value
 
 
 def evaluate(node, env: Env | None = None) -> Fraction:
@@ -301,7 +313,7 @@ def evaluate(node, env: Env | None = None) -> Fraction:
     """
     if env is None:
         env = Env()
-    return _eval(node, env)
+    return Fraction(_compile(node)(env.bindings, env.ctx))
 
 
 def _chain(node):
@@ -316,81 +328,105 @@ def _chain(node):
     return node, tail
 
 
-def _power_bits(base: Fraction, e: int) -> int:
+def _power_bits(base: Fraction | int, e: int) -> int:
     """An upper bound on log2 |n^e| summed over the numerator and the
     denominator: e * ceil(log2 |n|) each, so 0 for 0 and 1, and exact for
     powers of two."""
     return e * sum(max(abs(n) - 1, 0).bit_length() for n in (base.numerator, base.denominator))
 
 
-def _eval(node, env: Env) -> Fraction:
+def _divide(a, b):
+    if b == 0:
+        raise EvalError("division by zero")
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
+    return a / b
+
+
+_STEPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
+
+
+def _fail(message: str):
+    def fail(b, ctx):
+        raise EvalError(message)
+    return fail
+
+
+def _compile(node):
+    """Compile a syntax tree into a closure f(bindings, ctx) that returns
+    its value, an int when integral and else a Fraction.  Dispatch, chain
+    flattening, builtin lookup and messages are done here, once; an error
+    found here compiles to a closure that raises only when reached."""
     if isinstance(node, IntLit):
-        return Fraction(node.value)
+        value = _num(node.value)
+        return lambda b, ctx: value
     if isinstance(node, Var):
-        try:
-            return Fraction(env.bindings[node.name])
-        except KeyError:
-            raise EvalError(f"unbound variable {node.name!r}") from None
+        name = node.name
+
+        def var(b, ctx):
+            if name not in b:
+                raise EvalError(f"unbound variable {name!r}")
+            return _num(b[name])
+        return var
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            left = _eval(node.left, env)
-            exponent = _eval(node.right, env)
-            e = _as_int(exponent, "exponent")
+        operand = _compile(node.operand)
+        return lambda b, ctx: -operand(b, ctx)
+    if isinstance(node, BinOp) and node.op == "^":
+        base, exponent = _compile(node.left), _compile(node.right)
+
+        def power(b, ctx):
+            left = base(b, ctx)
+            e = _as_int(exponent(b, ctx), "exponent")
             if e < 0:
                 raise EvalError(f"exponent must be nonnegative, got {e}")
             if _power_bits(left, e) > POWER_BITS_CAP:
                 raise EvalError(f"power would be wider than the cap of {POWER_BITS_CAP} bits")
-            return int_pow(left, e)
-        if node.op not in ("+", "-", "*", "/"):
-            raise EvalError(f"unknown operator {node.op!r}")
+            return _num(left**e)
+        return power
+    if isinstance(node, BinOp):
+        if node.op not in _STEPS:
+            return _fail(f"unknown operator {node.op!r}")
         first, tail = _chain(node)
-        acc = _eval(first, env)
-        for op, operand in tail:
-            right = _eval(operand, env)
-            if op == "+":
-                acc = acc + right
-            elif op == "-":
-                acc = acc - right
-            elif op == "*":
-                acc = acc * right
-            elif right == 0:
-                raise EvalError("division by zero")
-            else:
-                acc = acc / right
-        return acc
+        head = _compile(first)
+        steps = [(_STEPS[op], _compile(operand)) for op, operand in tail]
+
+        def chain(b, ctx):
+            acc = head(b, ctx)
+            for step, operand in steps:
+                acc = _num(step(acc, operand(b, ctx)))
+            return acc
+        return chain
     if isinstance(node, Call):
-        try:
-            arity, fn = _BUILTINS[node.name]
-        except KeyError:
-            raise EvalError(f"unknown function {node.name!r}") from None
+        if node.name not in _BUILTINS:
+            return _fail(f"unknown function {node.name!r}")
+        arity, fn = _BUILTINS[node.name]
         if len(node.args) != arity:
-            raise EvalError(f"{node.name} takes {arity} argument(s), got {len(node.args)}")
-        args = [_as_int(_eval(a, env), f"argument of {node.name}") for a in node.args]
-        return Fraction(fn(env.ctx, *args))
+            return _fail(f"{node.name} takes {arity} argument(s), got {len(node.args)}")
+        args = [_compile(a) for a in node.args]
+        what = f"argument of {node.name}"
+        return lambda b, ctx: _num(fn(ctx, *[_as_int(a(b, ctx), what) for a in args]))
     if isinstance(node, Sum):
-        lo = _as_int(_eval(node.lo, env), "summation lower bound")
-        hi = _as_int(_eval(node.hi, env), "summation upper bound")
-        if hi < lo:
-            return Fraction(0)
-        count = hi - lo + 1
-        if count > SUM_TERM_CAP:
-            raise EvalError(f"summation range has {count} terms; the cap is {SUM_TERM_CAP}")
-        had_binding = node.var in env.bindings
-        saved = env.bindings.get(node.var)
-        total = Fraction(0)
-        try:
-            for i in range(lo, hi + 1):
-                env.bindings[node.var] = Fraction(i)
-                total += _eval(node.body, env)
-        finally:
-            if had_binding:
-                env.bindings[node.var] = saved
-            else:
-                env.bindings.pop(node.var, None)
+        var, lo, hi, body = node.var, _compile(node.lo), _compile(node.hi), _compile(node.body)
+
+        def total(b, ctx):
+            first = _as_int(lo(b, ctx), "summation lower bound")
+            last = _as_int(hi(b, ctx), "summation upper bound")
+            if last < first:
+                return 0
+            if last - first >= SUM_TERM_CAP:
+                raise EvalError(f"summation range has {last - first + 1} terms; the cap is {SUM_TERM_CAP}")
+            saved = {var: b[var]} if var in b else {}
+            acc = 0
+            try:
+                for i in range(first, last + 1):
+                    b[var] = i
+                    acc += body(b, ctx)
+            finally:
+                b.pop(var, None)
+                b.update(saved)
+            return _num(acc)
         return total
-    raise EvalError(f"cannot evaluate node {node!r}")
+    return _fail(f"cannot evaluate node {node!r}")
 
 
 # -- pretty printer --------------------------------------------------

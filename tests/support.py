@@ -13,6 +13,21 @@ from fractions import Fraction
 from math import comb, factorial
 
 from stirlingkit.exact import binomial, common_denominator, int_pow
+from stirlingkit.expr import (
+    _BUILTINS,
+    POWER_BITS_CAP,
+    SUM_TERM_CAP,
+    BinOp,
+    Call,
+    Env,
+    EvalError,
+    IntLit,
+    Neg,
+    Sum,
+    Var,
+    _chain,
+    _power_bits,
+)
 from stirlingkit.poly import ONE, Poly, X, xd_apply
 
 
@@ -350,3 +365,81 @@ def faulhaber_oracle(p: int, n: int, ctx) -> Fraction:
         total += binomial(p + 1, k) * bnums[p + 1 - k] * npow
     den = bden * (p + 1)
     return Fraction(n**p * den + total, den)
+
+
+def _oracle_int(value: Fraction, what: str) -> int:
+    if value.denominator != 1:
+        raise EvalError(f"{what} must be an integer, got {value}")
+    return int(value)
+
+
+def eval_oracle(node, env: Env) -> Fraction:
+    """The tree-walking evaluator that ``expr.evaluate`` compiled away:
+    it dispatches at every node and keeps every value a Fraction."""
+    if isinstance(node, IntLit):
+        return Fraction(node.value)
+    if isinstance(node, Var):
+        try:
+            return Fraction(env.bindings[node.name])
+        except KeyError:
+            raise EvalError(f"unbound variable {node.name!r}") from None
+    if isinstance(node, Neg):
+        return -eval_oracle(node.operand, env)
+    if isinstance(node, BinOp):
+        if node.op == "^":
+            left = eval_oracle(node.left, env)
+            exponent = eval_oracle(node.right, env)
+            e = _oracle_int(exponent, "exponent")
+            if e < 0:
+                raise EvalError(f"exponent must be nonnegative, got {e}")
+            if _power_bits(left, e) > POWER_BITS_CAP:
+                raise EvalError(f"power would be wider than the cap of {POWER_BITS_CAP} bits")
+            return int_pow(left, e)
+        if node.op not in ("+", "-", "*", "/"):
+            raise EvalError(f"unknown operator {node.op!r}")
+        first, tail = _chain(node)
+        acc = eval_oracle(first, env)
+        for op, operand in tail:
+            right = eval_oracle(operand, env)
+            if op == "+":
+                acc = acc + right
+            elif op == "-":
+                acc = acc - right
+            elif op == "*":
+                acc = acc * right
+            elif right == 0:
+                raise EvalError("division by zero")
+            else:
+                acc = acc / right
+        return acc
+    if isinstance(node, Call):
+        try:
+            arity, fn = _BUILTINS[node.name]
+        except KeyError:
+            raise EvalError(f"unknown function {node.name!r}") from None
+        if len(node.args) != arity:
+            raise EvalError(f"{node.name} takes {arity} argument(s), got {len(node.args)}")
+        args = [_oracle_int(eval_oracle(a, env), f"argument of {node.name}") for a in node.args]
+        return Fraction(fn(env.ctx, *args))
+    if isinstance(node, Sum):
+        lo = _oracle_int(eval_oracle(node.lo, env), "summation lower bound")
+        hi = _oracle_int(eval_oracle(node.hi, env), "summation upper bound")
+        if hi < lo:
+            return Fraction(0)
+        count = hi - lo + 1
+        if count > SUM_TERM_CAP:
+            raise EvalError(f"summation range has {count} terms; the cap is {SUM_TERM_CAP}")
+        had_binding = node.var in env.bindings
+        saved = env.bindings.get(node.var)
+        total = Fraction(0)
+        try:
+            for i in range(lo, hi + 1):
+                env.bindings[node.var] = Fraction(i)
+                total += eval_oracle(node.body, env)
+        finally:
+            if had_binding:
+                env.bindings[node.var] = saved
+            else:
+                env.bindings.pop(node.var, None)
+        return total
+    raise EvalError(f"cannot evaluate node {node!r}")

@@ -259,6 +259,12 @@ def test_eval_parse_error_position(capsys):
     assert "line 1" in err and "column 5" in err
 
 
+def test_eval_superscript_digit_is_a_syntax_error(capsys):
+    # str.isdigit accepts "²" but int() does not
+    code, out, err = run_cli(capsys, "eval", "2²")
+    assert (code, out, err) == (2, "", "error: syntax error at line 1, column 2: illegal character '²'\n")
+
+
 def test_eval_runtime_error(capsys):
     code, _, err = run_cli(capsys, "eval", "1/0")
     assert code == 2

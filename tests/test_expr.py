@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stirlingkit import (
     Env,
@@ -17,9 +17,10 @@ from stirlingkit import (
     parse_rational,
     to_source,
 )
-from stirlingkit.expr import BinOp, Call, IntLit, Neg, Sum, Var
+from stirlingkit.expr import BinOp, Call, IntLit, Neg, Sum, Var, _compile
 
 import golden_exprs
+from support import eval_oracle
 
 
 # -- golden corpus ---------------------------------------------------
@@ -80,6 +81,16 @@ def test_precedence_shapes():
     node = parse("2^3^2")
     assert isinstance(node, BinOp) and node.op == "^"
     assert isinstance(node.right, BinOp) and node.right.op == "^"
+
+
+def test_integer_literals_are_decimal_digits():
+    # "²" is a digit to str.isdigit but not to int(); "٣" is a decimal digit
+    with pytest.raises(ParseError) as ei:
+        parse("2²")
+    assert str(ei.value) == "syntax error at line 1, column 2: illegal character '²'"
+    assert evaluate(parse("٣+1")) == 4
+    with pytest.raises(EvalError, match=r"^unbound variable 'x²'$"):
+        evaluate(parse("x²"))
 
 
 def test_sum_node_shape():
@@ -220,6 +231,57 @@ def test_sum_variable_shadowing_restored():
     assert evaluate(parse("sum(k=0..2, k) + k"), env) == 103
 
 
+def test_bindings_are_restored_after_a_sum_raises():
+    env = Env(bindings={"k": Fraction(100)})
+    with pytest.raises(EvalError, match="^division by zero$"):
+        evaluate(parse("sum(k=0..2, 1/(k-1))"), env)
+    assert env.bindings == {"k": Fraction(100)}
+    assert type(env.bindings["k"]) is Fraction
+    env = Env(bindings={"n": Fraction(1, 2)})
+    with pytest.raises(EvalError, match="^division by zero$"):
+        evaluate(parse("sum(k=0..2, 1/(k-1))"), env)
+    assert env.bindings == {"n": Fraction(1, 2)}
+
+
+def test_errors_found_while_compiling_raise_only_when_reached():
+    for body in (Call("zeta", (Var("k"),)), Call("S", (Var("k"),)), BinOp("%", Var("k"), IntLit(2)), object()):
+        assert evaluate(Sum("k", IntLit(1), IntLit(0), body)) == 0
+    with pytest.raises(EvalError, match="^unbound variable 'y'$"):
+        evaluate(parse("y + zeta(1) + S(1)"))
+    with pytest.raises(EvalError, match=r"^cannot evaluate node <object object at "):
+        evaluate(BinOp("+", IntLit(1), object()))
+
+
+def test_integral_values_are_ints_inside_and_the_result_is_a_fraction():
+    ctx = SeqContext()
+    bindings = {"x": Fraction(4), "y": Fraction(1, 2)}
+    for src in ("3", "x", "y", "-y", "6/3", "y + y", "2*y", "y^0", "2^3", "H(1)", "H(2)", "fact(4)",
+                "sum(k=1..2, y)", "sum(k=1..3, y)", "sum(k=1..0, y)", "fact(sum(k=1..2, y)) + 2^(y^0)"):
+        node = parse(src)
+        value = evaluate(node, Env(bindings=dict(bindings), ctx=ctx))
+        raw = _compile(node)(dict(bindings), ctx)
+        assert type(value) is Fraction and raw == value, src
+        assert type(raw) is (int if value.denominator == 1 else Fraction), src
+
+
+def test_an_integral_sum_builds_no_fractions():
+    import cProfile
+    import pstats
+
+    ctx = SeqContext()
+    node = parse("sum(k=0..60, S(60,k)*fact(k))")
+    evaluate(node, Env(ctx=ctx))  # warm the tables
+    profile = cProfile.Profile()
+    profile.enable()
+    value = evaluate(parse("sum(k=0..60, S(60,k)*fact(k))"), Env(ctx=ctx))
+    profile.disable()
+    assert value == ctx.fubini(60)
+    made = sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if name == "__new__" and path.endswith("fractions.py"))
+    # the tree-walking evaluator made 491
+    assert made <= 2
+
+
 def test_zero_power_zero():
     assert evaluate(parse("0^0")) == 1
     assert evaluate(parse("sum(k=0..2, 0^k)")) == 1
@@ -249,11 +311,13 @@ _atoms = st.one_of(
 )
 
 
+def _arithmetic(children, ops=("+", "-", "*", "/", "^")):
+    return st.one_of(st.builds(Neg, children), st.builds(BinOp, st.sampled_from(ops), children, children))
+
+
 def _exprs(children):
-    ops = st.sampled_from(["+", "-", "*", "/", "^"])
     return st.one_of(
-        st.builds(Neg, children),
-        st.builds(BinOp, ops, children, children),
+        _arithmetic(children),
         st.builds(
             Call,
             st.just("C"),
@@ -276,3 +340,52 @@ ast_strategy = st.recursive(_atoms, _exprs, max_leaves=12)
 def test_print_parse_fixpoint_on_random_asts(node):
     printed = to_source(node)
     assert to_source(parse(printed)) == printed
+
+
+# -- compiled evaluator against the tree-walking oracle ---------------
+
+# Builtin arguments and summation bounds stay small, so that no example
+# grows a table or a range far; the bound variables take values in
+# [-4, 4], some of them non-integral.
+_small = st.one_of(st.integers(min_value=0, max_value=12).map(IntLit), st.sampled_from("xyk").map(Var))
+_small = st.one_of(_small, st.builds(Neg, _small), st.builds(BinOp, st.sampled_from("+-*/"), _small, _small))
+_bound = st.one_of(st.integers(min_value=-2, max_value=4).map(IntLit), st.sampled_from("xyk").map(Var))
+_value = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.sampled_from([1, 1, 2, 3]))
+
+
+def _eval_exprs(children):
+    return st.one_of(
+        _arithmetic(children, ("+", "-", "*", "/", "^", "%")),
+        st.builds(Call, st.sampled_from(["S", "s", "C"]), st.tuples(_small, _small)),
+        st.builds(Call, st.sampled_from(["fact", "H", "B", "D"]), st.tuples(_small)),
+        # an unknown name or a wrong arity: the arguments are never evaluated
+        st.builds(Call, st.sampled_from(["zeta", "S", "fact"]), st.tuples(children, children, children)),
+        st.builds(Sum, st.sampled_from("kx"), _bound, _bound, children),
+    )
+
+
+eval_ast_strategy = st.recursive(_atoms, _eval_exprs, max_leaves=10)
+
+
+def _outcome(evaluator, node, bindings, ctx):
+    env = Env(bindings=dict(bindings), ctx=ctx)
+    try:
+        result = ("value", evaluator(node, env))
+    except Exception as exc:  # both sides must raise the same class and message
+        result = ("error", type(exc), str(exc))
+    return result, env.bindings
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(eval_ast_strategy, st.fixed_dictionaries({"x": _value, "y": _value}, optional={"k": _value}))
+def test_compiled_evaluator_matches_the_tree_walking_oracle(node, bindings):
+    ctx = SeqContext()
+    got, got_bindings = _outcome(evaluate, node, bindings, ctx)
+    want, want_bindings = _outcome(eval_oracle, node, bindings, ctx)
+    assert got == want
+    assert got_bindings == want_bindings == bindings
+    if got[0] == "value":
+        assert type(got[1]) is Fraction
+        # inside, an integral value is an int and only a non-integral one a Fraction
+        raw = _compile(node)(dict(bindings), ctx)
+        assert raw == got[1] and type(raw) is (int if raw.denominator == 1 else Fraction)

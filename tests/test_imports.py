@@ -60,6 +60,11 @@ def test_cli_loads_only_exact_and_seq_for_seq_and_triangle():
     assert steps == [[CLI_BASE, False]] * 4
 
 
+def test_eval_loads_only_expr_beyond_the_cli_base():
+    *_, (modules, _) = probe(["eval", "sum(k=1..4, S(4,k)*fact(k-1))"])
+    assert modules == sorted(CLI_BASE + ["stirlingkit.expr"])
+
+
 @pytest.mark.parametrize("argv", [["poly", "euler", "--n", "3"], ["series", "dilog", "--order", "4"]])
 def test_poly_and_series_load_neither_identities_nor_expr(argv):
     *_, (modules, dataclasses) = probe(argv)
