@@ -12,15 +12,11 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 # Only exact and seq load with the command line.  Each subcommand imports
 # the modules it runs, so a call pays start-up time for those alone.
 from .exact import format_rational, parse_rational
 from .seq import FAMILIES, context
-
-if TYPE_CHECKING:
-    from .identities import IdentityReport
 
 _JSON_SEPARATORS = (",", ":")
 
@@ -65,7 +61,7 @@ def _emit_rows(rows: list[dict], fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _report_dict(report: IdentityReport) -> dict:
+def _report_dict(report) -> dict:
     data: dict = {
         "id": report.id,
         "checked": report.checked,
@@ -78,7 +74,7 @@ def _report_dict(report: IdentityReport) -> dict:
     return data
 
 
-def _emit_reports(reports: list[IdentityReport], fmt: str) -> str:
+def _emit_reports(reports: list, fmt: str) -> str:
     if fmt == "json":
         return _dumps([_report_dict(r) for r in reports])
     lines = []
@@ -251,7 +247,7 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .expr import Env, ExprError, evaluate, parse
+    from .expr import Env, evaluate, parse
 
     bindings = {}
     for item in args.define:
@@ -259,11 +255,7 @@ def _cmd_eval(args) -> int:
         if not name or not value:
             raise ValueError(f"bad definition {item!r}; use name=value")
         bindings[name] = parse_rational(value)
-    try:
-        result = evaluate(parse(args.expression), Env(bindings=bindings))
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = evaluate(parse(args.expression), Env(bindings=bindings))
     text = format_rational(result)
     if args.format == "json":
         print(_dumps(text))

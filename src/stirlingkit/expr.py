@@ -24,7 +24,7 @@ stay ints while they run, and the result is a Fraction.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .exact import binomial
@@ -41,8 +41,9 @@ NESTING_CAP = 100
 POWER_BITS_CAP = 2**20
 
 
-class ExprError(Exception):
-    pass
+class ExprError(ValueError):
+    """A parse or evaluation error; a ValueError like the sequence layer's
+    domain errors, so one handler reports both."""
 
 
 class ParseError(ExprError):
@@ -67,13 +68,8 @@ class EvalError(ExprError):
 
 _PUNCT = ("..", "+", "-", "*", "/", "^", "(", ")", ",", "=")
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int", "ident", "eof", or the punctuation itself
-    text: str
-    line: int
-    col: int
+# kind is "int", "ident", "eof", or the punctuation itself
+Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(src: str) -> list[Token]:
@@ -121,41 +117,12 @@ def tokenize(src: str) -> list[Token]:
 
 # -- syntax tree -----------------------------------------------------
 
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * / ^
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: tuple
-
-
-@dataclass(frozen=True)
-class Sum:
-    var: str
-    lo: object
-    hi: object
-    body: object
+IntLit = namedtuple("IntLit", "value")
+Var = namedtuple("Var", "name")
+Neg = namedtuple("Neg", "operand")
+BinOp = namedtuple("BinOp", "op left right")  # op is one of + - * / ^
+Call = namedtuple("Call", "name args")  # args is a tuple of nodes
+Sum = namedtuple("Sum", "var lo hi body")
 
 
 # -- parser ----------------------------------------------------------
@@ -271,12 +238,15 @@ def parse(src: str):
 # -- evaluation ------------------------------------------------------
 
 
-@dataclass
 class Env:
-    """Variable bindings plus the sequence context builtins draw from."""
+    """Variable bindings plus the sequence context builtins draw from;
+    ``ctx=None`` means the process-wide default context."""
 
-    bindings: dict[str, Fraction] = field(default_factory=dict)
-    ctx: SeqContext = field(default_factory=context)
+    __slots__ = ("bindings", "ctx")
+
+    def __init__(self, bindings: dict[str, Fraction] | None = None, ctx: SeqContext | None = None):
+        self.bindings = {} if bindings is None else bindings
+        self.ctx = context(ctx)
 
 
 # (arity, function of ctx and the arguments) by name: the triangles and

@@ -21,7 +21,7 @@ every entry's default index cap to at least that value; an explicit
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -46,47 +46,29 @@ DEFAULT_EPS = Fraction(1, 10**12)
 ENV_MAX_N = "STIRLINGKIT_MAX_N"
 
 
-@dataclass(frozen=True)
-class Failure:
+class Failure(namedtuple("Failure", "params lhs rhs")):
     """One counterexample: the parameter assignment and both exact sides."""
 
-    params: dict
-    lhs: str
-    rhs: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    id: str
-    checked: int
-    failures: tuple[Failure, ...]
-    notes: tuple[str, ...] = ()
+class IdentityReport(namedtuple("IdentityReport", "id checked failures notes", defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
-    """Registry metadata: what an entry claims and where it runs."""
+class IdentitySpec(namedtuple("IdentitySpec", "id description kind routes n_range p_max", defaults=(None, None))):
+    """Registry metadata: what an entry claims and where it runs.
 
-    id: str
-    description: str
-    kind: str  # scalar-equality | polynomial-equality | series-equality | numeric-tolerance
-    routes: tuple[str, str]
-    n_range: tuple[int, int] | None = None
-    p_max: int | None = None
+    ``kind`` is scalar-equality, polynomial-equality, series-equality or
+    numeric-tolerance; entries sized by a truncation order have no
+    ``n_range``.
+    """
 
-    @property
-    def uses_order(self) -> bool:
-        """Series entries have no index range; a truncation order sets their size."""
-        return self.n_range is None
-
-    @property
-    def uses_eps(self) -> bool:
-        """Only the tail-bounded kind compares at a tolerance."""
-        return self.kind == "numeric-tolerance"
+    __slots__ = ()
 
 
 def _sign(k: int) -> int:

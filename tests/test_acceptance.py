@@ -123,7 +123,7 @@ def test_criterion_10_tail_bounded_series(ctx):
     ok = report.passed and report.checked == 16
     # the sole toleranced entry, and the bound is documented where it runs
     spec = {s.id: s for s in identities.list_identities()}["E30"]
-    ok = ok and spec.uses_eps and identities.DEFAULT_EPS == Fraction(1, 10**12)
+    ok = ok and spec.kind == "numeric-tolerance" and identities.DEFAULT_EPS == Fraction(1, 10**12)
     ok = ok and "tail" in (identities._tail_cutoff.__doc__ or "").lower()
     only_toleranced = [
         s.id for s in identities.list_identities() if s.kind == "numeric-tolerance"

@@ -15,6 +15,7 @@ from stirlingkit import (
     format_rational,
     parse,
     parse_rational,
+    seq,
     to_source,
 )
 from stirlingkit.expr import BinOp, Call, IntLit, Neg, Sum, Var, _compile
@@ -241,6 +242,12 @@ def test_bindings_are_restored_after_a_sum_raises():
     with pytest.raises(EvalError, match="^division by zero$"):
         evaluate(parse("sum(k=0..2, 1/(k-1))"), env)
     assert env.bindings == {"n": Fraction(1, 2)}
+
+
+def test_env_without_a_context_uses_the_default_and_owns_its_bindings():
+    assert Env(ctx=None).ctx is seq.context()
+    assert evaluate(parse("S(3,1)"), Env(ctx=None)) == 1
+    assert Env().bindings is not Env().bindings
 
 
 def test_errors_found_while_compiling_raise_only_when_reached():

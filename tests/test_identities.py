@@ -2,6 +2,7 @@
 
 import gc
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -21,6 +22,7 @@ from stirlingkit import (
     check_identity,
     list_identities,
     log_substitution,
+    parse,
     parse_rational,
     run_all,
     stirling_substitution,
@@ -108,8 +110,8 @@ def test_specs_well_formed():
 
 def test_series_and_eps_flags():
     by_id = {spec.id: spec for spec in list_identities()}
-    assert {s.id for s in by_id.values() if s.uses_order} == {"P9", "GF6", "DIL", "L4"}
-    assert {s.id for s in by_id.values() if s.uses_eps} == {"E30"}
+    assert {s.id for s in by_id.values() if s.n_range is None} == {"P9", "GF6", "DIL", "L4"}
+    assert {s.id for s in by_id.values() if s.kind == "numeric-tolerance"} == {"E30"}
 
 
 def test_everything_passes_at_defaults(reports):
@@ -323,6 +325,30 @@ def test_report_passed_property():
     good = IdentityReport("X1", 3, ())
     bad = IdentityReport("X2", 3, (Failure({"n": 1}, "0", "1"),))
     assert good.passed and not bad.passed
+
+
+def test_records_keep_their_repr_are_read_only_and_pickle():
+    report = IdentityReport("T1", 4, (Failure({"n": 3, "p": 1}, "5", "7"),))
+    spec = list_identities()[0]
+    tree = parse("sum(k=0..n, -S(n,k)^2)")
+    assert repr(report) == (
+        "IdentityReport(id='T1', checked=4, failures=(Failure(params={'n': 3, 'p': 1}, lhs='5', rhs='7'),), notes=())"
+    )
+    assert repr(tree) == (
+        "Sum(var='k', lo=IntLit(value=0), hi=Var(name='n'), body=Neg(operand=BinOp(op='^', "
+        "left=Call(name='S', args=(Var(name='n'), Var(name='k'))), right=IntLit(value=2))))"
+    )
+    for record, field in ((report, "id"), (report.failures[0], "lhs"), (spec, "kind"), (tree, "var"),
+                          (tree.body, "operand")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    for record in (report, spec, tree):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record and repr(copy) == repr(record)
+    assert hash(pickle.loads(pickle.dumps(tree))) == hash(tree)
+    assert hash(pickle.loads(pickle.dumps(spec))) == hash(spec)
 
 
 # -- per-checker family lists ------------------------------------------

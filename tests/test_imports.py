@@ -17,47 +17,48 @@ SRC = str(Path(stirlingkit.__file__).resolve().parent.parent)
 
 CLI_BASE = ["stirlingkit", "stirlingkit.cli", "stirlingkit.exact", "stirlingkit.seq"]
 
-# Prints the stirlingkit modules loaded, and whether this process imported
-# dataclasses, after the import and after each main(argv) call.
+# Prints the stirlingkit modules loaded, and which of dataclasses and
+# typing this process imported itself, after the import and after each
+# main(argv) call.
 PROBE = textwrap.dedent(
     """
     import contextlib, io, json, sys
-    preloaded = "dataclasses" in sys.modules
+    preloaded = set(sys.modules)
 
     def loaded():
         return sorted(m for m in sys.modules if m.split(".")[0] == "stirlingkit")
 
-    def dataclasses():
-        return not preloaded and "dataclasses" in sys.modules
+    def heavy():
+        return [m for m in ("dataclasses", "typing") if m in sys.modules and m not in preloaded]
 
     import stirlingkit
     steps = [loaded()]
     import stirlingkit.cli
-    steps.append([loaded(), dataclasses()])
+    steps.append([loaded(), heavy()])
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):
             assert stirlingkit.cli.main(argv) == 0
-        steps.append([loaded(), dataclasses()])
+        steps.append([loaded(), heavy()])
     print(json.dumps(steps))
     """
 )
 
 
-def run_python(code, *args):
+def run_python(code, *args, flags=()):
     env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     return proc.stdout
 
 
-def probe(*argvs):
-    return json.loads(run_python(PROBE, json.dumps(argvs)))
+def probe(*argvs, flags=()):
+    return json.loads(run_python(PROBE, json.dumps(argvs), flags=flags))
 
 
 def test_cli_loads_only_exact_and_seq_for_seq_and_triangle():
     bare, *steps = probe(["seq", "bell", "--n", "3"], ["seq", "euler", "--n", "3"], ["triangle", "stirling1", "--n", "3"])
     assert bare == ["stirlingkit"]
-    assert steps == [[CLI_BASE, False]] * 4
+    assert steps == [[CLI_BASE, []]] * 4
 
 
 def test_eval_loads_only_expr_beyond_the_cli_base():
@@ -67,9 +68,27 @@ def test_eval_loads_only_expr_beyond_the_cli_base():
 
 @pytest.mark.parametrize("argv", [["poly", "euler", "--n", "3"], ["series", "dilog", "--order", "4"]])
 def test_poly_and_series_load_neither_identities_nor_expr(argv):
-    *_, (modules, dataclasses) = probe(argv)
+    *_, (modules, heavy) = probe(argv)
     assert "stirlingkit.identities" not in modules and "stirlingkit.expr" not in modules
-    assert not dataclasses
+    assert not heavy
+
+
+@pytest.mark.parametrize("argv", [["verify", "--id", "T15"], ["identities"], ["eval", "sum(k=1..4, S(4,k))"]])
+def test_verify_identities_and_eval_load_no_dataclasses(argv):
+    *_, (_, heavy) = probe(argv)
+    assert "dataclasses" not in heavy
+
+
+def test_no_subcommand_loads_typing_or_dataclasses_without_site(tmp_path):
+    # Without site, no .pth file can preload either module, so the probe
+    # sees every import the package itself makes.
+    assert run_python("import sys; print(sorted({'dataclasses', 'typing'} & set(sys.modules)))", flags=["-S"]) == "[]\n"
+    numbers = tmp_path / "in.json"
+    numbers.write_text('["1", "2", "3"]')
+    steps = probe(["seq", "bell", "--n", "3"], ["triangle", "stirling2", "--n", "3"], ["poly", "euler", "--n", "3"],
+                  ["series", "dilog", "--order", "4"], ["transform", "--kind", "stirling", "--input", str(numbers)],
+                  ["verify", "--id", "T15"], ["identities"], ["eval", "sum(k=1..4, S(4,k))"], flags=["-S"])
+    assert [heavy for _, heavy in steps[1:]] == [[]] * 9
 
 
 def test_every_public_name_is_its_submodules_object():
