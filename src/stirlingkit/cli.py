@@ -191,7 +191,10 @@ def _cmd_transform(args) -> int:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    items = json.loads(raw)
+    try:
+        items = json.loads(raw)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(items, list):
         raise ValueError("input must be a JSON array of rational strings")
     seq = [_input_rational(item) for item in items]
@@ -386,8 +389,15 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         detail = exc.args[0] if exc.args else exc
+        print(f"error: {detail}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # args[0] of an OSError is its errno; name the reason and the file
+        detail = exc.strerror or exc
+        if exc.filename is not None:
+            detail = f"{detail}: {exc.filename}"
         print(f"error: {detail}", file=sys.stderr)
         return 2
 

@@ -40,6 +40,7 @@ from .egf import (
 from .exact import _combine, binomial, binomial_rational, common_denominator, format_rational
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
+from .transform import stirling_inverse, stirling_transform
 
 DEFAULT_SERIES_ORDER = 12
 DEFAULT_EPS = Fraction(1, 10**12)
@@ -137,11 +138,11 @@ def _entry(*args, **kwargs):
 # Uniform signature: (ctx, run, n_lo, n_hi, p_hi, order, eps).  Unused
 # slots are simply ignored by entries that have no such parameter.
 #
-# A triangle-weighted sum reads its row once per index.  Scalar sums
-# multiply it by integer weights over one denominator built once per
-# call, so each instance builds one Fraction; polynomial sums go to
-# ``_combine``, which builds one vector.  Weights past the row's end are
-# never read, since ``_dot`` and ``_combine`` stop at the shorter input.
+# A scalar triangle-weighted sum sum_k S(n, k) a_k or sum_k s(n, k) a_k
+# is one ``stirling_transform`` or ``stirling_inverse`` of the weights a,
+# taken once per call and indexed by n.  A polynomial sum reads its row
+# once per index and goes to ``_combine``, which builds one vector and
+# never reads weights past the row's end.
 
 
 @_entry(
@@ -156,13 +157,10 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     run.notes.append("order-0 instances rely on the conventions 0^0 = 1 and h(0, n) = 1/n")
     signed_fact = [_sign(k) * ctx.factorial(k) for k in range(n_hi + 1)]
     for p in range(p_hi + 1):
-        # the hyperharmonics h(p, 0..n_hi) over their common denominator
-        nums, den = common_denominator([ctx.hyperharmonic(p, k) for k in range(n_hi + 1)])
-        weights = list(map(mul, signed_fact, nums))
+        lhs = stirling_transform([f * ctx.hyperharmonic(p, k) for k, f in enumerate(signed_fact)], ctx)
         for n in range(n_lo, n_hi + 1):
-            lhs = Fraction(_dot(ctx.stirling2_row(n), weights), den)
             rhs = _sign(n) * n * p ** (n - 1)
-            run.check({"p": p, "n": n}, lhs, rhs)
+            run.check({"p": p, "n": n}, lhs[n], rhs)
 
 
 @_entry(
@@ -173,11 +171,9 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 60),
 )
 def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    nums, den = common_denominator([ctx.harmonic(k) for k in range(n_hi + 1)])
-    weights = [_sign(k) * ctx.factorial(k) * x for k, x in enumerate(nums)]
+    lhs = stirling_transform([_sign(k) * ctx.factorial(k) * ctx.harmonic(k) for k in range(n_hi + 1)], ctx)
     for n in range(n_lo, n_hi + 1):
-        lhs = Fraction(_dot(ctx.stirling2_row(n), weights), den)
-        run.check({"n": n}, lhs, Fraction(_sign(n) * n))
+        run.check({"n": n}, lhs[n], Fraction(_sign(n) * n))
 
 
 @_entry(
@@ -191,11 +187,10 @@ def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         # the k = 0 summand carries a factor k, so its weight is 0
-        weights = [_sign(k) * k * p ** (k - 1) if k else 0 for k in range(n_hi + 1)]
+        lhs = stirling_inverse([_sign(k) * k * p ** (k - 1) if k else 0 for k in range(n_hi + 1)], ctx)
         for n in range(n_lo, n_hi + 1):
-            lhs = _dot(ctx.stirling1_row(n), weights)
             rhs = _sign(n) * ctx.factorial(n) * ctx.hyperharmonic(p, n)
-            run.check({"p": p, "n": n}, lhs, rhs)
+            run.check({"p": p, "n": n}, lhs[n], rhs)
 
 
 @_entry(
@@ -251,16 +246,15 @@ def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # inner_k = sum_(j<=k) C(2j, j) / ((1-2j) 2^(k+j)) = P_k / 2^k, with P_k
-    # the prefix sums of C(2j, j) / ((1-2j) 2^j); all over one denominator
-    inner = []
+    # the prefix sums of C(2j, j) / ((1-2j) 2^j)
+    weights = []
     prefix = Fraction(0)
     for k in range(n_hi + 1):
         prefix += Fraction(binomial(2 * k, k), (1 - 2 * k) * 2**k)
-        inner.append(prefix / 2**k)
-    nums, den = common_denominator(inner)
-    weights = [ctx.factorial(k) * _sign(k) * x for k, x in enumerate(nums)]
+        weights.append(ctx.factorial(k) * _sign(k) * prefix / 2**k)
+    rhs = stirling_transform(weights, ctx)
     for n in range(n_lo, n_hi + 1):
-        run.check({"n": n}, ctx.euler_number(n), Fraction(_dot(ctx.stirling2_row(n), weights), den))
+        run.check({"n": n}, ctx.euler_number(n), rhs[n])
 
 
 @_entry(
@@ -309,10 +303,9 @@ def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # independent side: reciprocal of the series with a_m = 1/(m+1),
     # whose coefficients are the Bernoulli numbers
     series = egf_reciprocal(Egf(Fraction(1, m + 1) for m in range(n_hi + 1))).coeffs
-    nums, den = common_denominator([Fraction(ctx.factorial(k) * _sign(k), k + 1) for k in range(n_hi + 1)])
+    lhs = stirling_transform([Fraction(ctx.factorial(k) * _sign(k), k + 1) for k in range(n_hi + 1)], ctx)
     for n in range(n_lo, n_hi + 1):
-        lhs = Fraction(_dot(ctx.stirling2_row(n), nums), den)
-        run.check({"n": n}, lhs, series[n])
+        run.check({"n": n}, lhs[n], series[n])
 
 
 @_entry(
@@ -324,11 +317,10 @@ def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # B_(k-1) for k >= 1; the k = 0 summand is absent
-    nums, den = common_denominator([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)])
+    lhs = stirling_inverse([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)], ctx)
     for n in range(n_lo, n_hi + 1):
-        lhs = Fraction(_dot(ctx.stirling1_row(n), nums), den)
         rhs = -_sign(n) * ctx.factorial(n - 1) * ctx.harmonic(n)
-        run.check({"n": n}, lhs, rhs)
+        run.check({"n": n}, lhs[n], rhs)
 
 
 @_entry(
@@ -339,11 +331,11 @@ def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    nums, den = common_denominator([ctx.harmonic(k) for k in range(n_hi + 1)])
-    weights = [0] + [-_sign(k) * ctx.factorial(k - 1) * nums[k] for k in range(1, n_hi + 1)]
+    rhs = stirling_transform(
+        [0] + [-_sign(k) * ctx.factorial(k - 1) * ctx.harmonic(k) for k in range(1, n_hi + 1)], ctx
+    )
     for n in range(n_lo, n_hi + 1):
-        rhs = Fraction(_dot(ctx.stirling2_row(n), weights), den)
-        run.check({"n": n}, ctx.bernoulli(n - 1), rhs)
+        run.check({"n": n}, ctx.bernoulli(n - 1), rhs[n])
 
 
 @_entry(
@@ -354,11 +346,10 @@ def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    nums, den = common_denominator([0] + [ctx.bernoulli(k - 1) * _sign(k) for k in range(1, n_hi + 1)])
+    lhs = stirling_inverse([0] + [ctx.bernoulli(k - 1) * _sign(k) for k in range(1, n_hi + 1)], ctx)
     for n in range(n_lo, n_hi + 1):
-        lhs = Fraction(_dot(ctx.stirling1_row(n), nums), den)
         rhs = Fraction(_sign(n) * ctx.factorial(n), n * n)
-        run.check({"n": n}, lhs, rhs)
+        run.check({"n": n}, lhs[n], rhs)
 
 
 @_entry(
@@ -369,12 +360,11 @@ def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6d(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    nums, den = common_denominator(
-        [0] + [Fraction(ctx.factorial(k) * _sign(k), k * k) for k in range(1, n_hi + 1)]
+    sums = stirling_transform(
+        [0] + [Fraction(ctx.factorial(k) * _sign(k), k * k) for k in range(1, n_hi + 1)], ctx
     )
     for n in range(n_lo, n_hi + 1):
-        rhs = Fraction(_sign(n) * _dot(ctx.stirling2_row(n), nums), den)
-        run.check({"n": n}, ctx.bernoulli(n - 1), rhs)
+        run.check({"n": n}, ctx.bernoulli(n - 1), _sign(n) * sums[n])
 
 
 _BELL_CLOSED_FORMS = {
@@ -396,10 +386,9 @@ _BELL_CLOSED_FORMS = {
 )
 def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
-        powers = [k**p for k in range(n_hi + 1)]
+        direct = stirling_transform([k**p for k in range(n_hi + 1)], ctx)
         for n in range(n_lo, n_hi + 1):
-            direct = _dot(ctx.stirling2_row(n), powers)
-            run.check({"n": n, "p": p, "form": "recurrence-vs-direct"}, ctx.moment(n, p), direct)
+            run.check({"n": n, "p": p, "form": "recurrence-vs-direct"}, ctx.moment(n, p), direct[n])
     for p, combo in _BELL_CLOSED_FORMS.items():
         for n in range(n_lo, n_hi + 1):
             rhs = sum(c * ctx.bell(n + off) for off, c in combo)
@@ -488,8 +477,9 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
     built once per form, bottom-up, for every index up to the form's cap.
     """
     poly_hi = min(n_hi, 12)
-    # 1/k^depth over one denominator; the k = 0 summand is absent
-    inv, inv_den = common_denominator([0] + [Fraction(1, k**depth) for k in range(1, n_hi + 1)])
+    # 1/k^depth; the k = 0 summand is absent
+    recip = [0] + [Fraction(1, k**depth) for k in range(1, n_hi + 1)]
+    inv, inv_den = common_denominator(recip)
 
     def poly_level(level, conv, bden):
         return [_combine(conv[n], level[1 : n + 1]).scale(Fraction(1, n * bden)) for n in range(1, len(level))]
@@ -502,7 +492,7 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
         ("polynomial", poly_hi, exp_polys(poly_hi), poly_level,
          lambda n: Poly._from_nums(list(map(mul, ctx.stirling2_row(n), inv)), inv_den)),
         ("scalar", n_hi, [ctx.bell(k) for k in range(n_hi + 1)], scalar_level,
-         lambda n: Fraction(_dot(ctx.stirling2_row(n), inv), inv_den)),
+         stirling_transform(recip, ctx).__getitem__),
     )
     for form, hi, phi, next_level, partition_sum in forms:
         bnums, bden = common_denominator([bernoulli(j) for j in range(hi + 1)])
@@ -590,15 +580,13 @@ def _chk_c12(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_c13(ctx, run, n_lo, n_hi, p_hi, order, eps):
     plain_weights = [0] + [ctx.factorial(k - 1) for k in range(1, n_hi + 1)]
-    alt_weights = [_sign(k) * w for k, w in enumerate(plain_weights)]
+    plain = stirling_transform(plain_weights, ctx)
+    alt = stirling_transform([_sign(k) * w for k, w in enumerate(plain_weights)], ctx)
     for n in range(n_lo, n_hi + 1):
-        row = ctx.stirling2_row(n)
-        plain = _dot(row, plain_weights)
         want_plain = 1 if n == 1 else 2 * ctx.fubini(n - 1)
-        run.check({"n": n, "form": "plain"}, plain, want_plain)
-        alt = _dot(row, alt_weights)
+        run.check({"n": n, "form": "plain"}, plain[n], want_plain)
         want_alt = -1 if n == 1 else 0
-        run.check({"n": n, "form": "alternating"}, alt, want_alt)
+        run.check({"n": n, "form": "alternating"}, alt[n], want_alt)
 
 
 def _tail_cutoff(n: int, eps: Fraction) -> int:
@@ -646,10 +634,9 @@ def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    weights = [0, 0] + [ctx.factorial(k - 2) * _sign(k) for k in range(2, n_hi + 1)]
+    lhs = stirling_transform([0, 0] + [ctx.factorial(k - 2) * _sign(k) for k in range(2, n_hi + 1)], ctx)
     for n in range(n_lo, n_hi + 1):
-        lhs = _dot(ctx.stirling2_row(n), weights)
-        run.check({"n": n}, lhs, n - 1)
+        run.check({"n": n}, lhs[n], n - 1)
 
 
 @_entry(
@@ -660,10 +647,10 @@ def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 40),
 )
 def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    signed_derangements = [_sign(k) * ctx.derangement(k) for k in range(n_hi + 1)]
+    derangement_sums = stirling_transform([_sign(k) * ctx.derangement(k) for k in range(n_hi + 1)], ctx)
     signed_bell = [_sign(k) * ctx.bell(k) for k in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        via_derangements = _sign(n) * _dot(ctx.stirling2_row(n), signed_derangements)
+        via_derangements = _sign(n) * derangement_sums[n]
         via_binomial = sum(binomial(n, k) * signed_bell[k] for k in range(n + 1))
         telescoped = 1 - sum(signed_bell[:n])
         run.check_members(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .egf import Egf, egf_reciprocal
-from .exact import _convolve, _Vector, binomial, format_rational, parse_rational
+from .exact import _convolve, _Vector, binomial, format_rational
 from .seq import SeqContext, context
 
 
@@ -30,12 +30,6 @@ class Poly(_Vector):
     @property
     def degree(self) -> int:
         return len(self._nums) - 1
-
-    def coeff(self, k: int) -> Fraction:
-        """Coefficient of x^k (zero beyond the degree)."""
-        if k < 0 or k >= len(self._nums):
-            return Fraction(0)
-        return self.coeffs[k]
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -86,10 +80,6 @@ class Poly(_Vector):
 
     def to_json(self) -> list[str]:
         return [format_rational(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, items) -> "Poly":
-        return cls(parse_rational(s) for s in items)
 
 
 ZERO = Poly()

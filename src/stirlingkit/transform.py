@@ -38,13 +38,14 @@ def _transform(values, row, lam: Fraction | int = 1, mu: Fraction | int = 1) -> 
     up = lam.denominator * mu.numerator
     step = lam.denominator * mu.denominator
     weighted = [up**k * x for k, x in enumerate(nums)]
-    down_pows = [down**j for j in range(len(nums))]
+    # ps = 1 in every unweighted transform, so its powers are all 1
+    down_pows = [down**j for j in range(len(nums))] if down != 1 else None
     out = []
     scale = den
     for n in range(len(nums)):
         # down_pows[n::-1] is (ps)^n, ..., (ps)^0 against k = 0, ..., n
-        total = sum(map(mul, row(n), map(mul, down_pows[n::-1], weighted)))
-        out.append(Fraction(total, scale))
+        terms = weighted if down_pows is None else map(mul, down_pows[n::-1], weighted)
+        out.append(Fraction(sum(map(mul, row(n), terms)), scale))
         scale *= step
     return out
 

@@ -148,11 +148,31 @@ def test_transform_rejects_non_array(capsys, monkeypatch):
     assert code == 2 and "array" in err
 
 
-def test_transform_missing_file(capsys):
-    code, _, err = run_cli(
-        capsys, "transform", "--kind", "stirling", "--input", "/nonexistent.json"
-    )
-    assert code == 2 and err.startswith("error:")
+def test_transform_missing_file(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, "transform", "--kind", "stirling", "--input", str(missing))
+    assert code == 2 and out == ""
+    assert err == f"error: No such file or directory: {missing}\n"
+
+
+def test_transform_input_directory(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "transform", "--kind", "stirling", "--input", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: Is a directory: {tmp_path}\n"
+
+
+@pytest.mark.parametrize("via", ["input", "stdin"])
+def test_transform_deeply_nested_json_is_one_line_error(capsys, monkeypatch, tmp_path, via):
+    raw = "[" * 100_000
+    argv = ["transform", "--kind", "stirling"]
+    if via == "input":
+        src = tmp_path / "deep.json"
+        src.write_text(raw)
+        argv += ["--input", str(src)]
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: input JSON is nested too deeply\n")
 
 
 # -- verify ----------------------------------------------------------

@@ -27,7 +27,7 @@ from stirlingkit import (
     run_all,
     stirling_substitution,
 )
-from stirlingkit import egf, exact, identities, poly
+from stirlingkit import egf, exact, identities, poly, transform
 from stirlingkit.identities import DEFAULT_SERIES_ORDER, ENV_MAX_N
 
 from support import binom_poly_oracle, weighted_partial_sums_oracle
@@ -485,6 +485,41 @@ def test_combination_fault_cannot_cancel_across_routes(monkeypatch):
     reports = run_all(ctx=SeqContext())
     assert [r.id for r in reports] == EXPECTED_ORDER
     assert {r.id for r in reports if not r.passed} == COMBINATION_ENTRIES
+
+
+# -- the shared transform engine ---------------------------------------
+
+# every entry with a scalar triangle-weighted sum on one side
+TRANSFORM_ENTRIES = {
+    "C2", "C10", "C13", "C14", "E9", "E21", "E22", "T1", "T15", "T1b",
+    "T5c", "T6a", "T6b", "T6c", "T6d", "T7",
+}
+
+
+_clean_transform = transform._transform
+
+
+def _faulty_transform(*args, **kwargs):
+    out = _clean_transform(*args, **kwargs)
+    if len(out) > 5:
+        out[5] += 1
+    return out
+
+
+def test_transform_fault_cannot_cancel_across_routes(monkeypatch):
+    # every scalar Stirling-transform sum goes through the one engine, so
+    # corrupting it must fail each entry that takes such a sum and both
+    # substitution engines, whose direct route it is
+    src = Path(transform.__file__).parent
+    definitions = sum(path.read_text().count("def _transform(") for path in src.glob("*.py"))
+    assert definitions == 1
+    monkeypatch.setattr(transform, "_transform", _faulty_transform)
+    reports = run_all(ctx=SeqContext())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == TRANSFORM_ENTRIES
+    for substitution in (stirling_substitution, log_substitution):
+        with pytest.raises(ArithmeticError):
+            substitution(Egf([1, 2, 3, 4, 5, 6, 7]), 1, 1, SeqContext())
 
 
 # -- L4's direct side ----------------------------------------------------

@@ -17,6 +17,7 @@ from stirlingkit import (
     euler_poly,
     exp_poly,
     geom_poly,
+    parse_rational,
     xd_apply,
 )
 
@@ -58,12 +59,6 @@ def test_coefficients_are_plain_fractions():
     assert [type(c) for c in p.coeffs] == [Fraction] * 3
 
 
-def test_coeff_out_of_range_is_zero():
-    p = Poly([1, 2])
-    assert p.coeff(5) == 0
-    assert p.coeff(0) == 1
-
-
 def test_arithmetic_and_evaluation():
     p = Poly([1, 2, 3])  # 1 + 2x + 3x^2
     q = Poly([0, 1])
@@ -99,8 +94,9 @@ def test_str_rendering():
 
 def test_json_round_trip():
     p = Poly([Fraction(1, 3), 0, Fraction(-2, 7)])
-    assert Poly.from_json(p.to_json()) == p
-    assert Poly.from_json(ZERO.to_json()) == ZERO
+    assert p.to_json() == ["1/3", "0", "-2/7"]
+    assert Poly(map(parse_rational, p.to_json())) == p
+    assert ZERO.to_json() == []
 
 
 coeff_lists = st.lists(
@@ -149,7 +145,7 @@ def test_exp_poly_coefficients_are_partition_counts(ctx):
     for n in range(0, 21):
         p = exp_poly(n)
         for k in range(0, n + 1):
-            assert p.coeff(k) == ctx.stirling2(n, k), (n, k)
+            assert p.coeffs[k] == ctx.stirling2(n, k), (n, k)
         assert p.degree == (n if n > 0 else 0)
 
 
@@ -157,7 +153,7 @@ def test_geom_poly_coefficients(ctx):
     for n in range(0, 16):
         p = geom_poly(n, ctx)
         for k in range(0, n + 1):
-            assert p.coeff(k) == ctx.stirling2(n, k) * ctx.factorial(k)
+            assert p.coeffs[k] == ctx.stirling2(n, k) * ctx.factorial(k)
 
 
 def test_polys_at_one_hit_partition_counts(ctx):
@@ -191,7 +187,7 @@ def test_binom_poly_leading_coefficient():
     import math
 
     for k in range(0, 7):
-        assert binom_poly(k).coeff(k) == Fraction(1, math.factorial(k))
+        assert binom_poly(k).coeffs[k] == Fraction(1, math.factorial(k))
 
 
 def test_binom_builder_matches_product_oracle():
