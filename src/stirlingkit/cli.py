@@ -186,11 +186,16 @@ def _input_rational(item) -> Fraction:
 def _cmd_transform(args) -> int:
     from .transform import binomial_transform, stirling_inverse, stirling_transform, weighted_stirling_transform
 
-    if args.input is None:
-        raw = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+    try:
+        if args.input is None:
+            raw = sys.stdin.read()
+        else:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+    except UnicodeDecodeError as exc:
+        # its args[0] is only the codec name
+        source = "standard input" if args.input is None else args.input
+        raise ValueError(f"not UTF-8 text (byte {exc.start}: {exc.reason}): {source}") from None
     try:
         items = json.loads(raw)
     except RecursionError:

@@ -25,7 +25,7 @@ and once by literal series composition with (mu/lam)(e^(lam t) - 1) or
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .exact import _convolve, _Vector, common_denominator, factorial, format_rational, int_pow
 from .seq import SeqContext
@@ -113,8 +113,10 @@ def egf_mul(f: Egf, g: Egf) -> Egf:
 def egf_compose(f: Egf, g: Egf) -> Egf:
     """f(g(t)) for an inner series with zero constant term.
 
-    Runs Horner's scheme on the integer ordinary numerators, so each step
-    is one truncated Cauchy product reduced by its gcd; with g(0) = 0 the
+    Sums f_k g^k over the integer ordinary numerators.  Each power is
+    grown from the last by one truncated Cauchy product and reduced by its
+    gcd; g^k starts with k zeros, which the product skips, so a compose of
+    order n takes about n^3/6 coefficient products.  With g(0) = 0 the
     truncation is exact.
     """
     f._match(g)
@@ -125,17 +127,23 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     fo = _ordinary_nums(f)  # over f._den * n!
     go = _ordinary_nums(g)  # over g_den = g._den * n!
     g_den = g._den * factorial(n)
-    acc = [0] * size
-    acc[0] = fo[n]
+    last = max([k for k, c in enumerate(fo) if c], default=0)
+    acc = [fo[0]] + [0] * n
     den = 1
-    for i in range(n - 1, -1, -1):
-        acc = _convolve(acc, go, size)
-        den *= g_den
-        acc[0] += fo[i] * den
-        common = gcd(den, *acc)
+    power = [1] + [0] * n  # g^k over power_den
+    power_den = 1
+    for k in range(1, last + 1):
+        power = _convolve(power, go, size)
+        power_den *= g_den
+        common = gcd(power_den, *power)
         if common != 1:
-            acc = [c // common for c in acc]
-            den //= common
+            power = [c // common for c in power]
+            power_den //= common
+        if fo[k]:
+            both = lcm(den, power_den)
+            a, b = both // den, fo[k] * (both // power_den)
+            acc = [a * x + b * y for x, y in zip(acc, power)]
+            den = both
     return _from_ordinary_nums(acc, den * f._den * factorial(n))
 
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd
+from operator import mul
 
 from .exact import binomial, common_denominator
 
@@ -85,6 +86,8 @@ class SeqContext:
         self._bell: list[int] = []
         self._fubini: list[int] = []
         self._bernoulli: list[Fraction] = []
+        self._bernoulli_w: list[int] = []  # (-1)^k k! L/(k+1) over L = self._bernoulli_den
+        self._bernoulli_den = 1
         self._euler: list[Fraction] = []
         self._euler_r: list[int] = []  # R_j = 2^j r_j, r the coefficients of 2/(e^t + 1)
         self._derangement: list[int] = []
@@ -249,21 +252,27 @@ class SeqContext:
 
         B_n = sum_k S(n, k) (-1)^k k!/(k+1).
 
-        The terms are summed as integers over lcm(1, ..., n+1), which every
-        k+1 divides, so each entry builds a single ``Fraction``.
+        The weights (-1)^k k!/(k+1) are kept as one integer list over
+        L = lcm(1, ..., n+1), which every k+1 divides.  Each entry appends
+        one weight, rescales the list when L grows, and builds a single
+        ``Fraction`` from one integer dot product with row n.
         """
         if n < 0:
             raise ValueError(f"negative index {n}")
         return self._grow(self._bernoulli, n, self._next_bernoulli)
 
     def _next_bernoulli(self, m: int) -> Fraction:
+        # under the lock, inside _grow: the weight list is read and written only here
         row = self._s2_row(m)
-        den = lcm(*range(1, m + 2))
-        total = 0
-        for k in range(m + 1):
-            term = row[k] * self.factorial(k) * (den // (k + 1))
-            total += -term if k % 2 else term
-        return Fraction(total, den)
+        fact = self.factorial(m)
+        w, den = self._bernoulli_w, self._bernoulli_den
+        grow = (m + 1) // gcd(den, m + 1)
+        if grow != 1:
+            w[:] = [x * grow for x in w]
+            den *= grow
+            self._bernoulli_den = den
+        w.append(fact * (den // (m + 1)) * (-1 if m % 2 else 1))
+        return Fraction(sum(map(mul, row, w)), den)
 
     def bernoulli_plus(self, n: int) -> Fraction:
         """B_n with the sign of B_1 flipped to +1/2.

@@ -70,9 +70,9 @@ def derangement_oracle(n: int) -> int:
     )
 
 
-def bernoulli_oracle(n: int) -> Fraction:
-    """Bernoulli numbers from sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1),
-    which pins B_1 = -1/2."""
+def bernoulli_oracle(n: int) -> list[Fraction]:
+    """B_0 .. B_n from sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1), which pins
+    B_1 = -1/2."""
     vals: list[Fraction] = []
     for m in range(n + 1):
         if m == 0:
@@ -80,7 +80,7 @@ def bernoulli_oracle(n: int) -> Fraction:
             continue
         acc = sum(comb(m + 1, j) * vals[j] for j in range(m))
         vals.append(Fraction(-acc, m + 1))
-    return vals[n]
+    return vals
 
 
 def euler_polys_oracle(n: int) -> list[list[Fraction]]:

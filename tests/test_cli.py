@@ -162,6 +162,22 @@ def test_transform_input_directory(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("via", ["input", "stdin"])
+def test_transform_input_that_is_not_utf8_is_one_line_error(capsys, monkeypatch, tmp_path, via):
+    raw = b"\xff\xfe"
+    argv = ["transform", "--kind", "stirling"]
+    if via == "input":
+        src = tmp_path / "f.json"
+        src.write_bytes(raw)
+        argv += ["--input", str(src)]
+        source = str(src)
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        source = "standard input"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: not UTF-8 text (byte 0: invalid start byte): {source}\n")
+
+
+@pytest.mark.parametrize("via", ["input", "stdin"])
 def test_transform_deeply_nested_json_is_one_line_error(capsys, monkeypatch, tmp_path, via):
     raw = "[" * 100_000
     argv = ["transform", "--kind", "stirling"]

@@ -6,7 +6,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+
+import stirlingkit.egf as egf
+from hypothesis import example, given, settings, strategies as st
 
 from stirlingkit import (
     Egf,
@@ -165,12 +167,35 @@ def test_egf_mul_matches_the_ordinary_round_trip(pair):
 
 @settings(max_examples=60, deadline=None)
 @given(egf_pairs())
+@example(([Fraction(k - 3, 2 * k + 1) for k in range(9)], [0, 0, 1, Fraction(-2, 3), 0, 5, 0, 0, Fraction(1, 7)]))
+@example((
+    [Fraction(999_983, 1_000_003), 0, Fraction(-1_000_033, 999_979), Fraction(1, 1_000_037), 0, 3],
+    [0, Fraction(1_000_039, 999_961), 0, Fraction(-999_953, 1_000_081), Fraction(2, 999_983), Fraction(1, 1_000_003)],
+))
 def test_egf_compose_matches_the_fraction_horner_loop(pair):
     f, g = pair
     g = [Fraction(0)] + g[1:]
     out = egf_compose(Egf(f), Egf(g))
     assert_canonical(out)
     assert list(out.coeffs) == egf_compose_oracle(f, g)
+
+
+def test_egf_compose_skips_the_leading_zeros_of_each_power(monkeypatch):
+    # work-count guard: Horner's scheme multiplied full-length series and
+    # made 4,410 coefficient products at order 20; g^k starts with k zeros
+    products = []
+
+    def counting(a, b, size):
+        products.append(sum(min(len(b), size - i) for i in range(min(len(a), size)) if a[i]))
+        return convolve(a, b, size)
+
+    convolve = egf._convolve
+    monkeypatch.setattr(egf, "_convolve", counting)
+    order = 20
+    f = Egf([Fraction(1, m + 1) for m in range(order + 1)])
+    out = egf_compose(f, expm1_series(order, Fraction(3, 7)))
+    assert list(out.coeffs) == egf_compose_oracle(f.coeffs, expm1_series(order, Fraction(3, 7)).coeffs)
+    assert sum(products) <= 1600
 
 
 @settings(max_examples=60, deadline=None)

@@ -145,12 +145,55 @@ def test_hyperharmonic_closed_form_matches_definition(ctx):
 
 
 def test_bernoulli_matches_pascal_recurrence():
-    want = [bernoulli_oracle(n) for n in range(61)]
+    # to 130 the weights' denominator lcm(1..131) is rescaled at every
+    # prime power up to 131
+    import sys
+    import threading
+
+    want = bernoulli_oracle(130)
     at_once = SeqContext()
-    assert at_once.bernoulli(60) == want[60]
-    assert [at_once.bernoulli(n) for n in range(61)] == want
+    assert at_once.bernoulli(130) == want[130]
+    assert [at_once.bernoulli(n) for n in range(131)] == want
     stepwise = SeqContext()
-    assert [stepwise.bernoulli(n) for n in range(61)] == want
+    assert [stepwise.bernoulli(n) for n in range(131)] == want
+    shared = SeqContext()
+    start = threading.Barrier(2)
+    results = {}
+
+    def fill(name, order):
+        start.wait()
+        results[name] = {n: shared.bernoulli(n) for n in order}
+
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=fill, args=("up", range(131))),
+            threading.Thread(target=fill, args=("down", range(130, -1, -1))),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert [results[name][n] for name in ("up", "down") for n in range(131)] == want * 2
+
+
+def test_bernoulli_fill_computes_each_factorial_once():
+    # work-count guard: summing k! (L/(k+1)) afresh for every entry made
+    # 7,381 factorial calls for B_120; the weight list appends one per entry
+    class CountingContext(SeqContext):
+        calls = 0
+
+        def factorial(self, n):
+            self.calls += 1
+            return super().factorial(n)
+
+    ctx = CountingContext()
+    ctx.bernoulli(120)
+    assert ctx.calls == 121
 
 
 def test_bernoulli_sign_variants(ctx):
