@@ -161,7 +161,7 @@ def test_bernoulli_matches_pascal_recurrence():
     results = {}
 
     def fill(name, order):
-        start.wait()
+        start.wait(timeout=60)
         results[name] = {n: shared.bernoulli(n) for n in order}
 
     saved = sys.getswitchinterval()
