@@ -193,23 +193,6 @@ def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
             run.check({"p": p, "n": n}, lhs[n], rhs)
 
 
-@_entry(
-    "T3a",
-    "first-kind sums of Euler polynomials match half-power binomial-polynomial expansions",
-    "polynomial-equality",
-    ("first-kind sums of series-extracted Euler polynomials", "binomial-polynomial combination"),
-    n_range=(0, 15),
-)
-def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    half_powers = [Fraction(-1, 2) ** m for m in range(n_hi + 1)]
-    euler = euler_polys(n_hi)
-    binom = binom_polys(n_hi)
-    for n in range(n_lo, n_hi + 1):
-        lhs = _combine(ctx.stirling1_row(n), euler[: n + 1])
-        rhs = _combine([half_powers[n - k] for k in range(n + 1)], binom[: n + 1])
-        run.check({"n": n}, lhs, ctx.factorial(n) * rhs)
-
-
 def _geometric_blocks(binom, w):
     """block_k = sum_(j<=k) w^(k-j) binom_j for each k, through the
     recurrence block_k = w block_(k-1) + binom_k."""
@@ -219,6 +202,21 @@ def _geometric_blocks(binom, w):
         block = w * block + b
         blocks.append(block)
     return blocks
+
+
+@_entry(
+    "T3a",
+    "first-kind sums of Euler polynomials match half-power binomial-polynomial expansions",
+    "polynomial-equality",
+    ("first-kind sums of series-extracted Euler polynomials", "binomial-polynomial combination"),
+    n_range=(0, 15),
+)
+def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    euler = euler_polys(n_hi)
+    rhs = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
+    for n in range(n_lo, n_hi + 1):
+        lhs = _combine(ctx.stirling1_row(n), euler[: n + 1])
+        run.check({"n": n}, lhs, ctx.factorial(n) * rhs[n])
 
 
 @_entry(
@@ -327,7 +325,7 @@ def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     "T6b",
     "second-kind inversion carries factorial-weighted harmonics back to Bernoulli numbers",
     "scalar-equality",
-    ("Bernoulli number from the partition-sum formula", "triangle-weighted harmonic sums"),
+    ("Bernoulli number from the zigzag (tangent-number) column", "triangle-weighted harmonic sums"),
     n_range=(1, 40),
 )
 def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
@@ -356,7 +354,7 @@ def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     "T6d",
     "second-kind inversion of factorial-over-square values recovers Bernoulli numbers",
     "scalar-equality",
-    ("Bernoulli number from the partition-sum formula", "alternating factorial-over-square sums"),
+    ("Bernoulli number from the zigzag (tangent-number) column", "alternating factorial-over-square sums"),
     n_range=(1, 40),
 )
 def _chk_t6d(ctx, run, n_lo, n_hi, p_hi, order, eps):

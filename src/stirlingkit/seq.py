@@ -13,10 +13,11 @@ Triangle recurrences, row by row:
     S(n, k) = k S(n-1, k) + S(n-1, k-1)        set partitions
     s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)    signed, falling factorial
 
-Everything downstream (Bell, Fubini, Bernoulli, moments) is a weighted
-row sum, which keeps each family on a single authoritative code path.
-The Euler values come from their own integer recurrence, so this module
-builds on ``exact`` alone.
+Everything downstream of them (Bell, Fubini, moments) is a weighted row
+sum, which keeps each family on a single authoritative code path.  The
+Bernoulli and Euler numbers both read one column of zigzag numbers A_m,
+grown by additions alone (Seidel's boustrophedon; Brent and Harvey,
+arXiv:1108.0286), so this module builds on ``exact`` alone.
 
 Functions that take ``ctx=None`` resolve it through :func:`context` to one
 process-wide default context, so their memo tables are shared and live as
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, gcd
-from operator import mul
+from itertools import accumulate
 
 from .exact import binomial, common_denominator
 
@@ -86,10 +86,9 @@ class SeqContext:
         self._bell: list[int] = []
         self._fubini: list[int] = []
         self._bernoulli: list[Fraction] = []
-        self._bernoulli_w: list[int] = []  # (-1)^k k! L/(k+1) over L = self._bernoulli_den
-        self._bernoulli_den = 1
         self._euler: list[Fraction] = []
-        self._euler_r: list[int] = []  # R_j = 2^j r_j, r the coefficients of 2/(e^t + 1)
+        self._zigzag: list[int] = [1]  # A_m, the alternating permutations of m
+        self._zigzag_row: list[int] = [1]  # the boustrophedon row ending in the last A_m
         self._derangement: list[int] = []
         self._harmonic: list[Fraction] = [Fraction(0)]
         self._factorial: list[int] = [1]
@@ -248,31 +247,23 @@ class SeqContext:
         )
 
     def bernoulli(self, n: int) -> Fraction:
-        """B_n with B_1 = -1/2, via the second-kind triangle:
+        """B_n with B_1 = -1/2, from the zigzag column:
 
-        B_n = sum_k S(n, k) (-1)^k k!/(k+1).
+        B_n = (-1)^(n/2 - 1) n A_(n-1) / (2^n (2^n - 1)) for even n >= 2,
 
-        The weights (-1)^k k!/(k+1) are kept as one integer list over
-        L = lcm(1, ..., n+1), which every k+1 divides.  Each entry appends
-        one weight, rescales the list when L grows, and builds a single
-        ``Fraction`` from one integer dot product with row n.
+        and B_n = 0 for odd n >= 3.
         """
         if n < 0:
             raise ValueError(f"negative index {n}")
         return self._grow(self._bernoulli, n, self._next_bernoulli)
 
     def _next_bernoulli(self, m: int) -> Fraction:
-        # under the lock, inside _grow: the weight list is read and written only here
-        row = self._s2_row(m)
-        fact = self.factorial(m)
-        w, den = self._bernoulli_w, self._bernoulli_den
-        grow = (m + 1) // gcd(den, m + 1)
-        if grow != 1:
-            w[:] = [x * grow for x in w]
-            den *= grow
-            self._bernoulli_den = den
-        w.append(fact * (den // (m + 1)) * (-1 if m % 2 else 1))
-        return Fraction(sum(map(mul, row, w)), den)
+        if m < 2:
+            return Fraction(-1, 2) if m else Fraction(1)
+        if m % 2:
+            return Fraction(0)
+        num = m * self._grow(self._zigzag, m - 1, self._next_zigzag)
+        return Fraction(num if m % 4 else -num, (1 << m) * ((1 << m) - 1))
 
     def bernoulli_plus(self, n: int) -> Fraction:
         """B_n with the sign of B_1 flipped to +1/2.
@@ -289,27 +280,25 @@ class SeqContext:
     def euler_number(self, n: int) -> Fraction:
         """E_n(1/2) as an exact rational, e.g. E_2 = -1/4.
 
-        The classical integer Euler numbers are 2^n times these values.
-        E_n(x) has x^k coefficient C(n, k) r_(n-k), with r the coefficients
-        of 2/(e^t + 1), so E_n(1/2) = sum_j C(n, j) R_j / 2^n over the
-        integers R_j = 2^j r_j.  R_j is zero for even j >= 2, since
-        2/(e^t + 1) - 1 = -tanh(t/2) is odd, so only odd j enter the sums.
+        The classical integer Euler numbers are 2^n times these values:
+        (-1)^(n/2) A_n for even n, the signed secant numbers, and 0 for
+        odd n.
         """
         if n < 0:
             raise ValueError(f"negative index {n}")
         return self._grow(self._euler, n, self._next_euler)
 
     def _next_euler(self, m: int) -> Fraction:
-        r = self._euler_r
-        self._grow(r, m, self._next_euler_r)
-        return Fraction(r[0] + sum(comb(m, j) * r[j] for j in range(1, m + 1, 2)), 2**m)
+        if m % 2:
+            return Fraction(0)
+        a = self._grow(self._zigzag, m, self._next_zigzag)
+        return Fraction(-a if m % 4 else a, 1 << m)
 
-    def _next_euler_r(self, j: int) -> int:
-        # R_j = -sum_(i<j) C(j, i) 2^(j-i-1) R_i, from (e^t + 1)/2 times 2/(e^t + 1) = 1
-        if j % 2 == 0:
-            return 0 if j else 1
-        r = self._euler_r
-        return -((1 << (j - 1)) + sum(comb(j, i) * r[i] << (j - i - 1) for i in range(1, j, 2)))
+    def _next_zigzag(self, m: int) -> int:
+        # under the lock, inside _grow: the row is read and written only here.
+        # Row m is 0, then the running sums of row m - 1 read in reverse.
+        row = self._zigzag_row = list(accumulate(reversed(self._zigzag_row), initial=0))
+        return row[-1]
 
     def power_sum(self, p: int, n: int) -> int:
         """1^p + 2^p + ... + n^p by direct summation (0 terms give 0),

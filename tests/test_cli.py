@@ -301,6 +301,15 @@ def test_eval_superscript_digit_is_a_syntax_error(capsys):
     assert (code, out, err) == (2, "", "error: syntax error at line 1, column 2: illegal character '²'\n")
 
 
+def test_eval_summation_cap_counts_terms_from_the_lower_bound(capsys):
+    # two terms far from 0 stay under the cap, and one term past it is
+    # refused with the exact count
+    code, out, err = run_cli(capsys, "eval", "sum(k=10^6..10^6+1, k)")
+    assert (code, out, err) == (0, '"2000001"\n', "")
+    code, out, err = run_cli(capsys, "eval", "sum(k=1..10^6+1, k)")
+    assert (code, out, err) == (2, "", "error: summation range has 1000001 terms; the cap is 1000000\n")
+
+
 def test_eval_runtime_error(capsys):
     code, _, err = run_cli(capsys, "eval", "1/0")
     assert code == 2

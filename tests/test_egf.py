@@ -269,6 +269,12 @@ def test_pow1p_integer_exponent_terminates():
     assert to_ordinary(f) == (1, 3, 3, 1, 0, 0, 0)
 
 
+def test_egf_elementary_order_zero_is_the_constant_term_and_negative_orders_raise():
+    assert egf_elementary("exp", 0) == Egf([1])
+    with pytest.raises(ValueError, match="negative order -1"):
+        egf_elementary("exp", -1)
+
+
 def test_egf_elementary_dispatch():
     assert egf_elementary("exp", 4) == exp_series(4)
     assert egf_elementary("pow1p", 4, x=Fraction(1, 2)) == pow1p_series(

@@ -396,3 +396,10 @@ def test_compiled_evaluator_matches_the_tree_walking_oracle(node, bindings):
         # inside, an integral value is an int and only a non-integral one a Fraction
         raw = _compile(node)(dict(bindings), ctx)
         assert raw == got[1] and type(raw) is (int if raw.denominator == 1 else Fraction)
+
+
+def test_parse_errors_name_the_token_they_found():
+    with pytest.raises(ParseError, match=r"expected a value, found end of input \("):
+        parse("1+")
+    with pytest.raises(ParseError, match=r"expected a value, found '\)' \("):
+        parse("1+)")

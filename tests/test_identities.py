@@ -284,7 +284,7 @@ TABLE_FAULT_ENTRIES = {
     HarmonicBumpedContext: {"C2", "DIL", "GF6", "T1", "T1b", "T6a", "T6b"},
     PowerSumBumpedContext: {"E18", "P9"},
     _bumped_at_5("factorial"): {
-        "C10", "C12", "C13", "C14", "C2", "DIL", "E18", "E21", "E22", "E30", "E9", "GF6", "P11",
+        "C12", "C13", "C14", "C2", "DIL", "E30", "E9", "GF6", "P11",
         "P9", "T1", "T1b", "T3a", "T3b", "T5a", "T5b", "T5c", "T6a", "T6b", "T6c", "T6d",
     },
     _bumped_at_5("stirling2_row"): {

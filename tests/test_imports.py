@@ -120,3 +120,26 @@ def test_submodules_resolve_and_unknown_names_raise():
 def test_submodules_and_names_load_on_first_access_in_a_fresh_process():
     out = run_python("import stirlingkit as sk; print(sk.expr.__name__, sk.seq.context().bell(4), sk.Poly.__module__)")
     assert out == "stirlingkit.expr 15 stirlingkit.poly\n"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module's top-level imports that no expression in
+    the module reads (``from __future__`` imports excepted)."""
+    import ast
+
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_top_level_import_in_the_package_is_used():
+    assert unused_imports("from math import comb, gcd\nfrom operator import mul\nprint(gcd)\n") == ["comb", "mul"]
+    found = {path.name: unused_imports(path.read_text()) for path in Path(SRC, "stirlingkit").glob("*.py")}
+    assert "seq.py" in found
+    assert {name: names for name, names in found.items() if names} == {}

@@ -144,32 +144,34 @@ def test_hyperharmonic_closed_form_matches_definition(ctx):
             assert ctx.hyperharmonic(p, n) == level[n], (p, n)
 
 
-def test_bernoulli_matches_pascal_recurrence():
-    # to 130 the weights' denominator lcm(1..131) is rescaled at every
-    # prime power up to 131
+def _filled_three_ways(method: str, top: int) -> list[list]:
+    """Entries 0..top of one table on fresh contexts: filled all at once,
+    stepwise, and by two threads sharing a context, one climbing and one
+    descending.  Four lists, each of which must equal the oracle."""
     import sys
     import threading
 
-    want = bernoulli_oracle(130)
     at_once = SeqContext()
-    assert at_once.bernoulli(130) == want[130]
-    assert [at_once.bernoulli(n) for n in range(131)] == want
+    getattr(at_once, method)(top)
     stepwise = SeqContext()
-    assert [stepwise.bernoulli(n) for n in range(131)] == want
+    fills = [
+        [getattr(at_once, method)(n) for n in range(top + 1)],
+        [getattr(stepwise, method)(n) for n in range(top + 1)],
+    ]
     shared = SeqContext()
     start = threading.Barrier(2)
     results = {}
 
     def fill(name, order):
         start.wait(timeout=60)
-        results[name] = {n: shared.bernoulli(n) for n in order}
+        results[name] = {n: getattr(shared, method)(n) for n in order}
 
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threads = [
-            threading.Thread(target=fill, args=("up", range(131))),
-            threading.Thread(target=fill, args=("down", range(130, -1, -1))),
+            threading.Thread(target=fill, args=("up", range(top + 1))),
+            threading.Thread(target=fill, args=("down", range(top, -1, -1))),
         ]
         for t in threads:
             t.start()
@@ -178,12 +180,17 @@ def test_bernoulli_matches_pascal_recurrence():
     finally:
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
-    assert [results[name][n] for name in ("up", "down") for n in range(131)] == want * 2
+    return fills + [[results[name][n] for n in range(top + 1)] for name in ("up", "down")]
 
 
-def test_bernoulli_fill_computes_each_factorial_once():
-    # work-count guard: summing k! (L/(k+1)) afresh for every entry made
-    # 7,381 factorial calls for B_120; the weight list appends one per entry
+def test_bernoulli_matches_pascal_recurrence():
+    want = bernoulli_oracle(300)
+    assert _filled_three_ways("bernoulli", 300) == [want] * 4
+
+
+def test_bernoulli_fill_reads_no_triangle_row_and_no_factorial():
+    # work guard: the Bernoulli table reads the zigzag column alone, so it
+    # builds no triangle row and computes no factorial
     class CountingContext(SeqContext):
         calls = 0
 
@@ -192,8 +199,10 @@ def test_bernoulli_fill_computes_each_factorial_once():
             return super().factorial(n)
 
     ctx = CountingContext()
-    ctx.bernoulli(120)
-    assert ctx.calls == 121
+    ctx.bernoulli(600)
+    assert len(ctx._s2_rows) == 1
+    assert ctx.calls == 0
+    assert len(ctx._zigzag) == 600  # A_0 .. A_599: B_600 reads A_599
 
 
 def test_bernoulli_sign_variants(ctx):
@@ -241,6 +250,8 @@ def test_euler_table_grows_one_index_at_a_time_and_equals_the_polynomials_at_one
     # 2/(e^t + 1), the reciprocal euler_polys reads its coefficients from
     r = egf_reciprocal(Egf([Fraction(1)] + [half] * 300)).coeffs
     start = time.perf_counter()  # times the table work, not the oracles
+    assert _filled_three_ways("euler_number", 120) == [want] * 4
+    assert _filled_three_ways("euler_number", 300) == [polys] * 4
     rising = SeqContext()
     for n in range(521):
         rising.euler_number(n)
@@ -252,8 +263,9 @@ def test_euler_table_grows_one_index_at_a_time_and_equals_the_polynomials_at_one
         assert shuffled.euler_number(n) == want[n], n
     once = SeqContext()
     once.euler_number(300)
-    assert once._euler == polys
-    assert once._euler_r == [2**j * c for j, c in enumerate(r)]
+    # the odd entries, which the Bernoulli table reads, are the tangent
+    # numbers: A_(2k-1) = (-1)^k 2^(2k-1) r_(2k-1)
+    assert once._zigzag[1::2] == [(-1) ** ((j + 1) // 2) * 2**j * r[j] for j in range(1, 301, 2)]
     assert time.perf_counter() - start < 3.0
 
 
