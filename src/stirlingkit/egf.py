@@ -6,7 +6,18 @@ products and compositions require equal orders.  Nothing ever extends a
 truncation silently.
 
 Coefficients are stored as integer numerators over one denominator, and
-the product, composition and reciprocal work on those integers.  The
+every kernel works on those integers.  At order N:
+
+- the product is one Cauchy product of the N!-scaled ordinary numerators,
+  (N+1)(N+2)/2 coefficient products;
+- composition stays on the exponential numerators and grows the partial
+  Bell columns of the inner series one from the last: N(N+1)/2 products
+  for the weight rows and about N^3/6 for the columns;
+- the reciprocal is a long division whose numerators are reduced against
+  the constant term only, at most N(N+1)/2 products of the kind
+  C(m, k) a_k c_(m-k), fewer when coefficients are zero.
+
+The elementary series are built from integer numerators as well.  The
 ordinary-coefficient view c_n = a_n / n! is exposed for the places where
 plain Cauchy convolution is the natural tool; conversion in both
 directions is exact.
@@ -19,15 +30,17 @@ transform
     out_n = sum_k s(n, k) lam^(n-k) mu^k a_k      (logarithmic inner)
 
 and once by literal series composition with (mu/lam)(e^(lam t) - 1) or
-(mu/lam)log(1 + lam t), and insists the answers agree before returning.
+(mu/lam)log(1 + lam t), and insists the answers agree, compared as
+canonical integer vectors, before returning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import add, mul
 
-from .exact import _convolve, _Vector, common_denominator, factorial, format_rational, int_pow
+from .exact import _convolve, _Vector, common_denominator, factorial, format_rational
 from .seq import SeqContext
 from .transform import weighted_stirling_transform
 
@@ -110,90 +123,135 @@ def egf_mul(f: Egf, g: Egf) -> Egf:
     return _from_ordinary_nums(prod, f._den * g._den * scale * scale)
 
 
+def _bell_column(rows: list[list[int]], prev: list[int], k: int) -> list[int]:
+    """Column k of the partial Bell numerators from column k-1 (prev):
+    out[n] = sum_i rows[n][i] prev[i] over i = k-1..n-1, and 0 for n < k.
+
+    rows[n][i] is C(n-1, i) G_(n-i); prev is zero below index k-1, so each
+    entry is one dot product over the live tail and a column costs
+    (N-k+1)(N-k+2)/2 products.
+    """
+    tail = prev[k - 1 :]
+    return [0] * k + [sum(map(mul, row[k - 1 :], tail)) for row in rows[k:]]
+
+
 def egf_compose(f: Egf, g: Egf) -> Egf:
     """f(g(t)) for an inner series with zero constant term.
 
-    Sums f_k g^k over the integer ordinary numerators.  Each power is
-    grown from the last by one truncated Cauchy product and reduced by its
-    gcd; g^k starts with k zeros, which the product skips, so a compose of
-    order n takes about n^3/6 coefficient products.  With g(0) = 0 the
-    truncation is exact.
+    With g = G/d, the coefficient n of g^k/k! is the partial Bell value
+    B_(n,k)(G)/d^k, and B_(n,k) = sum_i C(n-1, i) G_(n-i) B_(i,k-1)
+    (Comtet, Advanced Combinatorics, 3.3).  Each column k is grown from
+    the last by :func:`_bell_column` over weight rows made once, and
+    reduced by its gcd against its denominator; f_k times it is added
+    over the lcm of the denominators.  An order-N compose takes N(N+1)/2
+    products for the rows and about N^3/6 for the columns.  With
+    g(0) = 0 the truncation is exact.
     """
     f._match(g)
-    if g._nums[0] != 0:
+    G = g._nums
+    if G[0] != 0:
         raise ValueError("inner series must have zero constant term")
-    n = f.order
-    size = n + 1
-    fo = _ordinary_nums(f)  # over f._den * n!
-    go = _ordinary_nums(g)  # over g_den = g._den * n!
-    g_den = g._den * factorial(n)
-    last = max([k for k, c in enumerate(fo) if c], default=0)
-    acc = [fo[0]] + [0] * n
+    F = f._nums
+    size = len(F)
+    rows = [[]]
+    pascal = [1]  # row n-1 of Pascal's triangle
+    for n in range(1, size):
+        rows.append(list(map(mul, pascal, G[n:0:-1])))
+        pascal = [1, *map(add, pascal, pascal[1:]), 1]
+    last = max([k for k, c in enumerate(F) if c], default=0)
+    acc = [F[0]] + [0] * (size - 1)
     den = 1
-    power = [1] + [0] * n  # g^k over power_den
-    power_den = 1
+    column = [1] + [0] * (size - 1)  # B_(n,0) over column_den
+    column_den = 1
     for k in range(1, last + 1):
-        power = _convolve(power, go, size)
-        power_den *= g_den
-        common = gcd(power_den, *power)
+        column = _bell_column(rows, column, k)
+        column_den *= g._den
+        common = gcd(column_den, *column)
         if common != 1:
-            power = [c // common for c in power]
-            power_den //= common
-        if fo[k]:
-            both = lcm(den, power_den)
-            a, b = both // den, fo[k] * (both // power_den)
-            acc = [a * x + b * y for x, y in zip(acc, power)]
+            column = [c // common for c in column]
+            column_den //= common
+        if F[k]:
+            both = lcm(den, column_den)
+            a, b = both // den, F[k] * (both // column_den)
+            acc = [a * x + b * y for x, y in zip(acc, column)]
             den = both
-    return _from_ordinary_nums(acc, den * f._den * factorial(n))
+    return Egf._from_nums(acc, den * f._den)
 
 
 def egf_reciprocal(f: Egf) -> Egf:
-    """1/f for a_0 != 0, by the integer long division
+    """1/f for a_0 != 0, by long division on the numerators A of f = A/D.
 
-        B_0 = 1,  B_m = -sum_{k=1..m} C(m, k) a_k a_0^(k-1) B_(m-k)
+    The reciprocal of A is kept as integer numerators C over one
+    denominator E, starting from 1/A_0; each new one is
 
-    on the numerators a_k of f = a / den, for which 1/a has coefficients
-    B_m / a_0^(m+1); so 1/f = den B_m a_0^(n-m) / a_0^(n+1).
+        C_m = -sum_k C(m, k) A_k C_(m-k) / (A_0 E)
+
+    over the nonzero A_k, reduced against A_0 only: when A_0/gcd is not 1,
+    every earlier numerator and E are multiplied by it.  So the numbers
+    grow only by the factors the answer needs, and 1/f = D C / E.
     """
     a = f._nums
     a0 = a[0]
     if a0 == 0:
         raise ZeroDivisionError("reciprocal of a series with zero constant term")
-    n = f.order
-    pows = [1]
-    for _ in range(n):
-        pows.append(pows[-1] * a0)
-    b = [1]
-    for m in range(1, n + 1):
-        b.append(-sum(comb(m, k) * a[k] * pows[k - 1] * b[m - k] for k in range(1, m + 1)))
-    top = pows[n] * a0
-    scale = f._den if top > 0 else -f._den  # the sign moves to the numerators
-    return Egf._from_nums([scale * bm * pows[n - m] for m, bm in enumerate(b)], abs(top))
+    c = [1 if a0 > 0 else -1]
+    den = abs(a0)
+    live = []  # the k <= m with A_k != 0
+    for m in range(1, len(a)):
+        if a[m]:
+            live.append(m)
+        s = sum([comb(m, k) * a[k] * c[m - k] for k in live])
+        common = gcd(s, a0)
+        h, s = a0 // common, s // common
+        if h < 0:
+            h, s = -h, -s
+        if h != 1:
+            c = [h * x for x in c]
+            den *= h
+        c.append(-s)
+    return Egf._from_nums([f._den * x for x in c], den)
 
 
 # -- elementary series -----------------------------------------------
 
 
+def _exp_log_nums(order: int, lam: Fraction, mu: Fraction, kind: str) -> tuple[list[int], int]:
+    """(nums, den) of (mu/lam)(e^(lam t) - 1) for kind "second", or of
+    (mu/lam)log(1 + lam t) for kind "first" (mu t when lam = 0).
+
+    a_0 = 0 and a_n = mu lam^(n-1) w_n with w_n = 1, or
+    (-1)^(n-1) (n-1)! for the logarithm.  With lam = p/q and mu = r/s,
+    that is r p^(n-1) w_n q^(order-n) over s q^(order-1).
+    """
+    if order == 0:
+        return [0], 1
+    p, q = lam.numerator, lam.denominator
+    ups = [mu.numerator]  # r p^j w_(j+1)
+    downs = [1]  # q^j
+    for j in range(1, order):
+        ups.append(ups[-1] * (p if kind == "second" else -p * j))
+        downs.append(downs[-1] * q)
+    return [0, *map(mul, ups, reversed(downs))], mu.denominator * downs[-1]
+
+
 def exp_series(order: int, scale=1) -> Egf:
     """e^(c t): a_n = c^n."""
     c = Fraction(scale)
-    return Egf(int_pow(c, n) for n in range(order + 1))
+    nums, den = _exp_log_nums(order, c, c, "second")
+    nums[0] = den
+    return Egf._from_nums(nums, den)
 
 
 def expm1_series(order: int, scale=1) -> Egf:
     """e^(c t) - 1: like exp but with zero constant term."""
     c = Fraction(scale)
-    return Egf(Fraction(0) if n == 0 else int_pow(c, n) for n in range(order + 1))
+    return Egf._from_nums(*_exp_log_nums(order, c, c, "second"))
 
 
 def log1p_series(order: int, scale=1) -> Egf:
     """log(1 + c t): a_n = (-1)^(n-1) (n-1)! c^n for n >= 1."""
     c = Fraction(scale)
-    out = [Fraction(0)]
-    for n in range(1, order + 1):
-        sign = 1 if (n - 1) % 2 == 0 else -1
-        out.append(sign * factorial(n - 1) * int_pow(c, n))
-    return Egf(out)
+    return Egf._from_nums(*_exp_log_nums(order, c, c, "first"))
 
 
 def geom_series(order: int) -> Egf:
@@ -272,9 +330,9 @@ def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fr
     if lam == 0:
         raise ValueError("lam must be nonzero")
     direct = weighted_stirling_transform(f.coeffs, lam, mu, kind, ctx)
-    inner = (expm1_series if kind == "second" else log1p_series)(f.order, lam)
-    composed = egf_compose(f, inner.scale(mu / lam)).coeffs
-    if list(composed) != direct:
+    composed = egf_compose(f, Egf._from_nums(*_exp_log_nums(f.order, lam, mu, kind)))
+    if composed != Egf(direct):
+        composed = composed.coeffs
         i = next(i for i, (d, c) in enumerate(zip(direct, composed)) if d != c)
         raise ArithmeticError(
             f"substitution routes disagree; engine defect: kind {kind}, index {i}, "

@@ -1,9 +1,11 @@
 """Truncated exponential generating functions: algebra, elementary
 series, composition, reciprocals, and the substitution engines."""
 
+import builtins
 import random
 import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -149,6 +151,17 @@ def test_reciprocal_multiplies_to_one(seq):
 rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
 
 
+def _inner(order, lam, mu, log=False):
+    """Coefficients of (mu/lam)(e^(lam t) - 1), or of (mu/lam)log(1 + lam t)
+    when log: a_n = mu lam^(n-1), times (-1)^(n-1) (n-1)! for the log."""
+    sign_fact = [(-1) ** (n - 1) * factorial(n - 1) if log else 1 for n in range(1, order + 1)]
+    return [Fraction(0)] + [mu * lam ** (n - 1) * w for n, w in zip(range(1, order + 1), sign_fact)]
+
+
+LAM, MU = Fraction(-3, 2), Fraction(5, 4)
+NEAR_MILLION = Fraction(999_983, 1_000_003)
+
+
 @st.composite
 def egf_pairs(draw, max_size=40):
     a = draw(st.lists(rationals, min_size=1, max_size=max_size))
@@ -172,6 +185,14 @@ def test_egf_mul_matches_the_ordinary_round_trip(pair):
     [Fraction(999_983, 1_000_003), 0, Fraction(-1_000_033, 999_979), Fraction(1, 1_000_037), 0, 3],
     [0, Fraction(1_000_039, 999_961), 0, Fraction(-999_953, 1_000_081), Fraction(2, 999_983), Fraction(1, 1_000_003)],
 ))
+@example(([Fraction(-7, 3)], [0]))  # order 0
+@example(([Fraction(2, 5), Fraction(-3)], [0, Fraction(4, 9)]))  # order 1
+@example(([0] * 7, [0, 1, Fraction(1, 2), -3, 0, 2, 1]))  # f = 0
+@example(([Fraction(-5, 2), 1, 2, 3, 4, 5, 6, 7], [0, 3, 0, 0, Fraction(1, 3), 0, 0, -1]))  # zero interior of g
+@example(([0] + [Fraction(factorial(n), n * n) for n in range(1, 13)], [0] + [-factorial(n) for n in range(1, 13)]))  # DIL
+@example(([Fraction(k + 1, k * k + 2) for k in range(11)], _inner(10, LAM, MU)))
+@example(([Fraction(k + 1, k * k + 2) for k in range(11)], _inner(10, LAM, MU, log=True)))
+@example(([NEAR_MILLION, Fraction(-1_000_033, 999_979), 0, 5], [0, Fraction(1_000_039, 999_961), 1, 0]))
 def test_egf_compose_matches_the_fraction_horner_loop(pair):
     f, g = pair
     g = [Fraction(0)] + g[1:]
@@ -181,25 +202,63 @@ def test_egf_compose_matches_the_fraction_horner_loop(pair):
 
 
 def test_egf_compose_skips_the_leading_zeros_of_each_power(monkeypatch):
-    # work-count guard: Horner's scheme multiplied full-length series and
-    # made 4,410 coefficient products at order 20; g^k starts with k zeros
-    products = []
+    # work-count guard on the partial-Bell column step: column k is zero
+    # below index k, so at order 20 the columns take 1,540 products (1,560
+    # for the former powers by convolution, 4,410 for Horner's scheme); the
+    # 210 row weights are made once, outside the step
+    products = 0
 
-    def counting(a, b, size):
-        products.append(sum(min(len(b), size - i) for i in range(min(len(a), size)) if a[i]))
-        return convolve(a, b, size)
+    class Counted(int):
+        def __mul__(self, other):
+            nonlocal products
+            products += 1
+            return int(self) * other
 
-    convolve = egf._convolve
-    monkeypatch.setattr(egf, "_convolve", counting)
+        __rmul__ = __mul__
+
+    def counting(rows, prev, k):
+        return column(rows, [Counted(x) for x in prev], k)
+
+    column = egf._bell_column
+    monkeypatch.setattr(egf, "_bell_column", counting)
     order = 20
     f = Egf([Fraction(1, m + 1) for m in range(order + 1)])
     out = egf_compose(f, expm1_series(order, Fraction(3, 7)))
     assert list(out.coeffs) == egf_compose_oracle(f.coeffs, expm1_series(order, Fraction(3, 7)).coeffs)
-    assert sum(products) <= 1600
+    assert 0 < products <= 1600
+
+
+def test_egf_reciprocal_keeps_its_numbers_near_the_width_of_the_answer(monkeypatch):
+    # width guard: on T5c's series a_m = 1/(m+1) the former recurrence
+    # carried powers of a_0's numerator lcm(1..m+1), and its sums reached
+    # 14,499 bits at order 100 for an answer whose widest numerator has 389
+    widths = []
+
+    def recording(items, start=0):
+        items = list(items)
+        out = builtins.sum(items, start)
+        widths.append(max([abs(x).bit_length() for x in [*items, out]]))
+        return out
+
+    monkeypatch.setattr(egf, "sum", recording, raising=False)
+    a = [Fraction(1, m + 1) for m in range(101)]
+    out = egf_reciprocal(Egf(a))
+    assert list(out.coeffs) == egf_reciprocal_oracle(a)
+    assert len(widths) == 100
+    assert max(widths) <= 2 * max([abs(x).bit_length() for x in out._nums])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=40).filter(lambda a: a[0] != 0))
+@example([Fraction(-7, 3)])  # order 0
+@example([Fraction(2), Fraction(5, 3)])  # order 1
+@example([Fraction(3), 0, 0, 0, 0, 0])  # a constant
+@example([1, 0, 0, 2, 0, Fraction(-1, 3), 0, 0])  # zero interior coefficients
+@example([1] + [-factorial(n) for n in range(1, 13)])  # DIL's inner, plus 1
+@example([1] + _inner(10, LAM, MU)[1:])
+@example([1] + _inner(10, LAM, MU, log=True)[1:])
+@example([Fraction(-5, 2), 1, Fraction(1, 3), 0, 2, -1])  # negative a_0
+@example([NEAR_MILLION, Fraction(-1_000_033, 999_979), 0, Fraction(1, 1_000_037), 7, 0, Fraction(2, 999_961)])
 def test_egf_reciprocal_matches_the_fraction_long_division(a):
     out = egf_reciprocal(Egf(a))
     assert_canonical(out)

@@ -428,8 +428,9 @@ def test_empty_effective_range_is_refused():
 
 # -- the shared convolution --------------------------------------------
 
-# every entry whose routes take a product of two polynomials or series
-CONVOLUTION_ENTRIES = {"L8", "E15", "P9", "P11", "C12", "L16", "GF6", "DIL", "L4"}
+# every entry whose routes take a product of two polynomials or series;
+# composition has its own column step (below), so DIL is not one of them
+CONVOLUTION_ENTRIES = {"L8", "E15", "P9", "P11", "C12", "L16", "GF6", "L4"}
 
 
 def _faulty_convolve(a, b, size):
@@ -454,9 +455,62 @@ def test_convolution_fault_cannot_cancel_across_routes(monkeypatch):
     reports = run_all(ctx=SeqContext())
     assert [r.id for r in reports] == EXPECTED_ORDER
     assert {r.id for r in reports if not r.passed} == CONVOLUTION_ENTRIES
+
+
+# -- the composition column step ---------------------------------------
+
+_clean_bell_column = egf._bell_column
+
+
+def _faulty_bell_column(rows, prev, k):
+    out = _clean_bell_column(rows, prev, k)
+    if len(out) > 2:
+        out[2] += 1
+    return out
+
+
+def test_compose_fault_cannot_cancel_across_routes(monkeypatch):
+    # DIL is the one entry that composes series, and composition is the
+    # second route of both substitution engines
+    src = Path(egf.__file__).parent
+    definitions = sum(path.read_text().count("def _bell_column(") for path in src.glob("*.py"))
+    assert definitions == 1
+    monkeypatch.setattr(egf, "_bell_column", _faulty_bell_column)
+    reports = run_all(ctx=SeqContext())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == {"DIL"}
     for substitution in (stirling_substitution, log_substitution):
         with pytest.raises(ArithmeticError):
             substitution(Egf([1, 2, 3, 4, 5]), 1, 1, SeqContext())
+
+
+# -- the series reciprocal ---------------------------------------------
+
+# T5c and L4 take a reciprocal directly; T3a and T3b through euler_polys
+RECIPROCAL_ENTRIES = {"L4", "T3a", "T3b", "T5c"}
+
+_clean_reciprocal = egf.egf_reciprocal
+
+
+def _faulty_reciprocal(f):
+    coeffs = list(_clean_reciprocal(f).coeffs)
+    if len(coeffs) > 2:
+        coeffs[2] += 1
+    return Egf(coeffs)
+
+
+def test_reciprocal_fault_cannot_cancel_across_routes(monkeypatch):
+    users = {
+        name
+        for name, module in sys.modules.items()
+        if name.startswith("stirlingkit.") and getattr(module, "egf_reciprocal", None) is _clean_reciprocal
+    }
+    assert users == {"stirlingkit.egf", "stirlingkit.poly", "stirlingkit.identities"}
+    for name in users:
+        monkeypatch.setattr(sys.modules[name], "egf_reciprocal", _faulty_reciprocal)
+    reports = run_all(ctx=SeqContext())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == RECIPROCAL_ENTRIES
 
 
 # -- the shared linear combination -------------------------------------
