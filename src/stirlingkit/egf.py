@@ -14,7 +14,7 @@ every kernel works on those integers.  At order N:
   Bell columns of the inner series one from the last: N(N+1)/2 products
   for the weight rows and about N^3/6 for the columns;
 - the reciprocal is a long division whose numerators are reduced against
-  the constant term only, at most N(N+1)/2 products of the kind
+  the constant term only, summing at most N(N+1)/2 terms
   C(m, k) a_k c_(m-k), fewer when coefficients are zero.
 
 The elementary series are built from integer numerators as well.  The

@@ -154,8 +154,9 @@ rationals = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value
 def _inner(order, lam, mu, log=False):
     """Coefficients of (mu/lam)(e^(lam t) - 1), or of (mu/lam)log(1 + lam t)
     when log: a_n = mu lam^(n-1), times (-1)^(n-1) (n-1)! for the log."""
-    sign_fact = [(-1) ** (n - 1) * factorial(n - 1) if log else 1 for n in range(1, order + 1)]
-    return [Fraction(0)] + [mu * lam ** (n - 1) * w for n, w in zip(range(1, order + 1), sign_fact)]
+    return [Fraction(0)] + [
+        mu * lam ** (n - 1) * ((-1) ** (n - 1) * factorial(n - 1) if log else 1) for n in range(1, order + 1)
+    ]
 
 
 LAM, MU = Fraction(-3, 2), Fraction(5, 4)
@@ -203,9 +204,9 @@ def test_egf_compose_matches_the_fraction_horner_loop(pair):
 
 def test_egf_compose_skips_the_leading_zeros_of_each_power(monkeypatch):
     # work-count guard on the partial-Bell column step: column k is zero
-    # below index k, so at order 20 the columns take 1,540 products (1,560
-    # for the former powers by convolution, 4,410 for Horner's scheme); the
-    # 210 row weights are made once, outside the step
+    # below index k, so at order 20 the columns take 1,540 products, where
+    # multiplying the zero heads would take 2,870; the 210 row weights are
+    # made once, outside the step
     products = 0
 
     class Counted(int):
@@ -229,9 +230,9 @@ def test_egf_compose_skips_the_leading_zeros_of_each_power(monkeypatch):
 
 
 def test_egf_reciprocal_keeps_its_numbers_near_the_width_of_the_answer(monkeypatch):
-    # width guard: on T5c's series a_m = 1/(m+1) the former recurrence
-    # carried powers of a_0's numerator lcm(1..m+1), and its sums reached
-    # 14,499 bits at order 100 for an answer whose widest numerator has 389
+    # width guard on T5c's series a_m = 1/(m+1): a recurrence over powers
+    # of a_0's numerator lcm(1..m+1) reaches 14,499 bits at order 100, for
+    # an answer whose widest numerator has 389
     widths = []
 
     def recording(items, start=0):
