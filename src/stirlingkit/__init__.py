@@ -24,7 +24,6 @@ _EXPORTS = {
         "binomial_rational",
         "factorial",
         "format_rational",
-        "int_pow",
         "parse_rational",
     ),
     "seq": ("SeqContext",),

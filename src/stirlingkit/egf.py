@@ -6,20 +6,23 @@ products and compositions require equal orders.  Nothing ever extends a
 truncation silently.
 
 Coefficients are stored as integer numerators over one denominator, and
-every kernel works on those integers.  At order N:
+every kernel works on those exponential numerators; none converts to
+another form.  At order N:
 
-- the product is one Cauchy product of the N!-scaled ordinary numerators,
-  (N+1)(N+2)/2 coefficient products;
-- composition stays on the exponential numerators and grows the partial
-  Bell columns of the inner series one from the last: N(N+1)/2 products
-  for the weight rows and about N^3/6 for the columns;
+- the product is one dot product of f's numerators with each binomial
+  row C(n, i) g_(n-i) of g's, (N+1)(N+2) coefficient products, half of
+  them for the rows;
+- composition grows the partial Bell columns of the inner series one
+  from the last over the shifted rows C(n-1, i) g_(n-i): N(N+1)/2
+  products for the rows and about N^3/6 for the columns;
 - the reciprocal is a long division whose numerators are reduced against
   the constant term only, summing at most N(N+1)/2 terms
   C(m, k) a_k c_(m-k), fewer when coefficients are zero.
 
 The elementary series are built from integer numerators as well.  The
-ordinary-coefficient view c_n = a_n / n! is exposed for the places where
-plain Cauchy convolution is the natural tool; conversion in both
+ordinary-coefficient view c_n = a_n / n! is public API only
+(``to_ordinary``, ``from_ordinary`` and ``ordinary_mul``), for the places
+where plain Cauchy convolution is the natural tool; conversion in both
 directions is exact.
 
 The two substitution routines at the bottom are the load-bearing piece:
@@ -94,33 +97,31 @@ def ordinary_mul(a, b) -> list[Fraction]:
     return [Fraction(c, den) for c in _convolve(an, bn, min(len(an), len(bn)))]
 
 
-def _ordinary_nums(f: Egf) -> list[int]:
-    """Numerators of the ordinary view of f over den * N!, N the order:
-    a_n / n! = (a_n N!/n!) / N!."""
-    nums = f._nums
-    weights = [1]  # N!/k! for k = N, N-1, ..., 0
-    for k in range(len(nums) - 1, 0, -1):
-        weights.append(weights[-1] * k)
-    return [a * w for a, w in zip(nums, reversed(weights))]
+def _binomial_rows(g: tuple[int, ...], shift: int) -> list[list[int]]:
+    """Weight rows of a binomial convolution with g: rows[n] is
+    [C(n-shift, i) g_(n-i) for i = 0..n-shift], and [] for n < shift.
 
-
-def _from_ordinary_nums(nums: list[int], den: int) -> Egf:
-    """The Egf whose ordinary view is nums / den."""
-    scaled = []
-    fact = 1
-    for n, c in enumerate(nums):
-        scaled.append(c * fact)
-        fact *= n + 1
-    return Egf._from_nums(scaled, den)
+    Shift 0 gives the rows of an EGF product, shift 1 the rows of the
+    partial Bell recurrence.  The binomials come from Pascal additions, so
+    the rows take (N-shift+1)(N-shift+2)/2 products at order N.
+    """
+    rows = [[]] * shift
+    pascal = [1]  # row n - shift of Pascal's triangle
+    for n in range(shift, len(g)):
+        rows.append(list(map(mul, pascal, g[n::-1])))
+        pascal = [1, *map(add, pascal, pascal[1:]), 1]
+    return rows
 
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
-    """Product via binomial convolution: c_n = sum_k C(n,k) a_k b_{n-k},
-    as one Cauchy product of the N!-scaled ordinary numerators."""
+    """Product via binomial convolution: c_n = sum_k C(n,k) a_k b_(n-k),
+    one dot product of f's numerators with each binomial row of g's, over
+    the product of the denominators.  At order N that is (N+1)(N+2)
+    products, half of them for the rows."""
     f._match(g)
-    scale = factorial(f.order)
-    prod = _convolve(_ordinary_nums(f), _ordinary_nums(g), f.order + 1)
-    return _from_ordinary_nums(prod, f._den * g._den * scale * scale)
+    F = f._nums
+    nums = [sum(map(mul, row, F)) for row in _binomial_rows(g._nums, 0)]
+    return Egf._from_nums(nums, f._den * g._den)
 
 
 def _bell_column(rows: list[list[int]], prev: list[int], k: int) -> list[int]:
@@ -141,11 +142,11 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     With g = G/d, the coefficient n of g^k/k! is the partial Bell value
     B_(n,k)(G)/d^k, and B_(n,k) = sum_i C(n-1, i) G_(n-i) B_(i,k-1)
     (Comtet, Advanced Combinatorics, 3.3).  Each column k is grown from
-    the last by :func:`_bell_column` over weight rows made once, and
-    reduced by its gcd against its denominator; f_k times it is added
-    over the lcm of the denominators.  An order-N compose takes N(N+1)/2
-    products for the rows and about N^3/6 for the columns.  With
-    g(0) = 0 the truncation is exact.
+    the last by :func:`_bell_column` over the weight rows of
+    :func:`_binomial_rows`, made once, and reduced by its gcd against its
+    denominator; f_k times it is added over the lcm of the denominators.
+    An order-N compose takes N(N+1)/2 products for the rows and about
+    N^3/6 for the columns.  With g(0) = 0 the truncation is exact.
     """
     f._match(g)
     G = g._nums
@@ -153,11 +154,7 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
         raise ValueError("inner series must have zero constant term")
     F = f._nums
     size = len(F)
-    rows = [[]]
-    pascal = [1]  # row n-1 of Pascal's triangle
-    for n in range(1, size):
-        rows.append(list(map(mul, pascal, G[n:0:-1])))
-        pascal = [1, *map(add, pascal, pascal[1:]), 1]
+    rows = _binomial_rows(G, 1)
     last = max([k for k, c in enumerate(F) if c], default=0)
     acc = [F[0]] + [0] * (size - 1)
     den = 1

@@ -56,13 +56,6 @@ def binomial_rational(x: Fraction | int, k: int) -> Fraction:
     return num / math.factorial(k)
 
 
-def int_pow(base: Fraction | int, exp: int) -> Fraction:
-    """base**exp for integer exp >= 0, with the convention 0**0 = 1."""
-    if exp < 0:
-        raise ValueError(f"negative exponent {exp}")
-    return Fraction(base) ** exp
-
-
 def common_denominator(values) -> tuple[list[int], int]:
     """(nums, den) with values[i] == nums[i] / den for every i.
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from stirlingkit.exact import binomial, common_denominator, int_pow
+from stirlingkit.exact import binomial, common_denominator
 from stirlingkit.expr import (
     _BUILTINS,
     POWER_BITS_CAP,
@@ -330,7 +330,7 @@ def weighted_stirling_transform_oracle(a, lam, mu, kind, ctx) -> list[Fraction]:
     weight = ctx.stirling2 if kind == "second" else ctx.stirling1
     return [
         sum(
-            (weight(n, k) * int_pow(lam, n - k) * int_pow(mu, k) * vals[k] for k in range(n + 1)),
+            (weight(n, k) * lam ** (n - k) * mu**k * vals[k] for k in range(n + 1)),
             Fraction(0),
         )
         for n in range(len(vals))
@@ -345,7 +345,7 @@ def weighted_partial_sums_oracle(g, weight) -> list[Fraction]:
     and add per term, as L4's direct side computed it before it moved
     onto integers."""
     return [
-        sum((Fraction(g[k]) * int_pow(weight, i - k) for k in range(i + 1)), Fraction(0))
+        sum((Fraction(g[k]) * Fraction(weight) ** (i - k) for k in range(i + 1)), Fraction(0))
         for i in range(len(g))
     ]
 
@@ -394,7 +394,7 @@ def eval_oracle(node, env: Env) -> Fraction:
                 raise EvalError(f"exponent must be nonnegative, got {e}")
             if _power_bits(left, e) > POWER_BITS_CAP:
                 raise EvalError(f"power would be wider than the cap of {POWER_BITS_CAP} bits")
-            return int_pow(left, e)
+            return Fraction(left) ** e
         if node.op not in ("+", "-", "*", "/"):
             raise EvalError(f"unknown operator {node.op!r}")
         first, tail = _chain(node)

@@ -5,7 +5,7 @@ import builtins
 import random
 import re
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -119,8 +119,6 @@ def test_ordinary_mul_is_cauchy_product():
 
 
 def test_egf_mul_is_binomial_convolution():
-    from math import comb
-
     rng = random.Random(11)
     a = random_rationals(rng, 7)
     b = random_rationals(rng, 7)
@@ -172,11 +170,43 @@ def egf_pairs(draw, max_size=40):
 
 @settings(max_examples=60, deadline=None)
 @given(egf_pairs())
+@example(([Fraction(-7, 3)], [Fraction(5, 2)]))  # order 0
+@example(([0] * 7, [0, 1, Fraction(1, 2), -3, 0, 2, 1]))  # f = 0
+@example(([1, 0, 0, 2, 0, Fraction(-1, 3), 0, 0], [0, 3, 0, 0, Fraction(1, 3), 0, 0, -1]))  # zero interiors
+@example(([Fraction(-5, 2), 1, 2, 3, 4, 5], [Fraction(-1, 3), 0, 2, Fraction(1, 4), -1, 6]))  # negative leading terms
+@example((
+    [NEAR_MILLION, 0, Fraction(-1_000_033, 999_979), Fraction(1, 1_000_037), 0, 3],
+    [Fraction(1_000_039, 999_961), 0, Fraction(-999_953, 1_000_081), Fraction(2, 999_983), 0, Fraction(1, 1_000_003)],
+))
+@example(([Fraction(k - 16, k + 1) for k in range(33)], [Fraction((-1) ** k, k * k + 1) for k in range(33)]))  # order 32
 def test_egf_mul_matches_the_ordinary_round_trip(pair):
     a, b = pair
     prod = egf_mul(Egf(a), Egf(b))
     assert_canonical(prod)
     assert list(prod.coeffs) == egf_mul_oracle(a, b)
+
+
+def test_egf_mul_keeps_its_numbers_near_the_width_of_the_answer(monkeypatch):
+    # width guard on the product: its numerators reach the reduction over
+    # the product of the denominators only, so nothing wider than the
+    # answer times the largest binomial weight, C(20, 10), is reduced:
+    # 42 bits for this 38-bit answer, where the N!-scaled ordinary
+    # numerators brought 164
+    rng = random.Random(20)
+    f, g = Egf(random_rationals(rng, 21)), Egf(random_rationals(rng, 21))
+    widths = []
+    reduce = Egf._from_nums
+
+    def recording(nums, den):
+        widths.append(max([abs(x).bit_length() for x in [*nums, den]]))
+        return reduce(nums, den)
+
+    monkeypatch.setattr(Egf, "_from_nums", staticmethod(recording))
+    out = egf_mul(f, g)
+    assert list(out.coeffs) == egf_mul_oracle(f.coeffs, g.coeffs)
+    answer = max([abs(x).bit_length() for x in [*out._nums, out._den]])
+    assert len(widths) == 1
+    assert widths[0] <= answer + comb(20, 10).bit_length() + 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,6 @@ from stirlingkit import (
     binomial_rational,
     egf_mul,
     format_rational,
-    int_pow,
     ordinary_mul,
     parse_rational,
 )
@@ -84,14 +83,6 @@ def test_binomial_rational_matches_integer_case():
     for n in range(0, 9):
         for k in range(0, 9):
             assert binomial_rational(Fraction(n), k) == binomial(n, k)
-
-
-def test_int_pow_conventions():
-    assert int_pow(0, 0) == 1
-    assert int_pow(Fraction(0), 0) == 1
-    assert int_pow(Fraction(2, 3), 3) == Fraction(8, 27)
-    with pytest.raises(ValueError):
-        int_pow(2, -1)
 
 
 @given(small_rationals)

@@ -428,9 +428,10 @@ def test_empty_effective_range_is_refused():
 
 # -- the shared convolution --------------------------------------------
 
-# every entry whose routes take a product of two polynomials or series;
-# composition has its own column step (below), so DIL is not one of them
-CONVOLUTION_ENTRIES = {"L8", "E15", "P9", "P11", "C12", "L16", "GF6", "L4"}
+# every entry whose routes take a Cauchy product of two polynomials; EGF
+# products and composition read the binomial rows (below), so P9, GF6,
+# L4 and DIL are not among them
+CONVOLUTION_ENTRIES = {"L8", "E15", "P11", "C12", "L16"}
 
 
 def _faulty_convolve(a, b, size):
@@ -479,6 +480,40 @@ def test_compose_fault_cannot_cancel_across_routes(monkeypatch):
     reports = run_all(ctx=SeqContext())
     assert [r.id for r in reports] == EXPECTED_ORDER
     assert {r.id for r in reports if not r.passed} == {"DIL"}
+    for substitution in (stirling_substitution, log_substitution):
+        with pytest.raises(ArithmeticError):
+            substitution(Egf([1, 2, 3, 4, 5]), 1, 1, SeqContext())
+
+
+# -- the binomial weight rows -----------------------------------------
+
+# the entries that multiply or compose EGFs; both substitution engines
+# compose as their second route
+BINOMIAL_ROWS_ENTRIES = {"P9", "GF6", "L4", "DIL"}
+
+_clean_binomial_rows = egf._binomial_rows
+
+
+def _faulty_binomial_rows(g, shift):
+    # in a product the first weight of row 2 multiplies the other factor's
+    # a_0, which is zero in GF6's -log(1 + t) and would mask the fault; the
+    # last weight multiplies its a_2
+    rows = _clean_binomial_rows(g, shift)
+    if len(rows) > 2:
+        rows[2][-1] += 1
+    return rows
+
+
+def test_binomial_rows_fault_cannot_cancel_across_routes(monkeypatch):
+    # EGF products and composition share one row builder; corrupting it
+    # must fail exactly the entries that call either
+    src = Path(egf.__file__).parent
+    definitions = sum(path.read_text().count("def _binomial_rows(") for path in src.glob("*.py"))
+    assert definitions == 1
+    monkeypatch.setattr(egf, "_binomial_rows", _faulty_binomial_rows)
+    reports = run_all(ctx=SeqContext())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == BINOMIAL_ROWS_ENTRIES
     for substitution in (stirling_substitution, log_substitution):
         with pytest.raises(ArithmeticError):
             substitution(Egf([1, 2, 3, 4, 5]), 1, 1, SeqContext())

@@ -143,3 +143,42 @@ def test_every_top_level_import_in_the_package_is_used():
     found = {path.name: unused_imports(path.read_text()) for path in Path(SRC, "stirlingkit").glob("*.py")}
     assert "seq.py" in found
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private module-level function or constant
+    (one leading underscore) that no top-level statement of any source
+    reads, its own definition excepted.  Checkers registered through an
+    ``@_entry(...)`` decorator are reached through the registry, not by
+    name, and are left out."""
+    import ast
+
+    defined = []  # (module.name, name, index of the defining statement)
+    reads = []  # names each top-level statement reads
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = []
+            if isinstance(node, ast.FunctionDef):
+                registered = any(
+                    isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_entry"
+                    for d in node.decorator_list
+                )
+                names = [] if registered else [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            reads.append({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)})
+            defined += [(f"{module}.{name}", name, len(reads) - 1) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    return [full for full, name, own in defined if not any(name in r for i, r in enumerate(reads) if i != own)]
+
+
+def test_every_private_helper_in_the_package_is_read():
+    sample = {
+        "m": "def _a(): pass\ndef _b(): return _b()\n_C = 1\n@_entry(1)\ndef _d(): pass\n",
+        "n": "from m import _C\ndef f(): return _C\n",
+    }
+    assert unread_private_names(sample) == ["m._a", "m._b"]
+    sources = {path.stem: path.read_text() for path in Path(SRC, "stirlingkit").glob("*.py")}
+    assert "egf" in sources
+    assert unread_private_names(sources) == []
