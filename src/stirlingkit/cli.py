@@ -25,18 +25,8 @@ def _dumps(data) -> str:
     return json.dumps(data, separators=_JSON_SEPARATORS)
 
 
-def emit(data, fmt: str) -> str:
-    """Render a value list or a row table to text.
-
-    Value lists (list of canonical rational strings) index implicitly
-    from 0; row tables are lists of dicts with a shared key order.
-    """
-    if all(isinstance(item, str) for item in data):
-        return _emit_values(data, fmt)
-    return _emit_rows(data, fmt)
-
-
 def _emit_values(values: list[str], fmt: str) -> str:
+    """Render canonical rational strings, indexed implicitly from 0."""
     if fmt == "json":
         return _dumps(values)
     rows = [{"n": str(i), "value": v} for i, v in enumerate(values)]
@@ -44,6 +34,7 @@ def _emit_values(values: list[str], fmt: str) -> str:
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> str:
+    """Render a table of dicts that share one key order."""
     rows = [{k: str(v) for k, v in row.items()} for row in rows]
     if fmt == "json":
         return _dumps(rows)
@@ -122,7 +113,7 @@ def _cmd_seq(args) -> int:
         format_rational(family(ctx, *(i if name == "n" else args.p for name in family.params)))
         for i in range(args.n + 1)
     ]
-    print(emit(values, args.format))
+    print(_emit_values(values, args.format))
     return 0
 
 
@@ -131,7 +122,7 @@ def _cmd_triangle(args) -> int:
     ctx = context()
     row_of = ctx.stirling2_row if args.triangle == "stirling2" else ctx.stirling1_row
     rows = [{"n": n, "k": k, "value": value} for n in range(args.n + 1) for k, value in enumerate(row_of(n))]
-    print(emit(rows, args.format))
+    print(_emit_rows(rows, args.format))
     return 0
 
 
@@ -140,7 +131,7 @@ def _cmd_poly(args) -> int:
 
     p = getattr(poly, _POLY_FAMILIES[args.family])(args.n)
     if args.format == "json":
-        print(_dumps(p.to_json()))
+        print(_emit_values([format_rational(c) for c in p.coeffs], "json"))
     elif args.format == "csv":
         rows = [{"k": k, "value": format_rational(c)} for k, c in enumerate(p.coeffs)]
         print(_emit_rows(rows, "csv"))
@@ -152,23 +143,13 @@ def _cmd_poly(args) -> int:
 def _cmd_series(args) -> int:
     from .egf import egf_elementary, to_ordinary
 
-    kwargs = {}
-    if args.kind == "pow1p":
-        if args.x is None:
-            raise ValueError("series pow1p needs --x")
-        kwargs["x"] = args.x
-    if args.kind == "monomial":
-        if args.c is None or args.m is None:
-            raise ValueError("series monomial needs --c and --m")
-        kwargs["c"] = args.c
-        kwargs["m"] = args.m
-    f = egf_elementary(args.kind, args.order, **kwargs)
+    f = egf_elementary(args.kind, args.order, x=args.x, c=args.c, m=args.m)
     ordinary = to_ordinary(f)
     rows = [
         {"n": n, "egf": format_rational(a), "ordinary": format_rational(c)}
         for n, (a, c) in enumerate(zip(f.coeffs, ordinary))
     ]
-    print(emit(rows, args.format))
+    print(_emit_rows(rows, args.format))
     return 0
 
 
@@ -213,7 +194,7 @@ def _cmd_transform(args) -> int:
         out = binomial_transform(seq, alternating=True)
     else:
         out = weighted_stirling_transform(seq, args.lam, args.mu, kind=args.weighted_kind)
-    print(emit([format_rational(v) for v in out], args.format))
+    print(_emit_values([format_rational(v) for v in out], args.format))
     return 0
 
 
@@ -250,7 +231,7 @@ def _cmd_identities(args) -> int:
         {"id": spec.id, "kind": spec.kind, "description": spec.description}
         for spec in list_identities()
     ]
-    print(emit(rows, args.format))
+    print(_emit_rows(rows, args.format))
     return 0
 
 

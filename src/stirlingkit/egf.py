@@ -212,6 +212,12 @@ def egf_reciprocal(f: Egf) -> Egf:
 # -- elementary series -----------------------------------------------
 
 
+def _check_order(order: int) -> None:
+    """The one order check that every elementary series goes through."""
+    if order < 0:
+        raise ValueError(f"negative order {order}")
+
+
 def _exp_log_nums(order: int, lam: Fraction, mu: Fraction, kind: str) -> tuple[list[int], int]:
     """(nums, den) of (mu/lam)(e^(lam t) - 1) for kind "second", or of
     (mu/lam)log(1 + lam t) for kind "first" (mu t when lam = 0).
@@ -220,6 +226,7 @@ def _exp_log_nums(order: int, lam: Fraction, mu: Fraction, kind: str) -> tuple[l
     (-1)^(n-1) (n-1)! for the logarithm.  With lam = p/q and mu = r/s,
     that is r p^(n-1) w_n q^(order-n) over s q^(order-1).
     """
+    _check_order(order)
     if order == 0:
         return [0], 1
     p, q = lam.numerator, lam.denominator
@@ -253,11 +260,13 @@ def log1p_series(order: int, scale=1) -> Egf:
 
 def geom_series(order: int) -> Egf:
     """1/(1 - t): a_n = n!."""
+    _check_order(order)
     return Egf(Fraction(factorial(n)) for n in range(order + 1))
 
 
 def pow1p_series(x, order: int) -> Egf:
     """(1 + t)^x for rational x: a_n = x(x-1)...(x-n+1)."""
+    _check_order(order)
     x = Fraction(x)
     out = [Fraction(1)]
     for n in range(1, order + 1):
@@ -267,6 +276,7 @@ def pow1p_series(x, order: int) -> Egf:
 
 def dilog_series(order: int) -> Egf:
     """Li_2(t) = sum t^n/n^2: a_n = n!/n^2 for n >= 1."""
+    _check_order(order)
     out = [Fraction(0)]
     for n in range(1, order + 1):
         out.append(Fraction(factorial(n), n * n))
@@ -275,6 +285,7 @@ def dilog_series(order: int) -> Egf:
 
 def monomial_series(c, m: int, order: int) -> Egf:
     """The single term c t^m / m!, i.e. a_m = c."""
+    _check_order(order)
     if m < 0:
         raise ValueError(f"negative degree {m}")
     if m > order:
@@ -286,8 +297,6 @@ def monomial_series(c, m: int, order: int) -> Egf:
 
 def egf_elementary(kind: str, order: int, *, x=None, c=None, m=None) -> Egf:
     """Build one of the named series; pow1p needs x, monomial needs c and m."""
-    if order < 0:
-        raise ValueError(f"negative order {order}")
     if kind == "exp":
         return exp_series(order)
     if kind == "expm1":

@@ -78,9 +78,6 @@ class Poly(_Vector):
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"
 
-    def to_json(self) -> list[str]:
-        return [format_rational(c) for c in self.coeffs]
-
 
 ZERO = Poly()
 ONE = Poly([1])
@@ -123,8 +120,6 @@ def exp_poly(n: int) -> Poly:
 
 def geom_poly(n: int, ctx: SeqContext | None = None) -> Poly:
     """Geometric polynomial: sum_k S(n, k) k! x^k."""
-    if n < 0:
-        raise ValueError(f"negative index {n}")
     ctx = context(ctx)
     row = ctx.stirling2_row(n)
     return Poly._from_nums([row[k] * ctx.factorial(k) for k in range(n + 1)], 1)

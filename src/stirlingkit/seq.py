@@ -31,6 +31,7 @@ the expression language both read their names and argument orders here.
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 
@@ -42,18 +43,12 @@ from .exact import binomial, common_denominator
 MOMENT_ORDER_CAP = 256
 
 
-class Family:
+class Family(namedtuple("Family", "cli_name expr_name method params")):
     """One named sequence: its command-line name, its expression-language
     name, the ``SeqContext`` method that computes it, and that method's
     parameter order ("n" is the index, "p" the order or exponent)."""
 
-    __slots__ = ("cli_name", "expr_name", "method", "params")
-
-    def __init__(self, cli_name: str, expr_name: str, method: str, params: tuple[str, ...]) -> None:
-        self.cli_name = cli_name
-        self.expr_name = expr_name
-        self.method = method
-        self.params = params
+    __slots__ = ()
 
     def __call__(self, ctx: SeqContext, *args):
         """The value at ``args``, given in ``params`` order.  The method is
@@ -99,11 +94,14 @@ class SeqContext:
 
     def _grow(self, table: list, n: int, step):
         """``table[n]``, first appending ``step(m)`` for each missing index m
-        in order.  Every table reads a built entry without the lock, which
-        only growth takes: lists only append and no dict entry is replaced,
-        so an entry another thread can see is complete."""
-        if n < len(table):
+        in order; a negative n is refused here, for every list table.
+        Every table reads a built entry without the lock, which only growth
+        takes: lists only append and no dict entry is replaced, so an entry
+        another thread can see is complete."""
+        if 0 <= n < len(table):
             return table[n]
+        if n < 0:
+            raise ValueError(f"negative index {n}")
         with self._lock:
             while len(table) <= n:
                 table.append(step(len(table)))
@@ -125,7 +123,7 @@ class SeqContext:
     def stirling2(self, n: int, k: int) -> int:
         """Partition count S(n, k); zero outside 0 <= k <= n."""
         if n < 0:
-            raise ValueError(f"negative row index {n}")
+            raise ValueError(f"negative index {n}")
         if k < 0 or k > n:
             return 0
         return self.stirling2_row(n)[k]
@@ -133,7 +131,7 @@ class SeqContext:
     def stirling1(self, n: int, k: int) -> int:
         """Signed first-kind s(n, k); zero outside 0 <= k <= n."""
         if n < 0:
-            raise ValueError(f"negative row index {n}")
+            raise ValueError(f"negative index {n}")
         if k < 0 or k > n:
             return 0
         return self.stirling1_row(n)[k]
@@ -145,14 +143,10 @@ class SeqContext:
 
     def stirling2_row(self, n: int) -> tuple[int, ...]:
         """Row n of the partition triangle: S(n, 0), ..., S(n, n)."""
-        if n < 0:
-            raise ValueError(f"negative row index {n}")
         return self._grow(self._s2_rows, n, self._next_s2_row)
 
     def stirling1_row(self, n: int) -> tuple[int, ...]:
         """Row n of the signed first-kind triangle: s(n, 0), ..., s(n, n)."""
-        if n < 0:
-            raise ValueError(f"negative row index {n}")
         return self._grow(self._s1_rows, n, self._next_s1_row)
 
     def _s2_row(self, n: int) -> tuple[int, ...]:
@@ -177,20 +171,14 @@ class SeqContext:
     # -- integer sequences -------------------------------------------
 
     def factorial(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"factorial of negative index {n}")
         return self._grow(self._factorial, n, lambda m: self._factorial[m - 1] * m)
 
     def bell(self, n: int) -> int:
         """Row sum of the partition triangle."""
-        if n < 0:
-            raise ValueError(f"negative index {n}")
         return self._grow(self._bell, n, lambda m: sum(self._s2_row(m)))
 
     def fubini(self, n: int) -> int:
         """Ordered set partitions: sum of S(n, k) k! over the row."""
-        if n < 0:
-            raise ValueError(f"negative index {n}")
         return self._grow(self._fubini, n, self._next_fubini)
 
     def _next_fubini(self, m: int) -> int:
@@ -203,8 +191,6 @@ class SeqContext:
         D_n = sum_{j=0}^{n} (-1)^j n!/j!.  The recurrence
         D_n = n D_{n-1} + (-1)^n is left to the tests as a cross-check.
         """
-        if n < 0:
-            raise ValueError(f"negative index {n}")
         return self._grow(self._derangement, n, self._next_derangement)
 
     @staticmethod
@@ -220,8 +206,6 @@ class SeqContext:
 
     def harmonic(self, n: int) -> Fraction:
         """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
-        if n < 0:
-            raise ValueError(f"negative index {n}")
         return self._grow(self._harmonic, n, lambda m: self._harmonic[m - 1] + Fraction(1, m))
 
     def hyperharmonic(self, p: int, n: int) -> Fraction:
@@ -253,8 +237,6 @@ class SeqContext:
 
         and B_n = 0 for odd n >= 3.
         """
-        if n < 0:
-            raise ValueError(f"negative index {n}")
         return self._grow(self._bernoulli, n, self._next_bernoulli)
 
     def _next_bernoulli(self, m: int) -> Fraction:
@@ -284,8 +266,6 @@ class SeqContext:
         (-1)^(n/2) A_n for even n, the signed secant numbers, and 0 for
         odd n.
         """
-        if n < 0:
-            raise ValueError(f"negative index {n}")
         return self._grow(self._euler, n, self._next_euler)
 
     def _next_euler(self, m: int) -> Fraction:
@@ -305,8 +285,6 @@ class SeqContext:
         kept as a running prefix table per exponent."""
         if p < 0:
             raise ValueError(f"negative exponent {p}")
-        if n < 0:
-            raise ValueError(f"negative index {n}")
         table = self._memo(self._power_sums, p, lambda: [0])
         return self._grow(table, n, lambda m: table[m - 1] + m**p)
 

@@ -76,9 +76,10 @@ def test_poly_text_is_rendered_polynomial(capsys):
 def test_series_requires_family_parameters(capsys):
     code, _, err = run_cli(capsys, "series", "pow1p", "--order", "4")
     assert code == 2
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
     code, _, err = run_cli(capsys, "series", "monomial", "--order", "4")
     assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_series_csv(capsys):

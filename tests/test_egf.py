@@ -361,8 +361,20 @@ def test_pow1p_integer_exponent_terminates():
 
 def test_egf_elementary_order_zero_is_the_constant_term_and_negative_orders_raise():
     assert egf_elementary("exp", 0) == Egf([1])
-    with pytest.raises(ValueError, match="negative order -1"):
-        egf_elementary("exp", -1)
+    builders = {
+        "exp": exp_series,
+        "expm1": expm1_series,
+        "log1p": log1p_series,
+        "geom": geom_series,
+        "pow1p": lambda order: pow1p_series(Fraction(1, 2), order),
+        "dilog": dilog_series,
+        "monomial": lambda order: monomial_series(Fraction(2), 0, order),
+    }
+    for kind, build in builders.items():
+        with pytest.raises(ValueError, match="negative order -1"):
+            build(-1)
+        with pytest.raises(ValueError, match="negative order -1"):
+            egf_elementary(kind, -1, x=Fraction(1, 2), c=Fraction(2), m=0)
 
 
 def test_egf_elementary_dispatch():

@@ -6,7 +6,15 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stirlingkit import SeqContext, binomial
+from stirlingkit import (
+    SeqContext,
+    bernoulli_poly,
+    binom_poly,
+    binomial,
+    euler_poly,
+    exp_poly,
+    geom_poly,
+)
 from stirlingkit.seq import FAMILIES
 
 from support import (
@@ -60,9 +68,16 @@ def test_stirling_out_of_range_is_zero(ctx):
 
 
 def test_negative_index_rejected(ctx):
-    for fn in (ctx.bell, ctx.fubini, ctx.derangement, ctx.harmonic, ctx.factorial):
-        with pytest.raises(ValueError):
-            fn(-1)
+    calls = [
+        (getattr(ctx, family.method), [-1 if name == "n" else 1 for name in family.params])
+        for family in FAMILIES
+    ]
+    calls += [(fn, [-1]) for fn in (ctx.stirling2_row, ctx.stirling1_row, ctx._s2_row)]
+    calls += [(fn, [-1, 0]) for fn in (ctx.stirling2, ctx.stirling1)]
+    calls += [(fn, [-1]) for fn in (exp_poly, geom_poly, bernoulli_poly, euler_poly, binom_poly)]
+    for fn, args in calls:
+        with pytest.raises(ValueError, match="negative index -1"):
+            fn(*args)
 
 
 def test_orthogonality_both_orders(ctx):
@@ -293,6 +308,38 @@ def test_only_the_growth_primitives_take_the_lock_and_seq_builds_on_exact_alone(
     assert blocks == ["_grow", "_memo"]
     assert sorted(uses) == ["__init__", "_grow", "_memo"]  # no acquire() or lock handed out elsewhere
     assert imports == ["exact"]
+
+
+def test_no_method_that_grows_a_list_table_checks_the_index_sign_itself():
+    """``_grow`` refuses a negative index for every list table, so a method
+    that returns ``self._grow(table, n, ...)`` has no ``if n < 0: raise``
+    of its own; checks of a second argument or a ``_memo`` key stay."""
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(SeqContext))
+    methods = [node for node in tree.body[0].body if isinstance(node, ast.FunctionDef)]
+    grown, copies = [], []
+    for method in methods:
+        indices = {
+            ast.unparse(node.value.args[1])
+            for node in ast.walk(method)
+            if isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func) == "self._grow"
+        }
+        if not indices:
+            continue
+        grown.append(method.name)
+        copies += [
+            method.name
+            for node in ast.walk(method)
+            if isinstance(node, ast.If)
+            and ast.unparse(node.test) in {f"{n} < 0" for n in indices}
+            and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+        ]
+    assert "factorial" in grown and "stirling2_row" in grown  # the guard sees the methods it covers
+    assert copies == []
 
 
 def test_power_sums_in_any_order_equal_direct_sums():
