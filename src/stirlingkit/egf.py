@@ -44,8 +44,8 @@ from math import comb, gcd, lcm
 from operator import add, mul
 
 from .exact import _convolve, _Vector, common_denominator, factorial, format_rational
-from .seq import SeqContext
-from .transform import weighted_stirling_transform
+from .seq import SeqContext, context
+from .transform import _fractions, _weighted_sums
 
 
 class OrderMismatchError(ValueError):
@@ -119,8 +119,12 @@ def egf_mul(f: Egf, g: Egf) -> Egf:
     the product of the denominators.  At order N that is (N+1)(N+2)
     products, half of them for the rows."""
     f._match(g)
-    F = f._nums
-    nums = [sum(map(mul, row, F)) for row in _binomial_rows(g._nums, 0)]
+    F, G = f._nums, g._nums
+    # the rows skip no zero, but their products and the dot products with
+    # them are cheap where they are zero, so build them from the sparser
+    if F.count(0) > G.count(0):
+        F, G = G, F
+    nums = [sum(map(mul, row, F)) for row in _binomial_rows(G, 0)]
     return Egf._from_nums(nums, f._den * g._den)
 
 
@@ -265,13 +269,17 @@ def geom_series(order: int) -> Egf:
 
 
 def pow1p_series(x, order: int) -> Egf:
-    """(1 + t)^x for rational x: a_n = x(x-1)...(x-n+1)."""
+    """(1 + t)^x for rational x: a_n = x(x-1)...(x-n+1).
+
+    With x = p/q, a_n is the integer (p)(p - q)...(p - (n-1)q) over q^n.
+    """
     _check_order(order)
     x = Fraction(x)
-    out = [Fraction(1)]
-    for n in range(1, order + 1):
-        out.append(out[-1] * (x - (n - 1)))
-    return Egf(out)
+    p, q = x.numerator, x.denominator
+    ups = [1]  # (p)(p - q)...(p - (n-1)q)
+    for j in range(order):
+        ups.append(ups[-1] * (p - j * q))
+    return Egf._from_nums([a * q ** (order - n) for n, a in enumerate(ups)], q**order)
 
 
 def dilog_series(order: int) -> Egf:
@@ -335,17 +343,21 @@ def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fr
     mu = Fraction(mu)
     if lam == 0:
         raise ValueError("lam must be nonzero")
-    direct = weighted_stirling_transform(f.coeffs, lam, mu, kind, ctx)
+    ctx = context(ctx)
+    row = ctx.stirling2_row if kind == "second" else ctx.stirling1_row
+    # the direct route's value n is direct[n] / (f._den step^n)
+    direct, step = _weighted_sums(f._nums, row, lam, mu)
     composed = egf_compose(f, Egf._from_nums(*_exp_log_nums(f.order, lam, mu, kind)))
-    if composed != Egf(direct):
-        composed = composed.coeffs
-        i = next(i for i, (d, c) in enumerate(zip(direct, composed)) if d != c)
-        raise ArithmeticError(
-            f"substitution routes disagree; engine defect: kind {kind}, index {i}, "
-            f"direct {format_rational(direct[i])}, composed {format_rational(composed[i])}, "
-            f"lam {format_rational(lam)}, mu {format_rational(mu)}, order {f.order}"
-        )
-    return direct
+    scale = f._den
+    for i, (d, c) in enumerate(zip(direct, composed._nums)):
+        if d * composed._den != c * scale:
+            raise ArithmeticError(
+                f"substitution routes disagree; engine defect: kind {kind}, index {i}, "
+                f"direct {format_rational(Fraction(d, scale))}, composed {format_rational(composed.coeffs[i])}, "
+                f"lam {format_rational(lam)}, mu {format_rational(mu)}, order {f.order}"
+            )
+        scale *= step
+    return _fractions(direct, f._den, step)
 
 
 def stirling_substitution(f: Egf, lam, mu, ctx: SeqContext | None = None) -> list[Fraction]:

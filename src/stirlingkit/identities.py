@@ -23,7 +23,8 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import mul, ne
 
 from .egf import (
     Egf,
@@ -35,12 +36,11 @@ from .egf import (
     log1p_series,
     pow1p_series,
     dilog_series,
-    to_ordinary,
 )
-from .exact import _combine, binomial, binomial_rational, common_denominator, format_rational
+from .exact import _combine, binomial, binomial_rational, common_denominator, factorial, format_rational
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
-from .transform import stirling_inverse, stirling_transform
+from .transform import _sums, stirling_transform
 
 DEFAULT_SERIES_ORDER = 12
 DEFAULT_EPS = Fraction(1, 10**12)
@@ -81,6 +81,13 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
+def _ratio(num: int, den: int):
+    """num / den as an int when den divides num, else as a Fraction: a
+    value that should be an integer and is not still reaches the check."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 def _fmt(v) -> str:
     if isinstance(v, Poly):
         return str(v)
@@ -104,6 +111,21 @@ class _Run:
     def check(self, params: dict, lhs, rhs) -> None:
         self.checked += 1
         if lhs != rhs:
+            self.failures.append(Failure(dict(params), _fmt(lhs), _fmt(rhs)))
+
+    def check_ratio(self, params: dict, lnum: int, lden: int, rnum: int, rden: int) -> None:
+        """check() on the sides lnum / lden and rnum / rden, compared by
+        cross-multiplication; a Fraction is built only for a failure."""
+        self.checked += 1
+        if lnum * rden != rnum * lden:
+            self.failures.append(Failure(dict(params), _fmt(Fraction(lnum, lden)), _fmt(Fraction(rnum, rden))))
+
+    def check_ratios(self, params: dict, lnums, ldens, rnums, rdens) -> None:
+        """check_ratio() on two sequences of one length, entry by entry, as
+        one instance whose sides are the lists of ratios."""
+        self.checked += 1
+        if any(map(ne, map(mul, lnums, rdens), map(mul, rnums, ldens))):
+            lhs, rhs = list(map(Fraction, lnums, ldens)), list(map(Fraction, rnums, rdens))
             self.failures.append(Failure(dict(params), _fmt(lhs), _fmt(rhs)))
 
     def check_members(self, params: dict, members) -> None:
@@ -157,10 +179,14 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     run.notes.append("order-0 instances rely on the conventions 0^0 = 1 and h(0, n) = 1/n")
     signed_fact = [_sign(k) * ctx.factorial(k) for k in range(n_hi + 1)]
     for p in range(p_hi + 1):
-        lhs = stirling_transform([f * ctx.hyperharmonic(p, k) for k, f in enumerate(signed_fact)], ctx)
+        # k! h(p, k) is an integer, taken by exact division
+        weights = []
+        for k, f in enumerate(signed_fact):
+            h = ctx.hyperharmonic(p, k)
+            weights.append(_ratio(f * h.numerator, h.denominator))
+        lhs, den = _sums(weights, ctx.stirling2_row)
         for n in range(n_lo, n_hi + 1):
-            rhs = _sign(n) * n * p ** (n - 1)
-            run.check({"p": p, "n": n}, lhs[n], rhs)
+            run.check_ratio({"p": p, "n": n}, lhs[n], den, _sign(n) * n * p ** (n - 1), 1)
 
 
 @_entry(
@@ -171,9 +197,13 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 60),
 )
 def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    lhs = stirling_transform([_sign(k) * ctx.factorial(k) * ctx.harmonic(k) for k in range(n_hi + 1)], ctx)
+    weights = []
+    for k in range(n_hi + 1):
+        h = ctx.harmonic(k)
+        weights.append(_ratio(_sign(k) * ctx.factorial(k) * h.numerator, h.denominator))
+    lhs, den = _sums(weights, ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
-        run.check({"n": n}, lhs[n], Fraction(_sign(n) * n))
+        run.check_ratio({"n": n}, lhs[n], den, _sign(n) * n, 1)
 
 
 @_entry(
@@ -187,10 +217,10 @@ def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         # the k = 0 summand carries a factor k, so its weight is 0
-        lhs = stirling_inverse([_sign(k) * k * p ** (k - 1) if k else 0 for k in range(n_hi + 1)], ctx)
+        lhs, den = _sums([_sign(k) * k * p ** (k - 1) if k else 0 for k in range(n_hi + 1)], ctx.stirling1_row)
         for n in range(n_lo, n_hi + 1):
-            rhs = _sign(n) * ctx.factorial(n) * ctx.hyperharmonic(p, n)
-            run.check({"p": p, "n": n}, lhs[n], rhs)
+            h = ctx.hyperharmonic(p, n)
+            run.check_ratio({"p": p, "n": n}, lhs[n], den, _sign(n) * ctx.factorial(n) * h.numerator, h.denominator)
 
 
 def _geometric_blocks(binom, w):
@@ -315,10 +345,10 @@ def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # B_(k-1) for k >= 1; the k = 0 summand is absent
-    lhs = stirling_inverse([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)], ctx)
+    lhs, den = _sums([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)], ctx.stirling1_row)
     for n in range(n_lo, n_hi + 1):
-        rhs = -_sign(n) * ctx.factorial(n - 1) * ctx.harmonic(n)
-        run.check({"n": n}, lhs[n], rhs)
+        h = ctx.harmonic(n)
+        run.check_ratio({"n": n}, lhs[n], den, -_sign(n) * ctx.factorial(n - 1) * h.numerator, h.denominator)
 
 
 @_entry(
@@ -344,10 +374,11 @@ def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    lhs = stirling_inverse([0] + [ctx.bernoulli(k - 1) * _sign(k) for k in range(1, n_hi + 1)], ctx)
+    bnums, bden = common_denominator([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)])
+    lhs, den = _sums([_sign(k) * b for k, b in enumerate(bnums)], ctx.stirling1_row)
+    den *= bden
     for n in range(n_lo, n_hi + 1):
-        rhs = Fraction(_sign(n) * ctx.factorial(n), n * n)
-        run.check({"n": n}, lhs[n], rhs)
+        run.check_ratio({"n": n}, lhs[n], den, _sign(n) * ctx.factorial(n), n * n)
 
 
 @_entry(
@@ -358,11 +389,14 @@ def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6d(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    sums = stirling_transform(
-        [0] + [Fraction(ctx.factorial(k) * _sign(k), k * k) for k in range(1, n_hi + 1)], ctx
-    )
+    # the weights k! (-1)^k / k^2 over the lcm of the squares
+    wden = lcm(*[k * k for k in range(1, n_hi + 1)])
+    weights = [0] + [ctx.factorial(k) * _sign(k) * (wden // (k * k)) for k in range(1, n_hi + 1)]
+    sums, den = _sums(weights, ctx.stirling2_row)
+    den *= wden
     for n in range(n_lo, n_hi + 1):
-        run.check({"n": n}, ctx.bernoulli(n - 1), _sign(n) * sums[n])
+        b = ctx.bernoulli(n - 1)
+        run.check_ratio({"n": n}, b.numerator, b.denominator, _sign(n) * sums[n], den)
 
 
 _BELL_CLOSED_FORMS = {
@@ -384,9 +418,9 @@ _BELL_CLOSED_FORMS = {
 )
 def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
-        direct = stirling_transform([k**p for k in range(n_hi + 1)], ctx)
+        direct, den = _sums([k**p for k in range(n_hi + 1)], ctx.stirling2_row)
         for n in range(n_lo, n_hi + 1):
-            run.check({"n": n, "p": p, "form": "recurrence-vs-direct"}, ctx.moment(n, p), direct[n])
+            run.check_ratio({"n": n, "p": p, "form": "recurrence-vs-direct"}, ctx.moment(n, p), 1, direct[n], den)
     for p, combo in _BELL_CLOSED_FORMS.items():
         for n in range(n_lo, n_hi + 1):
             rhs = sum(c * ctx.bell(n + off) for off, c in combo)
@@ -424,7 +458,7 @@ def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 2)
     for n in range(n_lo, n_hi + 1):
         row = ctx.stirling2_row(n)
-        first_sum = Poly(Fraction(c * k) for k, c in enumerate(row))
+        first_sum = Poly._from_nums([c * k for k, c in enumerate(row)], 1)
         first_op = xd_apply(phi[n], 1)
         first_comb = phi[n + 1] - X * phi[n]
         run.check_members(
@@ -434,7 +468,7 @@ def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
                 ("operator-vs-shift-combination", first_op, first_comb),
             ),
         )
-        second_sum = Poly(Fraction(c * k * k) for k, c in enumerate(row))
+        second_sum = Poly._from_nums([c * k * k for k, c in enumerate(row)], 1)
         second_op = xd_apply(phi[n], 2)
         second_comb = phi[n + 2] - 2 * X * phi[n + 1] + (X * X - X) * phi[n]
         run.check_members(
@@ -459,7 +493,7 @@ def _chk_p9(ctx, run, n_lo, n_hi, p_hi, order, eps):
         row = ctx.stirling2_row(p + 1)
         nums = [0] + [ctx.factorial(i - 1) * row[i] for i in range(1, p + 2)] + [0] * order
         lhs = Egf._from_nums(nums[: order + 1], 1)
-        sums = Egf(Fraction(ctx.power_sum(p, m)) for m in range(order + 1))
+        sums = Egf._from_nums([ctx.power_sum(p, m) for m in range(order + 1)], 1)
         run.check({"p": p}, lhs, egf_mul(minus_exp, sums))
 
 
@@ -578,13 +612,13 @@ def _chk_c12(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_c13(ctx, run, n_lo, n_hi, p_hi, order, eps):
     plain_weights = [0] + [ctx.factorial(k - 1) for k in range(1, n_hi + 1)]
-    plain = stirling_transform(plain_weights, ctx)
-    alt = stirling_transform([_sign(k) * w for k, w in enumerate(plain_weights)], ctx)
+    plain, plain_den = _sums(plain_weights, ctx.stirling2_row)
+    alt, alt_den = _sums([_sign(k) * w for k, w in enumerate(plain_weights)], ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
         want_plain = 1 if n == 1 else 2 * ctx.fubini(n - 1)
-        run.check({"n": n, "form": "plain"}, plain[n], want_plain)
+        run.check_ratio({"n": n, "form": "plain"}, plain[n], plain_den, want_plain, 1)
         want_alt = -1 if n == 1 else 0
-        run.check({"n": n, "form": "alternating"}, alt[n], want_alt)
+        run.check_ratio({"n": n, "form": "alternating"}, alt[n], alt_den, want_alt, 1)
 
 
 def _tail_cutoff(n: int, eps: Fraction) -> int:
@@ -632,9 +666,9 @@ def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    lhs = stirling_transform([0, 0] + [ctx.factorial(k - 2) * _sign(k) for k in range(2, n_hi + 1)], ctx)
+    lhs, den = _sums([0, 0] + [ctx.factorial(k - 2) * _sign(k) for k in range(2, n_hi + 1)], ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
-        run.check({"n": n}, lhs[n], n - 1)
+        run.check_ratio({"n": n}, lhs[n], den, n - 1, 1)
 
 
 @_entry(
@@ -645,10 +679,10 @@ def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 40),
 )
 def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    derangement_sums = stirling_transform([_sign(k) * ctx.derangement(k) for k in range(n_hi + 1)], ctx)
+    derangement_sums, den = _sums([_sign(k) * ctx.derangement(k) for k in range(n_hi + 1)], ctx.stirling2_row)
     signed_bell = [_sign(k) * ctx.bell(k) for k in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        via_derangements = _sign(n) * derangement_sums[n]
+        via_derangements = _ratio(_sign(n) * derangement_sums[n], den)
         via_binomial = sum(binomial(n, k) * signed_bell[k] for k in range(n + 1))
         telescoped = 1 - sum(signed_bell[:n])
         run.check_members(
@@ -714,8 +748,12 @@ def _chk_gf6(ctx, run, n_lo, n_hi, p_hi, order, eps):
     neg_log = -log1p_series(order)
     for p in range(p_hi + 1):
         lhs = egf_mul(neg_log, pow1p_series(-p, order))
-        rhs = Egf(_sign(i) * ctx.factorial(i) * ctx.hyperharmonic(p, i) for i in range(order + 1))
-        run.check({"p": p}, lhs, rhs)
+        # i! h(p, i) is an integer, taken by exact division
+        rhs = []
+        for i in range(order + 1):
+            h = ctx.hyperharmonic(p, i)
+            rhs.append(_ratio(_sign(i) * ctx.factorial(i) * h.numerator, h.denominator))
+        run.check({"p": p}, lhs, Egf(rhs))
 
 
 @_entry(
@@ -741,16 +779,17 @@ _L4_SEQUENCES = (
 _L4_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
 
 
-def _weighted_partial_sums(nums, den, apows, bpows):
+def _weighted_partial_sums(nums, apows, bpows):
     """The partial sums sum_(k<=i) g_k w^(i-k), for g = nums / den and a
     weight w = a/b given by its powers apows[j] = a^j and bpows[j] = b^j
-    (b > 0, and 0^0 = 1): entry i is sum_k nums_k a^(i-k) b^k over den b^i."""
+    (b > 0, and 0^0 = 1): entry i is the integer sum_k nums_k a^(i-k) b^k,
+    over den b^i."""
     out = []
     for i in range(len(nums)):
         total = 0
         for k in range(i + 1):
             total += nums[k] * apows[i - k] * bpows[k]
-        out.append(Fraction(total, den * bpows[i]))
+        out.append(total)
     return out
 
 
@@ -764,20 +803,23 @@ def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for name, gen in _L4_SEQUENCES:
         g = [gen(k) for k in range(order + 1)]
         nums, den = common_denominator(g)
+        series = from_ordinary(g)
         for lam in _L4_LAMBDAS:
             # the weight is lam for "minus" and -lam for "plus"
             apows = [lam.numerator**j for j in range(order + 1)]
             bpows = [lam.denominator**j for j in range(order + 1)]
+            direct_dens = [den * b for b in bpows]
             for form, denom_sign in (("minus", -1), ("plus", 1)):
-                denom = Egf([Fraction(1), Fraction(denom_sign) * lam] + [Fraction(0)] * (order - 1))
-                product = egf_mul(from_ordinary(g), egf_reciprocal(denom))
-                via_series = list(to_ordinary(product))
+                denom = Egf._from_nums([lam.denominator, denom_sign * lam.numerator] + [0] * (order - 1), lam.denominator)
+                product = egf_mul(series, egf_reciprocal(denom))
                 signed = apows if form == "minus" else [_sign(j) * x for j, x in enumerate(apows)]
-                direct = _weighted_partial_sums(nums, den, signed, bpows)
-                run.check(
+                # the ordinary coefficient i of the product is its numerator i over its denominator times i!
+                run.check_ratios(
                     {"sequence": name, "lambda": format_rational(lam), "form": form},
-                    direct,
-                    via_series,
+                    _weighted_partial_sums(nums, signed, bpows),
+                    direct_dens,
+                    product._nums,
+                    [product._den * factorial(i) for i in range(order + 1)],
                 )
 
 

@@ -206,7 +206,11 @@ class SeqContext:
 
     def harmonic(self, n: int) -> Fraction:
         """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
-        return self._grow(self._harmonic, n, lambda m: self._harmonic[m - 1] + Fraction(1, m))
+        return self._grow(self._harmonic, n, self._next_harmonic)
+
+    def _next_harmonic(self, m: int) -> Fraction:
+        h = self._harmonic[m - 1]
+        return Fraction(h.numerator * m + h.denominator, h.denominator * m)
 
     def hyperharmonic(self, p: int, n: int) -> Fraction:
         """Order-p hyperharmonic number h_n^(p).
@@ -224,11 +228,13 @@ class SeqContext:
             return Fraction(0) if n == 0 else Fraction(1, n)
         if p == 1:
             return self.harmonic(n)
-        return self._memo(
-            self._hyperharmonic,
-            (p, n),
-            lambda: binomial(n + p - 1, n) * (self.harmonic(n + p - 1) - self.harmonic(p - 1)),
-        )
+        return self._memo(self._hyperharmonic, (p, n), lambda: self._hyperharmonic_value(p, n))
+
+    def _hyperharmonic_value(self, p: int, n: int) -> Fraction:
+        # one Fraction from integers, read through the public harmonic
+        a, b = self.harmonic(n + p - 1), self.harmonic(p - 1)
+        diff = a.numerator * b.denominator - b.numerator * a.denominator
+        return Fraction(binomial(n + p - 1, n) * diff, a.denominator * b.denominator)
 
     def bernoulli(self, n: int) -> Fraction:
         """B_n with B_1 = -1/2, from the zigzag column:

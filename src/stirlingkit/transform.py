@@ -3,10 +3,13 @@
 Every transform is length-preserving, exact, and pure; triangle rows come
 from the ``SeqContext`` passed in, or from the default context when none is.
 
-All four are one engine, b_n = sum_k T(n, k) lam^(n-k) mu^k a_k, with T
-read a whole row at a time from S, s or Pascal's triangle.  The inputs are
-brought over one common denominator and the weights over another, so each
-output is an integer sum turned into one Fraction at the end.
+All four are one integer engine, b_n = sum_k T(n, k) lam^(n-k) mu^k a_k,
+with T read a whole row at a time from S, s or Pascal's triangle.  The
+inputs are brought over one common denominator and the weights over
+another, so the engine sees only integer numerators and returns integer
+sums.  A public transform turns each sum into one Fraction at the end; the
+identity registry and the substitution engines take the integer sums and
+their denominators instead, and compare them by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -23,41 +26,58 @@ def _pascal_row(n: int) -> list[int]:
     return [comb(n, k) for k in range(n + 1)]
 
 
-def _transform(values, row, lam: Fraction | int = 1, mu: Fraction | int = 1) -> list[Fraction]:
-    """b_n = sum_k row(n)[k] lam^(n-k) mu^k a_k for n < len(values).
+def _transform(nums: list[int], row, down: int = 1, up: int = 1) -> list[int]:
+    """The integer sums sum_k row(n)[k] down^(n-k) up^k nums_k for
+    n < len(nums).
 
-    With a_k = nums_k / den over one common denominator, lam = p/q and
-    mu = r/s, the weight lam^(n-k) mu^k is (ps)^(n-k) (qr)^k / (qs)^n, so
-    b_n is the integer sum_k T(n, k) (ps)^(n-k) (qr)^k nums_k over
-    den (qs)^n.
+    With a_k = nums_k / den, lam = p/q and mu = r/s, down = ps and up = qr,
+    the weight lam^(n-k) mu^k is (ps)^(n-k) (qr)^k / (qs)^n, so b_n is
+    sum n over den (qs)^n.
     """
-    nums, den = common_denominator(values)
     if not nums:
         raise ValueError("empty input sequence")
-    down = lam.numerator * mu.denominator
-    up = lam.denominator * mu.numerator
-    step = lam.denominator * mu.denominator
     weighted = [up**k * x for k, x in enumerate(nums)]
     # ps = 1 in every unweighted transform, so its powers are all 1
     down_pows = [down**j for j in range(len(nums))] if down != 1 else None
     out = []
-    scale = den
     for n in range(len(nums)):
         # down_pows[n::-1] is (ps)^n, ..., (ps)^0 against k = 0, ..., n
         terms = weighted if down_pows is None else map(mul, down_pows[n::-1], weighted)
-        out.append(Fraction(sum(map(mul, row(n), terms)), scale))
-        scale *= step
+        out.append(sum(map(mul, row(n), terms)))
+    return out
+
+
+def _sums(values, row) -> tuple[list[int], int]:
+    """(sums, den) with sum_k row(n)[k] values_k equal to sums[n] / den."""
+    nums, den = common_denominator(values)
+    return _transform(nums, row), den
+
+
+def _weighted_sums(nums: list[int], row, lam, mu) -> tuple[list[int], int]:
+    """(sums, step) with sum_k row(n)[k] lam^(n-k) mu^k nums_k equal to
+    sums[n] / step^n, for lam and mu given as an int or a Fraction."""
+    down = lam.numerator * mu.denominator
+    up = lam.denominator * mu.numerator
+    return _transform(nums, row, down, up), lam.denominator * mu.denominator
+
+
+def _fractions(sums: list[int], den: int, step: int = 1) -> list[Fraction]:
+    """The values sums[n] / (den step^n), each as one reduced Fraction."""
+    out = []
+    for s in sums:
+        out.append(Fraction(s, den))
+        den *= step
     return out
 
 
 def stirling_transform(a, ctx: SeqContext | None = None) -> list[Fraction]:
     """b_n = sum_k S(n, k) a_k."""
-    return _transform(a, context(ctx).stirling2_row)
+    return _fractions(*_sums(a, context(ctx).stirling2_row))
 
 
 def stirling_inverse(b, ctx: SeqContext | None = None) -> list[Fraction]:
     """a_n = sum_k s(n, k) b_k; exact inverse of :func:`stirling_transform`."""
-    return _transform(b, context(ctx).stirling1_row)
+    return _fractions(*_sums(b, context(ctx).stirling1_row))
 
 
 def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
@@ -65,7 +85,8 @@ def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
 
     The alternating form is an involution.
     """
-    return _transform(a, _pascal_row, mu=-1 if alternating else 1)
+    nums, den = common_denominator(a)
+    return _fractions(_transform(nums, _pascal_row, up=-1 if alternating else 1), den)
 
 
 def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContext | None = None) -> list[Fraction]:
@@ -77,4 +98,7 @@ def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContex
     if kind not in ("second", "first"):
         raise ValueError(f"unknown kind {kind!r}; expected 'second' or 'first'")
     ctx = context(ctx)
-    return _transform(a, ctx.stirling2_row if kind == "second" else ctx.stirling1_row, Fraction(lam), Fraction(mu))
+    row = ctx.stirling2_row if kind == "second" else ctx.stirling1_row
+    nums, den = common_denominator(a)
+    sums, step = _weighted_sums(nums, row, Fraction(lam), Fraction(mu))
+    return _fractions(sums, den, step)

@@ -523,7 +523,7 @@ def test_substitution_rejects_zero_lambda(ctx):
         log_substitution(exp_series(4), 0, 1, ctx)
 
 
-@pytest.mark.parametrize("route", ["egf_compose", "weighted_stirling_transform"])
+@pytest.mark.parametrize("route", ["egf_compose", "_weighted_sums"])
 def test_substitutions_raise_when_one_route_is_corrupted(ctx, monkeypatch, route):
     # perturbing one coefficient of either route must be caught, never returned
     import stirlingkit.egf as egf_module
@@ -532,9 +532,15 @@ def test_substitutions_raise_when_one_route_is_corrupted(ctx, monkeypatch, route
 
     def corrupted(*args, **kwargs):
         out = real(*args, **kwargs)
-        coeffs = list(out.coeffs if isinstance(out, Egf) else out)
-        coeffs[3] += 1
-        return Egf(coeffs) if isinstance(out, Egf) else coeffs
+        if isinstance(out, Egf):
+            coeffs = list(out.coeffs)
+            coeffs[3] += 1
+            return Egf(coeffs)
+        # the direct route's value n is sums[n] / (f's denominator step^n)
+        sums, step = out
+        sums = list(sums)
+        sums[3] += f._den * step**3
+        return sums, step
 
     f = Egf(random_rationals(random.Random(47), ORDER + 1))
     cases = ((stirling_substitution, "second", 2, Fraction(1, 3)), (log_substitution, "first", -1, 2))
@@ -542,7 +548,7 @@ def test_substitutions_raise_when_one_route_is_corrupted(ctx, monkeypatch, route
     monkeypatch.setattr(egf_module, route, corrupted)
     for (substitution, kind, lam, mu), value in zip(cases, exact):
         # the message names the first differing index and both routes' values
-        direct, composed = (value + 1, value) if route == "weighted_stirling_transform" else (value, value + 1)
+        direct, composed = (value + 1, value) if route == "_weighted_sums" else (value, value + 1)
         want = (
             f"substitution routes disagree; engine defect: kind {kind}, index 3, "
             f"direct {format_rational(direct)}, composed {format_rational(composed)}, "

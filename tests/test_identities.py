@@ -623,7 +623,8 @@ def test_weighted_partial_sums_match_the_fraction_loop(g, weight):
     nums, den = exact.common_denominator(g)
     apows = [weight.numerator**j for j in range(len(g))]
     bpows = [weight.denominator**j for j in range(len(g))]
-    got = identities._weighted_partial_sums(nums, den, apows, bpows)
+    sums = identities._weighted_partial_sums(nums, apows, bpows)
+    got = [Fraction(total, den * b) for total, b in zip(sums, bpows)]
     assert got == weighted_partial_sums_oracle(g, weight)
 
 
