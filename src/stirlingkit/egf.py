@@ -351,9 +351,10 @@ def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fr
     scale = f._den
     for i, (d, c) in enumerate(zip(direct, composed._nums)):
         if d * composed._den != c * scale:
+            d, c = Fraction(d, scale), composed.coeffs[i]
             raise ArithmeticError(
                 f"substitution routes disagree; engine defect: kind {kind}, index {i}, "
-                f"direct {format_rational(Fraction(d, scale))}, composed {format_rational(composed.coeffs[i])}, "
+                f"direct {format_rational(d)}, composed {format_rational(c)}, "
                 f"lam {format_rational(lam)}, mu {format_rational(mu)}, order {f.order}"
             )
         scale *= step

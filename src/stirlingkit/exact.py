@@ -123,9 +123,9 @@ class _Vector:
     directly.  ``coeffs``, the tuple of ``Fraction``s, is built on first
     read and cached.
 
-    A subclass shapes the numerator list in ``_shape`` and refuses an
-    operand it cannot combine with in ``_match``.  Values of different
-    subclasses never compare equal.
+    Each subclass turns the numerator list into the stored tuple in its
+    own ``_shape``, and refuses an operand it cannot combine with in
+    ``_match``.  Values of different subclasses never compare equal.
     """
 
     __slots__ = ("_nums", "_den", "_coeffs")
@@ -150,10 +150,6 @@ class _Vector:
         out = object.__new__(cls)
         out._store(nums, den)
         return out
-
-    @staticmethod
-    def _shape(nums: list[int]) -> tuple[int, ...]:
-        return tuple(nums)
 
     def _match(self, other: "_Vector") -> None:
         """Vectors of one subclass combine at any lengths unless it says not."""

@@ -118,7 +118,8 @@ class _Run:
         cross-multiplication; a Fraction is built only for a failure."""
         self.checked += 1
         if lnum * rden != rnum * lden:
-            self.failures.append(Failure(dict(params), _fmt(Fraction(lnum, lden)), _fmt(Fraction(rnum, rden))))
+            lhs, rhs = Fraction(lnum, lden), Fraction(rnum, rden)
+            self.failures.append(Failure(dict(params), _fmt(lhs), _fmt(rhs)))
 
     def check_ratios(self, params: dict, lnums, ldens, rnums, rdens) -> None:
         """check_ratio() on two sequences of one length, entry by entry, as
@@ -217,10 +218,12 @@ def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         # the k = 0 summand carries a factor k, so its weight is 0
-        lhs, den = _sums([_sign(k) * k * p ** (k - 1) if k else 0 for k in range(n_hi + 1)], ctx.stirling1_row)
+        weights = [_sign(k) * k * p ** (k - 1) if k else 0 for k in range(n_hi + 1)]
+        lhs, den = _sums(weights, ctx.stirling1_row)
         for n in range(n_lo, n_hi + 1):
             h = ctx.hyperharmonic(p, n)
-            run.check_ratio({"p": p, "n": n}, lhs[n], den, _sign(n) * ctx.factorial(n) * h.numerator, h.denominator)
+            rhs = _sign(n) * ctx.factorial(n) * h.numerator
+            run.check_ratio({"p": p, "n": n}, lhs[n], den, rhs, h.denominator)
 
 
 def _geometric_blocks(binom, w):
@@ -420,7 +423,8 @@ def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         direct, den = _sums([k**p for k in range(n_hi + 1)], ctx.stirling2_row)
         for n in range(n_lo, n_hi + 1):
-            run.check_ratio({"n": n, "p": p, "form": "recurrence-vs-direct"}, ctx.moment(n, p), 1, direct[n], den)
+            params = {"n": n, "p": p, "form": "recurrence-vs-direct"}
+            run.check_ratio(params, ctx.moment(n, p), 1, direct[n], den)
     for p, combo in _BELL_CLOSED_FORMS.items():
         for n in range(n_lo, n_hi + 1):
             rhs = sum(c * ctx.bell(n + off) for off, c in combo)
@@ -666,7 +670,8 @@ def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    lhs, den = _sums([0, 0] + [ctx.factorial(k - 2) * _sign(k) for k in range(2, n_hi + 1)], ctx.stirling2_row)
+    weights = [0, 0] + [ctx.factorial(k - 2) * _sign(k) for k in range(2, n_hi + 1)]
+    lhs, den = _sums(weights, ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
         run.check_ratio({"n": n}, lhs[n], den, n - 1, 1)
 
@@ -800,6 +805,7 @@ def _weighted_partial_sums(nums, apows, bpows):
     ("direct weighted partial sums", "series reciprocal and product"),
 )
 def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    facts = [factorial(i) for i in range(order + 1)]
     for name, gen in _L4_SEQUENCES:
         g = [gen(k) for k in range(order + 1)]
         nums, den = common_denominator(g)
@@ -810,16 +816,18 @@ def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
             bpows = [lam.denominator**j for j in range(order + 1)]
             direct_dens = [den * b for b in bpows]
             for form, denom_sign in (("minus", -1), ("plus", 1)):
-                denom = Egf._from_nums([lam.denominator, denom_sign * lam.numerator] + [0] * (order - 1), lam.denominator)
+                # 1 - lam t for "minus" and 1 + lam t for "plus"
+                denom_nums = [lam.denominator, denom_sign * lam.numerator] + [0] * (order - 1)
+                denom = Egf._from_nums(denom_nums, lam.denominator)
                 product = egf_mul(series, egf_reciprocal(denom))
                 signed = apows if form == "minus" else [_sign(j) * x for j, x in enumerate(apows)]
-                # the ordinary coefficient i of the product is its numerator i over its denominator times i!
+                # ordinary coefficient i of the product: its numerator i over its den i!
                 run.check_ratios(
                     {"sequence": name, "lambda": format_rational(lam), "form": form},
                     _weighted_partial_sums(nums, signed, bpows),
                     direct_dens,
                     product._nums,
-                    [product._den * factorial(i) for i in range(order + 1)],
+                    [product._den * f for f in facts],
                 )
 
 

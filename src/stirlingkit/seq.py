@@ -291,8 +291,11 @@ class SeqContext:
         kept as a running prefix table per exponent."""
         if p < 0:
             raise ValueError(f"negative exponent {p}")
-        table = self._memo(self._power_sums, p, lambda: [0])
-        return self._grow(table, n, lambda m: table[m - 1] + m**p)
+        table = self._power_sums.get(p) or [0]
+        value = self._grow(table, n, lambda m: table[m - 1] + m**p)
+        # stored once _grow has taken n, so a refused call leaves no table
+        self._memo(self._power_sums, p, lambda: table)
+        return value
 
     def faulhaber(self, p: int, n: int) -> Fraction:
         """Closed form for 1^p + ... + n^p via Bernoulli numbers.

@@ -209,6 +209,38 @@ def test_egf_mul_keeps_its_numbers_near_the_width_of_the_answer(monkeypatch):
     assert widths[0] <= answer + comb(20, 10).bit_length() + 2
 
 
+def test_egf_mul_builds_its_rows_from_the_sparser_operand(monkeypatch):
+    # a zero coefficient zeroes a diagonal of the binomial rows, so the
+    # rows come from the operand with more zeros; either way round, the
+    # product's storage is the same
+    rng = random.Random(12)
+    built_from = []
+    rows = egf._binomial_rows
+
+    def recording(g, shift):
+        built_from.append(g)
+        return rows(g, shift)
+
+    monkeypatch.setattr(egf, "_binomial_rows", recording)
+    for order in [0, 1, 2, 5, 12, 20, 32]:
+        for _ in range(6):
+            dense = Egf(random_rationals(rng, order + 1))
+            sparse = Egf([rng.choice([0, 0, 0, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                          for _ in range(order + 1)])
+            for f, g in ((sparse, dense), (dense, sparse), (sparse, sparse)):
+                built_from.clear()
+                prod = egf_mul(f, g)
+                assert_canonical(prod)
+                assert prod == egf_mul(g, f)
+                assert list(prod.coeffs) == egf_mul_oracle(f.coeffs, g.coeffs)
+                zeros = [v._nums.count(0) for v in (f, g)]
+                assert built_from[0] == (f if zeros[0] > zeros[1] else g)._nums
+    # [1, -3/2, 0, ..., 0] times a dense series reads rows of two terms
+    built_from.clear()
+    egf_mul(Egf([1, Fraction(-3, 2)] + [0] * 30), Egf(random_rationals(rng, 32)))
+    assert built_from[0] == (2, -3) + (0,) * 30
+
+
 @settings(max_examples=60, deadline=None)
 @given(egf_pairs())
 @example(([Fraction(k - 3, 2 * k + 1) for k in range(9)], [0, 0, 1, Fraction(-2, 3), 0, 5, 0, 0, Fraction(1, 7)]))
@@ -342,6 +374,14 @@ def test_elementary_series_coefficients(ctx):
         Fraction(3, 2),
     )
     assert monomial_series(Fraction(5), 2, 4).coeffs == (0, 0, 5, 0, 0)
+
+
+def test_monomial_degree_must_lie_in_the_truncation():
+    with pytest.raises(ValueError, match="^negative degree -1$"):
+        monomial_series(Fraction(5), -1, 4)
+    with pytest.raises(ValueError, match="^degree 5 exceeds order 4$"):
+        monomial_series(Fraction(5), 5, 4)
+    assert monomial_series(Fraction(5), 4, 4).coeffs == (0, 0, 0, 0, 5)
 
 
 def test_pow1p_binomial_series():

@@ -18,6 +18,7 @@ from stirlingkit import (
     parse_rational,
 )
 
+from stirlingkit import exact
 from stirlingkit.egf import OrderMismatchError
 from stirlingkit.exact import _combine, _convolve, common_denominator
 from stirlingkit.poly import X, ZERO, xd_apply
@@ -77,6 +78,14 @@ def test_binomial_rational_half():
     assert binomial_rational(Fraction(1, 2), 1) == Fraction(1, 2)
     assert binomial_rational(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binomial_rational(Fraction(1, 2), 3) == Fraction(1, 16)
+
+
+def test_negative_arguments_of_the_scalar_helpers():
+    with pytest.raises(ValueError, match="^factorial of negative index -1$"):
+        exact.factorial(-1)
+    # C(x, k) is zero below k = 0, for rational x as for integer n
+    assert binomial_rational(Fraction(1, 2), -1) == 0
+    assert binomial_rational(Fraction(-3), -2) == binomial(-3, -2) == 0
 
 
 def test_binomial_rational_matches_integer_case():

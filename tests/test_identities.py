@@ -1,6 +1,7 @@
 """Identity registry mechanics: ordering, knobs, fault visibility."""
 
 import gc
+import hashlib
 import os
 import pickle
 import subprocess
@@ -310,6 +311,39 @@ def test_table_faults_fail_exactly_the_entries_that_read_the_table(faulty):
     reports = run_all(ctx=faulty())
     assert [r.id for r in reports] == EXPECTED_ORDER
     assert {r.id for r in reports if not r.passed} == TABLE_FAULT_ENTRIES[faulty]
+
+
+# sha256 of the pickled run_all() reports under each pinned fault: the
+# failing ids and every counterexample, its parameters and the text of
+# both sides.  A change that compares sides another way must print the
+# same counterexamples; one that changes them on purpose updates this table.
+FAULT_REPORT_DIGESTS = {
+    "SignFlippedContext": "22da318d6af03137d8b9333df0ca6d91d1b9ff5d7581f92bbea85df53c3add49",
+    "PartitionBumpedContext": "c36e0a6497937b36225abbd0d08d898d6ca20603f35d74dfbe42199253878f05",
+    "BernoulliBumpedContext": "92ffc5e93208b1f7ff9c530fb39598ab7dce0831775d345d736fdb95450c055f",
+    "HarmonicBumpedContext": "160f3d8519817e6a0ec631991a65ad048a8882ffe010dee273e6f3d5ec6cb177",
+    "PowerSumBumpedContext": "506bbc8faa3414032f10036259c89fde10187b6fe005095584945f63bffc5484",
+    "factorial_bumped_at_5": "5a4f0e1455a4d5b65d3b9b0c543e443d13b4d919d1b61eea508c84a12afbabfe",
+    "stirling2_row_bumped_at_5": "c3d6daf71eecef3a5e472acdbe164653ee33efaa3fc9fa9d3e9e425d81a4fb18",
+    "stirling1_row_bumped_at_5": "6d41344048ecc09a14e3255830fc398490e17e4314f239a67b796acc65f200c6",
+    "bell_bumped_at_5": "7b3adf5a75e5b376bea3d18f04855247bf89a710eb9506fdf9911a4a1ec18ecc",
+    "fubini_bumped_at_5": "4757c5b0699a70fc5173d52c7f529a6b3709c695699e5c03f2bc894df896aa3d",
+    "derangement_bumped_at_5": "24e277df62cf8c9e93a63729beb67941ccffcbb9cc7cdec12e835ee229fda908",
+    "harmonic_bumped_at_5": "5e0ecd03cb597e4ca5aad79de7b310e6eeb2e2361d2121ace6d8f93dc2866087",
+    "hyperharmonic_bumped_at_5": "9843a98cb52dccbdff09796c0df0fc92ce1e1e263f2206a85befcb500bbbb3db",
+    "bernoulli_bumped_at_5": "bc784045543f312bf4135883045dfe5ffd4c4b068c17125f73a14e134717f46e",
+    "euler_number_bumped_at_5": "ed812707534c56c31a611fdbafb87f4e0f8af514b2e74e3f15e3e6fb374fd474",
+    "power_sum_bumped_at_5": "d7391cdb34215f48f32ede982981779340e16b4dd01986843634c98035cf5460",
+    "faulhaber_bumped_at_5": "5d0d30d7ce6c978eda4bced3c04601d9b56fcc72b97b7d901673f40f04a0068e",
+    "moment_bumped_at_5": "409743597648c36510ca4afe52948dddf3fcbe9a0f31c11d7d865ddd17fd4f6a",
+}
+
+
+@pytest.mark.parametrize("faulty", [*ROW_FAULT_ENTRIES, *TABLE_FAULT_ENTRIES], ids=lambda c: c.__name__)
+def test_fault_reports_print_the_pinned_counterexamples(faulty):
+    reports = run_all(ctx=faulty())
+    digest = hashlib.sha256(pickle.dumps(reports, protocol=4)).hexdigest()
+    assert digest == FAULT_REPORT_DIGESTS[faulty.__name__]
 
 
 def test_context_tables_are_filled_through_the_faulty_methods():
@@ -626,6 +660,35 @@ def test_weighted_partial_sums_match_the_fraction_loop(g, weight):
     sums = identities._weighted_partial_sums(nums, apows, bpows)
     got = [Fraction(total, den * b) for total, b in zip(sums, bpows)]
     assert got == weighted_partial_sums_oracle(g, weight)
+
+
+# Fraction.__new__ calls in one default-cap pass on a fresh context,
+# counted by the test below; the parent of the integer hand-offs between
+# the transform engine and the checkers built 7,539.  A change that lowers
+# the count lowers this figure.
+FRACTIONS_PER_PASS = 3131
+
+
+def test_a_default_pass_builds_no_more_fractions_than_its_budget(monkeypatch):
+    # work-budget guard: a Fraction is built for a public value or a
+    # failure's text, not for a hand-off between kernels and checkers
+    monkeypatch.delenv(ENV_MAX_N, raising=False)
+    run_all(ctx=SeqContext())  # imports and lazy set-up settle
+    new = Fraction.__new__.__code__
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is new:
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)  # this thread only
+    try:
+        run_all(ctx=SeqContext())
+    finally:
+        sys.setprofile(previous)
+    assert count <= FRACTIONS_PER_PASS * 11 // 10, count
 
 
 def test_a_registry_pass_leaves_no_reference_cycles():

@@ -133,6 +133,11 @@ def test_xd_iterates(a, times):
     assert xd_apply(p, times) == q
 
 
+def test_xd_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="^negative operator power -1$"):
+        xd_apply(X, -1)
+
+
 @given(coeff_lists)
 def test_xd_matches_x_times_derivative(a):
     p = Poly(a)

@@ -1,5 +1,6 @@
 """Sequence families against enumeration and textbook-recurrence oracles."""
 
+import copy
 from fractions import Fraction
 from itertools import product
 
@@ -78,6 +79,37 @@ def test_negative_index_rejected(ctx):
     for fn, args in calls:
         with pytest.raises(ValueError, match="negative index -1"):
             fn(*args)
+
+
+def _tables(ctx):
+    """A copy of every memo table of ctx."""
+    return {name: copy.deepcopy(value) for name, value in vars(ctx).items() if name != "_lock"}
+
+
+REFUSED_CALLS = [
+    ("power_sum", (5, -1), "negative index -1"),
+    ("power_sum", (-1, 3), "negative exponent -1"),
+    ("faulhaber", (-1, 3), "negative exponent -1"),
+    ("faulhaber", (3, -1), "negative index -1"),
+    ("moment", (3, -1), "negative exponent -1"),
+    ("hyperharmonic", (-1, 3), "negative order -1"),
+]
+
+
+@pytest.mark.parametrize("method, args, message", REFUSED_CALLS, ids=[f"{m}{a}" for m, a, _ in REFUSED_CALLS])
+def test_a_refused_call_leaves_the_context_as_it_found_it(method, args, message):
+    # power_sum once stored the exponent's prefix table before _grow refused
+    # the index, so a refused call left {5: [0]} behind
+    fresh, used = SeqContext(), SeqContext()
+    used.power_sum(5, 3)
+    used.faulhaber(3, 2)
+    used.moment(3, 2)
+    used.hyperharmonic(2, 3)
+    for ctx in (fresh, used):
+        before = _tables(ctx)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(ctx, method)(*args)
+        assert _tables(ctx) == before
 
 
 def test_orthogonality_both_orders(ctx):
