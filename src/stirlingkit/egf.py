@@ -45,7 +45,7 @@ from operator import add, mul
 
 from .exact import _convolve, _Vector, common_denominator, factorial, format_rational
 from .seq import SeqContext, context
-from .transform import _fractions, _weighted_sums
+from .transform import _weighted_sums
 
 
 class OrderMismatchError(ValueError):
@@ -120,9 +120,7 @@ def egf_mul(f: Egf, g: Egf) -> Egf:
     products, half of them for the rows."""
     f._match(g)
     F, G = f._nums, g._nums
-    # the rows skip no zero, but their products and the dot products with
-    # them are cheap where they are zero, so build them from the sparser
-    if F.count(0) > G.count(0):
+    if F.count(0) > G.count(0):  # a zero of G makes a diagonal of its rows cheap
         F, G = G, F
     nums = [sum(map(mul, row, F)) for row in _binomial_rows(G, 0)]
     return Egf._from_nums(nums, f._den * g._den)
@@ -265,30 +263,26 @@ def log1p_series(order: int, scale=1) -> Egf:
 def geom_series(order: int) -> Egf:
     """1/(1 - t): a_n = n!."""
     _check_order(order)
-    return Egf(Fraction(factorial(n)) for n in range(order + 1))
+    return Egf._from_nums([factorial(n) for n in range(order + 1)], 1)
 
 
 def pow1p_series(x, order: int) -> Egf:
-    """(1 + t)^x for rational x: a_n = x(x-1)...(x-n+1).
-
-    With x = p/q, a_n is the integer (p)(p - q)...(p - (n-1)q) over q^n.
-    """
+    """(1 + t)^x for rational x: a_n = x(x-1)...(x-n+1), which for x = p/q
+    is the integer p(p - q)...(p - (n-1)q) over q^n."""
     _check_order(order)
     x = Fraction(x)
     p, q = x.numerator, x.denominator
-    ups = [1]  # (p)(p - q)...(p - (n-1)q)
+    nums = [q**order]  # a_n over q^order
     for j in range(order):
-        ups.append(ups[-1] * (p - j * q))
-    return Egf._from_nums([a * q ** (order - n) for n, a in enumerate(ups)], q**order)
+        nums.append(nums[-1] * (p - j * q) // q)
+    return Egf._from_nums(nums, q**order)
 
 
 def dilog_series(order: int) -> Egf:
-    """Li_2(t) = sum t^n/n^2: a_n = n!/n^2 for n >= 1."""
+    """Li_2(t) = sum t^n/n^2: a_n = n!/n^2 = (n-1)!/n for n >= 1."""
     _check_order(order)
-    out = [Fraction(0)]
-    for n in range(1, order + 1):
-        out.append(Fraction(factorial(n), n * n))
-    return Egf(out)
+    den = lcm(*range(1, order + 1))
+    return Egf._from_nums([0] + [factorial(n - 1) * (den // n) for n in range(1, order + 1)], den)
 
 
 def monomial_series(c, m: int, order: int) -> Egf:
@@ -298,27 +292,19 @@ def monomial_series(c, m: int, order: int) -> Egf:
         raise ValueError(f"negative degree {m}")
     if m > order:
         raise ValueError(f"degree {m} exceeds order {order}")
-    out = [Fraction(0)] * (order + 1)
-    out[m] = Fraction(c)
-    return Egf(out)
+    return Egf([0] * m + [c] + [0] * (order - m))
 
 
 def egf_elementary(kind: str, order: int, *, x=None, c=None, m=None) -> Egf:
     """Build one of the named series; pow1p needs x, monomial needs c and m."""
-    if kind == "exp":
-        return exp_series(order)
-    if kind == "expm1":
-        return expm1_series(order)
-    if kind == "log1p":
-        return log1p_series(order)
-    if kind == "geom":
-        return geom_series(order)
+    plain = {"exp": exp_series, "expm1": expm1_series, "log1p": log1p_series,
+             "geom": geom_series, "dilog": dilog_series}
+    if kind in plain:
+        return plain[kind](order)
     if kind == "pow1p":
         if x is None:
             raise ValueError("pow1p needs the exponent x")
         return pow1p_series(x, order)
-    if kind == "dilog":
-        return dilog_series(order)
     if kind == "monomial":
         if c is None or m is None:
             raise ValueError("monomial needs c and m")
@@ -339,26 +325,23 @@ def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fr
     defect in one engine, so it raises rather than returning either
     answer.
     """
-    lam = Fraction(lam)
-    mu = Fraction(mu)
+    lam, mu = Fraction(lam), Fraction(mu)
     if lam == 0:
         raise ValueError("lam must be nonzero")
     ctx = context(ctx)
     row = ctx.stirling2_row if kind == "second" else ctx.stirling1_row
-    # the direct route's value n is direct[n] / (f._den step^n)
+    # the direct route's value n is direct[n] / scales[n]
     direct, step = _weighted_sums(f._nums, row, lam, mu)
+    scales = [f._den * step**n for n in range(len(direct))]
     composed = egf_compose(f, Egf._from_nums(*_exp_log_nums(f.order, lam, mu, kind)))
-    scale = f._den
-    for i, (d, c) in enumerate(zip(direct, composed._nums)):
+    for i, (d, c, scale) in enumerate(zip(direct, composed._nums, scales)):
         if d * composed._den != c * scale:
-            d, c = Fraction(d, scale), composed.coeffs[i]
             raise ArithmeticError(
                 f"substitution routes disagree; engine defect: kind {kind}, index {i}, "
-                f"direct {format_rational(d)}, composed {format_rational(c)}, "
+                f"direct {format_rational(Fraction(d, scale))}, composed {format_rational(composed.coeffs[i])}, "
                 f"lam {format_rational(lam)}, mu {format_rational(mu)}, order {f.order}"
             )
-        scale *= step
-    return _fractions(direct, f._den, step)
+    return list(map(Fraction, direct, scales))
 
 
 def stirling_substitution(f: Egf, lam, mu, ctx: SeqContext | None = None) -> list[Fraction]:

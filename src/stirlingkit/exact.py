@@ -50,10 +50,8 @@ def binomial_rational(x: Fraction | int, k: int) -> Fraction:
     if k < 0:
         return Fraction(0)
     x = Fraction(x)
-    num = Fraction(1)
-    for i in range(k):
-        num *= x - i
-    return num / math.factorial(k)
+    p, q = x.numerator, x.denominator  # x - i = (p - iq)/q
+    return Fraction(math.prod([p - i * q for i in range(k)]), q**k * math.factorial(k))
 
 
 def common_denominator(values) -> tuple[list[int], int]:

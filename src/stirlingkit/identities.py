@@ -23,8 +23,8 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
-from operator import mul, ne
+from itertools import accumulate
+from operator import mul
 
 from .egf import (
     Egf,
@@ -36,8 +36,9 @@ from .egf import (
     log1p_series,
     pow1p_series,
     dilog_series,
+    to_ordinary,
 )
-from .exact import _combine, binomial, binomial_rational, common_denominator, factorial, format_rational
+from .exact import _combine, binomial, binomial_rational, common_denominator, format_rational
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
 from .transform import _sums, stirling_transform
@@ -114,29 +115,19 @@ class _Run:
             self.failures.append(Failure(dict(params), _fmt(lhs), _fmt(rhs)))
 
     def check_ratio(self, params: dict, lnum: int, lden: int, rnum: int, rden: int) -> None:
-        """check() on the sides lnum / lden and rnum / rden, compared by
-        cross-multiplication; a Fraction is built only for a failure."""
-        self.checked += 1
-        if lnum * rden != rnum * lden:
-            lhs, rhs = Fraction(lnum, lden), Fraction(rnum, rden)
-            self.failures.append(Failure(dict(params), _fmt(lhs), _fmt(rhs)))
-
-    def check_ratios(self, params: dict, lnums, ldens, rnums, rdens) -> None:
-        """check_ratio() on two sequences of one length, entry by entry, as
-        one instance whose sides are the lists of ratios."""
-        self.checked += 1
-        if any(map(ne, map(mul, lnums, rdens), map(mul, rnums, ldens))):
-            lhs, rhs = list(map(Fraction, lnums, ldens)), list(map(Fraction, rnums, rdens))
-            self.failures.append(Failure(dict(params), _fmt(lhs), _fmt(rhs)))
+        """check() on lnum / lden and rnum / rden by cross-multiplication,
+        which builds a Fraction only for a failure."""
+        if lnum * rden == rnum * lden:
+            self.checked += 1
+        else:
+            self.check(params, Fraction(lnum, lden), Fraction(rnum, rden))
 
     def check_members(self, params: dict, members) -> None:
         """One instance whose sides come as labelled (name, lhs, rhs) pairs."""
         self.checked += 1
         for label, lhs, rhs in members:
             if lhs != rhs:
-                p = dict(params)
-                p["member"] = label
-                self.failures.append(Failure(p, _fmt(lhs), _fmt(rhs)))
+                self.failures.append(Failure({**params, "member": label}, _fmt(lhs), _fmt(rhs)))
 
 
 # -- registry --------------------------------------------------------
@@ -181,10 +172,8 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     signed_fact = [_sign(k) * ctx.factorial(k) for k in range(n_hi + 1)]
     for p in range(p_hi + 1):
         # k! h(p, k) is an integer, taken by exact division
-        weights = []
-        for k, f in enumerate(signed_fact):
-            h = ctx.hyperharmonic(p, k)
-            weights.append(_ratio(f * h.numerator, h.denominator))
+        hs = [ctx.hyperharmonic(p, k) for k in range(n_hi + 1)]
+        weights = [_ratio(f * h.numerator, h.denominator) for f, h in zip(signed_fact, hs)]
         lhs, den = _sums(weights, ctx.stirling2_row)
         for n in range(n_lo, n_hi + 1):
             run.check_ratio({"p": p, "n": n}, lhs[n], den, _sign(n) * n * p ** (n - 1), 1)
@@ -198,10 +187,8 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 60),
 )
 def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    weights = []
-    for k in range(n_hi + 1):
-        h = ctx.harmonic(k)
-        weights.append(_ratio(_sign(k) * ctx.factorial(k) * h.numerator, h.denominator))
+    hs = [ctx.harmonic(k) for k in range(n_hi + 1)]
+    weights = [_ratio(_sign(k) * ctx.factorial(k) * h.numerator, h.denominator) for k, h in enumerate(hs)]
     lhs, den = _sums(weights, ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
         run.check_ratio({"n": n}, lhs[n], den, _sign(n) * n, 1)
@@ -278,12 +265,8 @@ def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # inner_k = sum_(j<=k) C(2j, j) / ((1-2j) 2^(k+j)) = P_k / 2^k, with P_k
     # the prefix sums of C(2j, j) / ((1-2j) 2^j)
-    weights = []
-    prefix = Fraction(0)
-    for k in range(n_hi + 1):
-        prefix += Fraction(binomial(2 * k, k), (1 - 2 * k) * 2**k)
-        weights.append(ctx.factorial(k) * _sign(k) * prefix / 2**k)
-    rhs = stirling_transform(weights, ctx)
+    prefixes = accumulate(Fraction(binomial(2 * k, k), (1 - 2 * k) * 2**k) for k in range(n_hi + 1))
+    rhs = stirling_transform([ctx.factorial(k) * _sign(k) * P / 2**k for k, P in enumerate(prefixes)], ctx)
     for n in range(n_lo, n_hi + 1):
         run.check({"n": n}, ctx.euler_number(n), rhs[n])
 
@@ -377,9 +360,7 @@ def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    bnums, bden = common_denominator([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)])
-    lhs, den = _sums([_sign(k) * b for k, b in enumerate(bnums)], ctx.stirling1_row)
-    den *= bden
+    lhs, den = _sums([0] + [ctx.bernoulli(k - 1) * _sign(k) for k in range(1, n_hi + 1)], ctx.stirling1_row)
     for n in range(n_lo, n_hi + 1):
         run.check_ratio({"n": n}, lhs[n], den, _sign(n) * ctx.factorial(n), n * n)
 
@@ -392,11 +373,8 @@ def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6d(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    # the weights k! (-1)^k / k^2 over the lcm of the squares
-    wden = lcm(*[k * k for k in range(1, n_hi + 1)])
-    weights = [0] + [ctx.factorial(k) * _sign(k) * (wden // (k * k)) for k in range(1, n_hi + 1)]
+    weights = [0] + [Fraction(ctx.factorial(k) * _sign(k), k * k) for k in range(1, n_hi + 1)]
     sums, den = _sums(weights, ctx.stirling2_row)
-    den *= wden
     for n in range(n_lo, n_hi + 1):
         b = ctx.bernoulli(n - 1)
         run.check_ratio({"n": n}, b.numerator, b.denominator, _sign(n) * sums[n], den)
@@ -634,11 +612,10 @@ def _tail_cutoff(n: int, eps: Fraction) -> int:
     """
     K = max(8, 2 * n + 2)
     while True:
-        q = Fraction((K + 1) ** n, K**n) / 2
-        if q < 1:
-            bound = Fraction(K**n, 2**K) / (1 - q)
-            if bound < eps:
-                return K
+        # q = a/b, and the bound is K^n b / (2^K (b - a)), compared in integers
+        a, b = (K + 1) ** n, 2 * K**n
+        if a < b and K**n * b * eps.denominator < eps.numerator * (b - a) << K:
+            return K
         K *= 2
 
 
@@ -653,13 +630,12 @@ def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         K = _tail_cutoff(n, eps)
         # sum_(k<=K) k^n / 2^(k+1) as one integer over 2^(K+1)
-        partial = Fraction(sum(k**n << (K - k) for k in range(K + 1)), 2 ** (K + 1))
+        partial, scale = sum(k**n << (K - k) for k in range(K + 1)), 2 ** (K + 1)
         target = ctx.fubini(n)
-        run.checked += 1
-        if abs(partial - target) >= eps:
-            run.failures.append(
-                Failure({"n": n, "cutoff": K}, _fmt(partial), _fmt(Fraction(target)))
-            )
+        if abs(partial - target * scale) * eps.denominator < eps.numerator * scale:
+            run.checked += 1
+        else:
+            run.check({"n": n, "cutoff": K}, Fraction(partial, scale), target)
 
 
 @_entry(
@@ -754,11 +730,9 @@ def _chk_gf6(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         lhs = egf_mul(neg_log, pow1p_series(-p, order))
         # i! h(p, i) is an integer, taken by exact division
-        rhs = []
-        for i in range(order + 1):
-            h = ctx.hyperharmonic(p, i)
-            rhs.append(_ratio(_sign(i) * ctx.factorial(i) * h.numerator, h.denominator))
-        run.check({"p": p}, lhs, Egf(rhs))
+        hs = [ctx.hyperharmonic(p, i) for i in range(order + 1)]
+        rhs = Egf(_ratio(_sign(i) * ctx.factorial(i) * h.numerator, h.denominator) for i, h in enumerate(hs))
+        run.check({"p": p}, lhs, rhs)
 
 
 @_entry(
@@ -769,11 +743,9 @@ def _chk_gf6(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_dil(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # inner: -t/(1-t), whose coefficients are a_n = -n! for n >= 1
-    inner = Egf(Fraction(0) if i == 0 else Fraction(-ctx.factorial(i)) for i in range(order + 1))
+    inner = Egf._from_nums([0] + [-ctx.factorial(i) for i in range(1, order + 1)], 1)
     lhs = egf_compose(dilog_series(order), inner)
-    rhs = Egf(
-        Fraction(0) if i == 0 else -ctx.factorial(i - 1) * ctx.harmonic(i) for i in range(order + 1)
-    )
+    rhs = Egf([0] + [-ctx.factorial(i - 1) * ctx.harmonic(i) for i in range(1, order + 1)])
     run.check({"order": order}, lhs, rhs)
 
 
@@ -784,18 +756,12 @@ _L4_SEQUENCES = (
 _L4_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
 
 
-def _weighted_partial_sums(nums, apows, bpows):
+def _weighted_partial_sums(nums, den, apows, bpows):
     """The partial sums sum_(k<=i) g_k w^(i-k), for g = nums / den and a
     weight w = a/b given by its powers apows[j] = a^j and bpows[j] = b^j
-    (b > 0, and 0^0 = 1): entry i is the integer sum_k nums_k a^(i-k) b^k,
-    over den b^i."""
-    out = []
-    for i in range(len(nums)):
-        total = 0
-        for k in range(i + 1):
-            total += nums[k] * apows[i - k] * bpows[k]
-        out.append(total)
-    return out
+    (b > 0, and 0^0 = 1): entry i is sum_k nums_k a^(i-k) b^k over den b^i."""
+    return [Fraction(sum([nums[k] * apows[i - k] * bpows[k] for k in range(i + 1)]), den * bpows[i])
+            for i in range(len(nums))]
 
 
 @_entry(
@@ -805,7 +771,6 @@ def _weighted_partial_sums(nums, apows, bpows):
     ("direct weighted partial sums", "series reciprocal and product"),
 )
 def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    facts = [factorial(i) for i in range(order + 1)]
     for name, gen in _L4_SEQUENCES:
         g = [gen(k) for k in range(order + 1)]
         nums, den = common_denominator(g)
@@ -814,20 +779,16 @@ def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
             # the weight is lam for "minus" and -lam for "plus"
             apows = [lam.numerator**j for j in range(order + 1)]
             bpows = [lam.denominator**j for j in range(order + 1)]
-            direct_dens = [den * b for b in bpows]
             for form, denom_sign in (("minus", -1), ("plus", 1)):
-                # 1 - lam t for "minus" and 1 + lam t for "plus"
-                denom_nums = [lam.denominator, denom_sign * lam.numerator] + [0] * (order - 1)
-                denom = Egf._from_nums(denom_nums, lam.denominator)
+                denom = Egf([1, denom_sign * lam] + [0] * (order - 1))
                 product = egf_mul(series, egf_reciprocal(denom))
+                via_series = list(to_ordinary(product))
                 signed = apows if form == "minus" else [_sign(j) * x for j, x in enumerate(apows)]
-                # ordinary coefficient i of the product: its numerator i over its den i!
-                run.check_ratios(
+                direct = _weighted_partial_sums(nums, den, signed, bpows)
+                run.check(
                     {"sequence": name, "lambda": format_rational(lam), "form": form},
-                    _weighted_partial_sums(nums, signed, bpows),
-                    direct_dens,
-                    product._nums,
-                    [product._den * f for f in facts],
+                    direct,
+                    via_series,
                 )
 
 

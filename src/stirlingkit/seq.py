@@ -206,11 +206,7 @@ class SeqContext:
 
     def harmonic(self, n: int) -> Fraction:
         """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
-        return self._grow(self._harmonic, n, self._next_harmonic)
-
-    def _next_harmonic(self, m: int) -> Fraction:
-        h = self._harmonic[m - 1]
-        return Fraction(h.numerator * m + h.denominator, h.denominator * m)
+        return self._grow(self._harmonic, n, lambda m: self._harmonic[m - 1] + Fraction(1, m))
 
     def hyperharmonic(self, p: int, n: int) -> Fraction:
         """Order-p hyperharmonic number h_n^(p).
@@ -231,7 +227,6 @@ class SeqContext:
         return self._memo(self._hyperharmonic, (p, n), lambda: self._hyperharmonic_value(p, n))
 
     def _hyperharmonic_value(self, p: int, n: int) -> Fraction:
-        # one Fraction from integers, read through the public harmonic
         a, b = self.harmonic(n + p - 1), self.harmonic(p - 1)
         diff = a.numerator * b.denominator - b.numerator * a.denominator
         return Fraction(binomial(n + p - 1, n) * diff, a.denominator * b.denominator)
@@ -293,8 +288,7 @@ class SeqContext:
             raise ValueError(f"negative exponent {p}")
         table = self._power_sums.get(p) or [0]
         value = self._grow(table, n, lambda m: table[m - 1] + m**p)
-        # stored once _grow has taken n, so a refused call leaves no table
-        self._memo(self._power_sums, p, lambda: table)
+        self._memo(self._power_sums, p, lambda: table)  # once _grow has taken n
         return value
 
     def faulhaber(self, p: int, n: int) -> Fraction:

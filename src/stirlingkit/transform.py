@@ -5,11 +5,10 @@ from the ``SeqContext`` passed in, or from the default context when none is.
 
 All four are one integer engine, b_n = sum_k T(n, k) lam^(n-k) mu^k a_k,
 with T read a whole row at a time from S, s or Pascal's triangle.  The
-inputs are brought over one common denominator and the weights over
-another, so the engine sees only integer numerators and returns integer
-sums.  A public transform turns each sum into one Fraction at the end; the
-identity registry and the substitution engines take the integer sums and
-their denominators instead, and compare them by cross-multiplication.
+inputs go over one common denominator and the weights over another, so
+the engine takes integer numerators and returns integer sums.  The public
+transforms build one Fraction per output; the identity registry and the
+substitution engines keep the sums and compare by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -27,24 +26,20 @@ def _pascal_row(n: int) -> list[int]:
 
 
 def _transform(nums: list[int], row, down: int = 1, up: int = 1) -> list[int]:
-    """The integer sums sum_k row(n)[k] down^(n-k) up^k nums_k for
-    n < len(nums).
+    """The integer sums sum_k row(n)[k] down^(n-k) up^k nums_k, n < len(nums).
 
-    With a_k = nums_k / den, lam = p/q and mu = r/s, down = ps and up = qr,
-    the weight lam^(n-k) mu^k is (ps)^(n-k) (qr)^k / (qs)^n, so b_n is
-    sum n over den (qs)^n.
+    With a_k = nums_k / den, lam = p/q, mu = r/s, down = ps and up = qr,
+    the weight lam^(n-k) mu^k is (ps)^(n-k) (qr)^k / (qs)^n, so b_n is the
+    n-th sum over den (qs)^n.
     """
     if not nums:
         raise ValueError("empty input sequence")
     weighted = [up**k * x for k, x in enumerate(nums)]
-    # ps = 1 in every unweighted transform, so its powers are all 1
-    down_pows = [down**j for j in range(len(nums))] if down != 1 else None
-    out = []
-    for n in range(len(nums)):
-        # down_pows[n::-1] is (ps)^n, ..., (ps)^0 against k = 0, ..., n
-        terms = weighted if down_pows is None else map(mul, down_pows[n::-1], weighted)
-        out.append(sum(map(mul, row(n), terms)))
-    return out
+    if down == 1:  # as in every unweighted transform
+        return [sum(map(mul, row(n), weighted)) for n in range(len(nums))]
+    down_pows = [down**j for j in range(len(nums))]
+    # down_pows[n::-1] is (ps)^n, ..., (ps)^0 against k = 0, ..., n
+    return [sum(map(mul, row(n), map(mul, down_pows[n::-1], weighted))) for n in range(len(nums))]
 
 
 def _sums(values, row) -> tuple[list[int], int]:
@@ -55,29 +50,26 @@ def _sums(values, row) -> tuple[list[int], int]:
 
 def _weighted_sums(nums: list[int], row, lam, mu) -> tuple[list[int], int]:
     """(sums, step) with sum_k row(n)[k] lam^(n-k) mu^k nums_k equal to
-    sums[n] / step^n, for lam and mu given as an int or a Fraction."""
-    down = lam.numerator * mu.denominator
-    up = lam.denominator * mu.numerator
-    return _transform(nums, row, down, up), lam.denominator * mu.denominator
+    sums[n] / step^n, for lam and mu each an int or a Fraction."""
+    sums = _transform(nums, row, lam.numerator * mu.denominator, lam.denominator * mu.numerator)
+    return sums, lam.denominator * mu.denominator
 
 
-def _fractions(sums: list[int], den: int, step: int = 1) -> list[Fraction]:
-    """The values sums[n] / (den step^n), each as one reduced Fraction."""
-    out = []
-    for s in sums:
-        out.append(Fraction(s, den))
-        den *= step
-    return out
+def _fractions(values, row, lam=1, mu=1) -> list[Fraction]:
+    """The weighted transform of values, one reduced Fraction per output."""
+    nums, den = common_denominator(values)
+    sums, step = _weighted_sums(nums, row, lam, mu)
+    return [Fraction(s, den * step**n) for n, s in enumerate(sums)]
 
 
 def stirling_transform(a, ctx: SeqContext | None = None) -> list[Fraction]:
     """b_n = sum_k S(n, k) a_k."""
-    return _fractions(*_sums(a, context(ctx).stirling2_row))
+    return _fractions(a, context(ctx).stirling2_row)
 
 
 def stirling_inverse(b, ctx: SeqContext | None = None) -> list[Fraction]:
     """a_n = sum_k s(n, k) b_k; exact inverse of :func:`stirling_transform`."""
-    return _fractions(*_sums(b, context(ctx).stirling1_row))
+    return _fractions(b, context(ctx).stirling1_row)
 
 
 def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
@@ -85,8 +77,7 @@ def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
 
     The alternating form is an involution.
     """
-    nums, den = common_denominator(a)
-    return _fractions(_transform(nums, _pascal_row, up=-1 if alternating else 1), den)
+    return _fractions(a, _pascal_row, mu=-1 if alternating else 1)
 
 
 def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContext | None = None) -> list[Fraction]:
@@ -98,7 +89,4 @@ def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContex
     if kind not in ("second", "first"):
         raise ValueError(f"unknown kind {kind!r}; expected 'second' or 'first'")
     ctx = context(ctx)
-    row = ctx.stirling2_row if kind == "second" else ctx.stirling1_row
-    nums, den = common_denominator(a)
-    sums, step = _weighted_sums(nums, row, Fraction(lam), Fraction(mu))
-    return _fractions(sums, den, step)
+    return _fractions(a, ctx.stirling2_row if kind == "second" else ctx.stirling1_row, Fraction(lam), Fraction(mu))

@@ -88,6 +88,14 @@ def test_negative_arguments_of_the_scalar_helpers():
     assert binomial_rational(Fraction(-3), -2) == binomial(-3, -2) == 0
 
 
+def test_binomial_rational_matches_the_falling_factorial_loop():
+    for x in [Fraction(p, q) for p in range(-7, 8) for q in (1, 2, 3, 7)]:
+        falling = Fraction(1)
+        for k in range(9):
+            assert binomial_rational(x, k) == falling / math.factorial(k), (x, k)
+            falling *= x - k
+
+
 def test_binomial_rational_matches_integer_case():
     for n in range(0, 9):
         for k in range(0, 9):
