@@ -9,9 +9,9 @@ Coefficients are stored as integer numerators over one denominator, and
 every kernel works on those exponential numerators; none converts to
 another form.  At order N:
 
-- the product is one dot product of f's numerators with each binomial
-  row C(n, i) g_(n-i) of g's, (N+1)(N+2) coefficient products, half of
-  them for the rows;
+- the product is one dot product of one operand's numerators with each
+  binomial row C(n, i) g_(n-i) of the other's, whichever has more zero
+  coefficients: (N+1)(N+2) coefficient products, half of them for the rows;
 - composition grows the partial Bell columns of the inner series one
   from the last over the shifted rows C(n-1, i) g_(n-i): N(N+1)/2
   products for the rows and about N^3/6 for the columns;
@@ -115,12 +115,14 @@ def _binomial_rows(g: tuple[int, ...], shift: int) -> list[list[int]]:
 
 def egf_mul(f: Egf, g: Egf) -> Egf:
     """Product via binomial convolution: c_n = sum_k C(n,k) a_k b_(n-k),
-    one dot product of f's numerators with each binomial row of g's, over
-    the product of the denominators.  At order N that is (N+1)(N+2)
-    products, half of them for the rows."""
+    one dot product of one operand's numerators with each binomial row of
+    the other's, over the product of the denominators.  At order N that is
+    (N+1)(N+2) products, half of them for the rows.  The rows come from
+    the operand with more zero coefficients: each zero makes a diagonal of
+    them, and every product with it, cheap."""
     f._match(g)
     F, G = f._nums, g._nums
-    if F.count(0) > G.count(0):  # a zero of G makes a diagonal of its rows cheap
+    if F.count(0) > G.count(0):
         F, G = G, F
     nums = [sum(map(mul, row, F)) for row in _binomial_rows(G, 0)]
     return Egf._from_nums(nums, f._den * g._den)
@@ -297,14 +299,20 @@ def monomial_series(c, m: int, order: int) -> Egf:
 
 def egf_elementary(kind: str, order: int, *, x=None, c=None, m=None) -> Egf:
     """Build one of the named series; pow1p needs x, monomial needs c and m."""
-    plain = {"exp": exp_series, "expm1": expm1_series, "log1p": log1p_series,
-             "geom": geom_series, "dilog": dilog_series}
-    if kind in plain:
-        return plain[kind](order)
+    if kind == "exp":
+        return exp_series(order)
+    if kind == "expm1":
+        return expm1_series(order)
+    if kind == "log1p":
+        return log1p_series(order)
+    if kind == "geom":
+        return geom_series(order)
     if kind == "pow1p":
         if x is None:
             raise ValueError("pow1p needs the exponent x")
         return pow1p_series(x, order)
+    if kind == "dilog":
+        return dilog_series(order)
     if kind == "monomial":
         if c is None or m is None:
             raise ValueError("monomial needs c and m")
@@ -325,7 +333,8 @@ def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fr
     defect in one engine, so it raises rather than returning either
     answer.
     """
-    lam, mu = Fraction(lam), Fraction(mu)
+    lam = Fraction(lam)
+    mu = Fraction(mu)
     if lam == 0:
         raise ValueError("lam must be nonzero")
     ctx = context(ctx)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 
 from .egf import (
@@ -127,7 +126,9 @@ class _Run:
         self.checked += 1
         for label, lhs, rhs in members:
             if lhs != rhs:
-                self.failures.append(Failure({**params, "member": label}, _fmt(lhs), _fmt(rhs)))
+                p = dict(params)
+                p["member"] = label
+                self.failures.append(Failure(p, _fmt(lhs), _fmt(rhs)))
 
 
 # -- registry --------------------------------------------------------
@@ -265,8 +266,12 @@ def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # inner_k = sum_(j<=k) C(2j, j) / ((1-2j) 2^(k+j)) = P_k / 2^k, with P_k
     # the prefix sums of C(2j, j) / ((1-2j) 2^j)
-    prefixes = accumulate(Fraction(binomial(2 * k, k), (1 - 2 * k) * 2**k) for k in range(n_hi + 1))
-    rhs = stirling_transform([ctx.factorial(k) * _sign(k) * P / 2**k for k, P in enumerate(prefixes)], ctx)
+    weights = []
+    prefix = Fraction(0)
+    for k in range(n_hi + 1):
+        prefix += Fraction(binomial(2 * k, k), (1 - 2 * k) * 2**k)
+        weights.append(ctx.factorial(k) * _sign(k) * prefix / 2**k)
+    rhs = stirling_transform(weights, ctx)
     for n in range(n_lo, n_hi + 1):
         run.check({"n": n}, ctx.euler_number(n), rhs[n])
 
@@ -760,8 +765,13 @@ def _weighted_partial_sums(nums, den, apows, bpows):
     """The partial sums sum_(k<=i) g_k w^(i-k), for g = nums / den and a
     weight w = a/b given by its powers apows[j] = a^j and bpows[j] = b^j
     (b > 0, and 0^0 = 1): entry i is sum_k nums_k a^(i-k) b^k over den b^i."""
-    return [Fraction(sum([nums[k] * apows[i - k] * bpows[k] for k in range(i + 1)]), den * bpows[i])
-            for i in range(len(nums))]
+    out = []
+    for i in range(len(nums)):
+        total = 0
+        for k in range(i + 1):
+            total += nums[k] * apows[i - k] * bpows[k]
+        out.append(Fraction(total, den * bpows[i]))
+    return out
 
 
 @_entry(
