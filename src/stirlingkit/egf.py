@@ -265,7 +265,7 @@ def log1p_series(order: int, scale=1) -> Egf:
 def geom_series(order: int) -> Egf:
     """1/(1 - t): a_n = n!."""
     _check_order(order)
-    return Egf._from_nums([factorial(n) for n in range(order + 1)], 1)
+    return Egf(Fraction(factorial(n)) for n in range(order + 1))
 
 
 def pow1p_series(x, order: int) -> Egf:
@@ -294,7 +294,9 @@ def monomial_series(c, m: int, order: int) -> Egf:
         raise ValueError(f"negative degree {m}")
     if m > order:
         raise ValueError(f"degree {m} exceeds order {order}")
-    return Egf([0] * m + [c] + [0] * (order - m))
+    out = [Fraction(0)] * (order + 1)
+    out[m] = Fraction(c)
+    return Egf(out)
 
 
 def egf_elementary(kind: str, order: int, *, x=None, c=None, m=None) -> Egf:

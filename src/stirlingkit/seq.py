@@ -227,6 +227,8 @@ class SeqContext:
         return self._memo(self._hyperharmonic, (p, n), lambda: self._hyperharmonic_value(p, n))
 
     def _hyperharmonic_value(self, p: int, n: int) -> Fraction:
+        """The closed form as one Fraction built from integers, on two reads
+        of the public ``harmonic``, so that a subclass's values reach it."""
         a, b = self.harmonic(n + p - 1), self.harmonic(p - 1)
         diff = a.numerator * b.denominator - b.numerator * a.denominator
         return Fraction(binomial(n + p - 1, n) * diff, a.denominator * b.denominator)

@@ -662,9 +662,9 @@ def test_weighted_partial_sums_match_the_fraction_loop(g, weight):
 
 
 # Fraction.__new__ calls in one default-cap pass on a fresh context,
-# counted by the test below; the parent of the integer hand-offs between
-# the transform engine and the checkers built 7,539.  A change that lowers
-# the count lowers this figure.
+# counted by the test below; before the transform engine handed integer
+# sums to the checkers, a pass built 7,539.  A change that lowers the
+# count lowers this figure.
 FRACTIONS_PER_PASS = 2975
 
 
