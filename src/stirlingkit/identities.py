@@ -154,8 +154,11 @@ def _entry(*args, **kwargs):
 # slots are simply ignored by entries that have no such parameter.
 #
 # A scalar triangle-weighted sum sum_k S(n, k) a_k or sum_k s(n, k) a_k
-# is one ``stirling_transform`` or ``stirling_inverse`` of the weights a,
-# taken once per call and indexed by n.  A polynomial sum reads its row
+# is one pass of the transform engine over the weights a, taken once per
+# call and indexed by n: ``_sums`` gives integer sums over one
+# denominator, which ``check_ratio`` compares with the other side by
+# cross-multiplication, and a few entries still take the public
+# ``stirling_transform``'s Fractions.  A polynomial sum reads its row
 # once per index and goes to ``_combine``, which builds one vector and
 # never reads weights past the row's end.
 

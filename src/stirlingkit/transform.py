@@ -35,7 +35,7 @@ def _transform(nums: list[int], row, down: int = 1, up: int = 1) -> list[int]:
     if not nums:
         raise ValueError("empty input sequence")
     weighted = [up**k * x for k, x in enumerate(nums)]
-    if down == 1:  # as in every unweighted transform
+    if down == 1:  # ps = 1 in every unweighted transform
         return [sum(map(mul, row(n), weighted)) for n in range(len(nums))]
     down_pows = [down**j for j in range(len(nums))]
     # down_pows[n::-1] is (ps)^n, ..., (ps)^0 against k = 0, ..., n
