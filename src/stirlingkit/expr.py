@@ -17,15 +17,20 @@ range is 0; ranges are capped at 1_000_000 terms, and nesting at 100
 levels.  Exponents must evaluate to nonnegative integers, with 0^0 = 1,
 and a power may be at most about 2^20 bits wide.  Chains of + - or * /
 have no length cap: they evaluate and print by a loop, not recursion.
-Each evaluation compiles the tree once into closures; integral values
-stay ints while they run, and the result is a Fraction.
+The tokenizer is one compiled pattern.  Each evaluation compiles the
+tree once into closures, which resolve builtins by name and dispatch on
+node kind before any term runs; integral values stay ints while they run,
+a sum keeps its terms as one integer over the lcm of their denominators,
+and the result is a Fraction.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 from .exact import binomial
 from .seq import FAMILIES, SeqContext, context
@@ -66,52 +71,43 @@ class EvalError(ExprError):
 
 # -- tokens ----------------------------------------------------------
 
-_PUNCT = ("..", "+", "-", "*", "/", "^", "(", ")", ",", "=")
+# One alternative per token class, tried in order at each position: a run
+# of decimal digits, a word, punctuation, blanks, a newline, and any other
+# single character, which is illegal.  A word is a run of \w characters,
+# so it may start with a digit-like character such as "²", which is illegal
+# there: only a letter or "_" may start an identifier.
+_SCAN = re.compile(r"(\d+)|(\w+)|(\.\.|[-+*/^(),=])|[ \t\r]+|(\n)|(.)")
 
 # kind is "int", "ident", "eof", or the punctuation itself
 Token = namedtuple("Token", "kind text line col")
 
 
 def tokenize(src: str) -> list[Token]:
+    # tuple.__new__ builds a Token in C, where Token(...) runs the Python
+    # __new__ that namedtuple generates
+    new = tuple.__new__
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch == "\n":
+    line, start = 1, 0  # start is the index of the line's first character
+    for match in _SCAN.finditer(src):
+        group = match.lastindex
+        if group is None:
+            continue
+        text = match.group()
+        col = match.start() - start + 1
+        if group == 1:
+            tokens.append(new(Token, ("int", text, line, col)))
+        elif group == 2:
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"illegal character {text[0]!r}", line, col)
+            tokens.append(new(Token, ("ident", text, line, col)))
+        elif group == 3:
+            tokens.append(new(Token, (text, text, line, col)))
+        elif group == 4:
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < len(src) and src[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for punct in _PUNCT:
-            if src.startswith(punct, i):
-                tokens.append(Token(punct, punct, line, col))
-                col += len(punct)
-                i += len(punct)
-                break
+            start = match.end()
         else:
-            raise ParseError(f"illegal character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            raise ParseError(f"illegal character {text!r}", line, col)
+    tokens.append(Token("eof", "", line, len(src) - start + 1))
     return tokens
 
 
@@ -249,13 +245,14 @@ class Env:
         self.ctx = context(ctx)
 
 
-# (arity, function of ctx and the arguments) by name: the triangles and
-# binomials here, then every sequence family of seq.FAMILIES.
+# (arity, function of ctx that returns the builtin) by name: the triangles
+# and binomials here, then every sequence family of seq.FAMILIES.  A method
+# is looked up on ctx at call time, so subclasses take effect.
 _BUILTINS = {
-    "S": (2, lambda ctx, n, k: ctx.stirling2(n, k)),
-    "s": (2, lambda ctx, n, k: ctx.stirling1(n, k)),
-    "C": (2, lambda ctx, n, k: binomial(n, k)),
-    **{family.expr_name: (len(family.params), family) for family in FAMILIES},
+    "S": (2, operator.attrgetter("stirling2")),
+    "s": (2, operator.attrgetter("stirling1")),
+    "C": (2, lambda ctx: binomial),
+    **{family.expr_name: (len(family.params), operator.attrgetter(family.method)) for family in FAMILIES},
 }
 
 
@@ -302,7 +299,7 @@ def _power_bits(base: Fraction | int, e: int) -> int:
     """An upper bound on log2 |n^e| summed over the numerator and the
     denominator: e * ceil(log2 |n|) each, so 0 for 0 and 1, and exact for
     powers of two."""
-    return e * sum(max(abs(n) - 1, 0).bit_length() for n in (base.numerator, base.denominator))
+    return e * (max(abs(base.numerator) - 1, 0).bit_length() + (base.denominator - 1).bit_length())
 
 
 def _divide(a, b):
@@ -336,7 +333,8 @@ def _compile(node):
         def var(b, ctx):
             if name not in b:
                 raise EvalError(f"unbound variable {name!r}")
-            return _num(b[name])
+            value = b[name]
+            return value if type(value) is int else _num(value)
         return var
     if isinstance(node, Neg):
         operand = _compile(node.operand)
@@ -363,18 +361,40 @@ def _compile(node):
         def chain(b, ctx):
             acc = head(b, ctx)
             for step, operand in steps:
-                acc = _num(step(acc, operand(b, ctx)))
+                acc = step(acc, operand(b, ctx))
+                if type(acc) is not int:
+                    acc = _num(acc)
             return acc
         return chain
     if isinstance(node, Call):
         if node.name not in _BUILTINS:
             return _fail(f"unknown function {node.name!r}")
-        arity, fn = _BUILTINS[node.name]
+        arity, lookup = _BUILTINS[node.name]
         if len(node.args) != arity:
             return _fail(f"{node.name} takes {arity} argument(s), got {len(node.args)}")
-        args = [_compile(a) for a in node.args]
         what = f"argument of {node.name}"
-        return lambda b, ctx: _num(fn(ctx, *[_as_int(a(b, ctx), what) for a in args]))
+        if arity == 1:
+            (first,) = [_compile(a) for a in node.args]
+
+            def call1(b, ctx):
+                n = first(b, ctx)
+                if type(n) is not int:
+                    raise EvalError(f"{what} must be an integer, got {n}")
+                value = lookup(ctx)(n)
+                return value if type(value) is int else _num(value)
+            return call1
+        first, second = [_compile(a) for a in node.args]
+
+        def call2(b, ctx):
+            n = first(b, ctx)
+            if type(n) is not int:
+                raise EvalError(f"{what} must be an integer, got {n}")
+            k = second(b, ctx)
+            if type(k) is not int:
+                raise EvalError(f"{what} must be an integer, got {k}")
+            value = lookup(ctx)(n, k)
+            return value if type(value) is int else _num(value)
+        return call2
     if isinstance(node, Sum):
         var, lo, hi, body = node.var, _compile(node.lo), _compile(node.hi), _compile(node.body)
 
@@ -386,15 +406,25 @@ def _compile(node):
             if last - first >= SUM_TERM_CAP:
                 raise EvalError(f"summation range has {last - first + 1} terms; the cap is {SUM_TERM_CAP}")
             saved = {var: b[var]} if var in b else {}
-            acc = 0
+            # the terms so far are num / den, den the lcm of their denominators
+            num, den = 0, 1
             try:
                 for i in range(first, last + 1):
                     b[var] = i
-                    acc += body(b, ctx)
+                    term = body(b, ctx)
+                    if type(term) is int:
+                        num += term * den
+                    else:
+                        d = term.denominator
+                        if den % d:
+                            scale = d // gcd(den, d)
+                            num *= scale
+                            den *= scale
+                        num += term.numerator * (den // d)
             finally:
                 b.pop(var, None)
                 b.update(saved)
-            return _num(acc)
+            return num if den == 1 else _num(Fraction(num, den))
         return total
     return _fail(f"cannot evaluate node {node!r}")
 

@@ -35,9 +35,8 @@ from .egf import (
     log1p_series,
     pow1p_series,
     dilog_series,
-    to_ordinary,
 )
-from .exact import _combine, binomial, binomial_rational, common_denominator, format_rational
+from .exact import _combine, binomial, binomial_rational, common_denominator, factorial, format_rational
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
 from .transform import _sums, stirling_transform
@@ -120,6 +119,14 @@ class _Run:
             self.checked += 1
         else:
             self.check(params, Fraction(lnum, lden), Fraction(rnum, rden))
+
+    def check_ratios(self, params: dict, left: list, right: list) -> None:
+        """check() on two lists of (numerator, denominator) pairs, compared
+        by cross-multiplication, which builds Fractions only for a failure."""
+        if len(left) == len(right) and all(a * d == c * b for (a, b), (c, d) in zip(left, right)):
+            self.checked += 1
+        else:
+            self.check(params, [Fraction(a, b) for a, b in left], [Fraction(c, d) for c, d in right])
 
     def check_members(self, params: dict, members) -> None:
         """One instance whose sides come as labelled (name, lhs, rhs) pairs."""
@@ -767,14 +774,12 @@ _L4_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(
 def _weighted_partial_sums(nums, den, apows, bpows):
     """The partial sums sum_(k<=i) g_k w^(i-k), for g = nums / den and a
     weight w = a/b given by its powers apows[j] = a^j and bpows[j] = b^j
-    (b > 0, and 0^0 = 1): entry i is sum_k nums_k a^(i-k) b^k over den b^i."""
-    out = []
-    for i in range(len(nums)):
-        total = 0
-        for k in range(i + 1):
-            total += nums[k] * apows[i - k] * bpows[k]
-        out.append(Fraction(total, den * bpows[i]))
-    return out
+    (b > 0, and 0^0 = 1), as (numerator, denominator) pairs: entry i is
+    sum_k nums_k a^(i-k) b^k over den b^i."""
+    size = len(nums)
+    scaled = list(map(mul, nums, bpows))  # nums_k b^k
+    falling = apows[:size][::-1]  # a^(size-1), ..., a^0
+    return [(sum(map(mul, scaled, falling[size - 1 - i:])), den * bpows[i]) for i in range(size)]
 
 
 @_entry(
@@ -795,10 +800,12 @@ def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
             for form, denom_sign in (("minus", -1), ("plus", 1)):
                 denom = Egf([1, denom_sign * lam] + [0] * (order - 1))
                 product = egf_mul(series, egf_reciprocal(denom))
-                via_series = list(to_ordinary(product))
+                # the ordinary coefficients a_i / i!, as to_ordinary reads them
+                pden = product._den
+                via_series = [(a, pden * factorial(i)) for i, a in enumerate(product._nums)]
                 signed = apows if form == "minus" else [_sign(j) * x for j, x in enumerate(apows)]
                 direct = _weighted_partial_sums(nums, den, signed, bpows)
-                run.check(
+                run.check_ratios(
                     {"sequence": name, "lambda": format_rational(lam), "form": form},
                     direct,
                     via_series,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .egf import Egf, egf_reciprocal
-from .exact import _convolve, _Vector, binomial, format_rational
+from .exact import _convolve, _Vector, binomial, common_denominator, format_rational
 from .seq import SeqContext, context
 
 
@@ -130,7 +130,8 @@ def bernoulli_poly(n: int, ctx: SeqContext | None = None) -> Poly:
     if n < 0:
         raise ValueError(f"negative index {n}")
     ctx = context(ctx)
-    return Poly(binomial(n, j) * ctx.bernoulli(n - j) for j in range(n + 1))
+    bnums, bden = common_denominator([ctx.bernoulli(n - j) for j in range(n + 1)])
+    return Poly._from_nums([binomial(n, j) * b for j, b in enumerate(bnums)], bden)
 
 
 def euler_polys(n: int) -> list[Poly]:

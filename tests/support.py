@@ -23,7 +23,9 @@ from stirlingkit.expr import (
     EvalError,
     IntLit,
     Neg,
+    ParseError,
     Sum,
+    Token,
     Var,
     _chain,
     _power_bits,
@@ -373,6 +375,74 @@ def _oracle_int(value: Fraction, what: str) -> int:
     return int(value)
 
 
+def tokenize_oracle(src: str) -> list[Token]:
+    """The character loop that ``expr.tokenize`` scanned with before one
+    compiled pattern replaced it: a decimal run, a word that starts with a
+    letter or "_", or the first punctuation that matches, one character
+    step at a time."""
+    punctuation = ("..", "+", "-", "*", "/", "^", "(", ")", ",", "=")
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    while i < len(src):
+        ch = src[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(src) and src[j].isdecimal():
+                j += 1
+            tokens.append(Token("int", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(src) and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(Token("ident", src[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        for punct in punctuation:
+            if src.startswith(punct, i):
+                tokens.append(Token(punct, punct, line, col))
+                col += len(punct)
+                i += len(punct)
+                break
+        else:
+            raise ParseError(f"illegal character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def moment_fill_oracle(ctx, n: int, p: int) -> dict[tuple[int, int], int]:
+    """Every M(m, q >= 1) with m >= n and m + q <= n + p, by the recurrence
+    M(m, q) = M(m+1, q-1) - sum_j C(q-1, j) M(m, j) with one binomial and
+    one table read per term and M(m, 0) read through ``ctx.bell``, as
+    ``SeqContext.moment`` filled them before it took each entry as one
+    dot product."""
+    memo: dict[tuple[int, int], int] = {}
+
+    def known(m: int, q: int) -> int:
+        return ctx.bell(m) if q == 0 else memo[m, q]
+
+    for q in range(1, p + 1):
+        for m in range(n, n + p - q + 1):
+            total = known(m + 1, q - 1)
+            for j in range(q):
+                total -= binomial(q - 1, j) * known(m, j)
+            memo[m, q] = total
+    return memo
+
+
 def eval_oracle(node, env: Env) -> Fraction:
     """The tree-walking evaluator that ``expr.evaluate`` compiled away:
     it dispatches at every node and keeps every value a Fraction."""
@@ -414,13 +484,13 @@ def eval_oracle(node, env: Env) -> Fraction:
         return acc
     if isinstance(node, Call):
         try:
-            arity, fn = _BUILTINS[node.name]
+            arity, lookup = _BUILTINS[node.name]
         except KeyError:
             raise EvalError(f"unknown function {node.name!r}") from None
         if len(node.args) != arity:
             raise EvalError(f"{node.name} takes {arity} argument(s), got {len(node.args)}")
         args = [_oracle_int(eval_oracle(a, env), f"argument of {node.name}") for a in node.args]
-        return Fraction(fn(env.ctx, *args))
+        return Fraction(lookup(env.ctx)(*args))
     if isinstance(node, Sum):
         lo = _oracle_int(eval_oracle(node.lo, env), "summation lower bound")
         hi = _oracle_int(eval_oracle(node.hi, env), "summation upper bound")

@@ -18,10 +18,10 @@ from stirlingkit import (
     seq,
     to_source,
 )
-from stirlingkit.expr import BinOp, Call, IntLit, Neg, Sum, Var, _compile
+from stirlingkit.expr import BinOp, Call, IntLit, Neg, Sum, Var, _compile, tokenize
 
 import golden_exprs
-from support import eval_oracle
+from support import eval_oracle, tokenize_oracle
 
 
 # -- golden corpus ---------------------------------------------------
@@ -92,6 +92,28 @@ def test_integer_literals_are_decimal_digits():
     assert evaluate(parse("٣+1")) == 4
     with pytest.raises(EvalError, match=r"^unbound variable 'x²'$"):
         evaluate(parse("x²"))
+
+
+def _tokens_or_error(tokenizer, src):
+    try:
+        return tokenizer(src)
+    except ParseError as exc:
+        return ("error", exc.line, exc.col, exc.message)
+
+
+@pytest.mark.parametrize("src", [
+    "x²", "²x", "٣+1", "Ⅻ", "½", "_a1", "a\r\n\tb", "1..2", ".", "#",
+    *[row[0] for row in golden_exprs.VALID],
+    *[row[0] for row in golden_exprs.INVALID],
+])
+def test_tokenizer_matches_the_character_loop(src):
+    assert _tokens_or_error(tokenize, src) == _tokens_or_error(tokenize_oracle, src)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text(alphabet="ab_x19٣²Ⅻ½ \t\r\n.+-*/^(),=#é", max_size=24))
+def test_tokenizer_matches_the_character_loop_on_random_text(src):
+    assert _tokens_or_error(tokenize, src) == _tokens_or_error(tokenize_oracle, src)
 
 
 def test_sum_node_shape():
@@ -286,6 +308,25 @@ def test_an_integral_sum_builds_no_fractions():
     made = sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
                if name == "__new__" and path.endswith("fractions.py"))
     # the tree-walking evaluator made 491
+    assert made <= 2
+
+
+def test_a_rational_sum_builds_one_fraction_at_the_end():
+    import cProfile
+    import pstats
+
+    ctx = SeqContext()
+    node = parse("sum(k=1..60, H(k))")
+    evaluate(node, Env(ctx=ctx))  # warm the tables
+    profile = cProfile.Profile()
+    profile.enable()
+    value = evaluate(node, Env(ctx=ctx))
+    profile.disable()
+    assert value == 61 * ctx.harmonic(60) - 60
+    made = sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
+               if name == "__new__" and path.endswith("fractions.py"))
+    # work-budget guard: one for the sum and one for evaluate's result; a
+    # Fraction accumulator made one per term, 60 here
     assert made <= 2
 
 

@@ -24,6 +24,7 @@ from support import (
     euler_poly_oracle,
     euler_polys_oracle,
     faulhaber_oracle,
+    moment_fill_oracle,
     stirling1_row_oracle,
     stirling2_oracle,
 )
@@ -491,6 +492,38 @@ def test_moment_recurrence_equals_direct_sum(ctx):
         for p in range(0, 9):
             direct = sum(ctx.stirling2(n, k) * k**p for k in range(n + 1))
             assert ctx.moment(n, p) == direct, (n, p)
+
+
+class _BellBumpedAt110(SeqContext):
+    def bell(self, n):
+        return super().bell(n) + (n == 110)
+
+
+def _moment_t7_order(ctx, n, p):
+    # T7's loop: the exponent outside, the index inside, so each call
+    # stores one new entry on top of columns the last exponent filled
+    for q in range(p + 1):
+        for m in range(n, n + p - q + 1):
+            ctx.moment(m, q)
+
+
+@pytest.mark.parametrize("fill", [
+    lambda ctx: ctx.moment(100, 20),
+    lambda ctx: (ctx.moment(40, 10), ctx.moment(100, 20)),
+    lambda ctx: _moment_t7_order(ctx, 100, 20),
+], ids=["fresh", "after-40-10", "t7-order"])
+@pytest.mark.parametrize("make", [SeqContext, _BellBumpedAt110], ids=lambda c: c.__name__)
+def test_moment_fill_orders_agree_with_the_per_term_recurrence(fill, make):
+    ctx = make()
+    fill(ctx)
+    want = moment_fill_oracle(make(), 100, 20)
+    assert {key: ctx.moment(*key) for key in want} == want
+    if make is SeqContext:
+        for (m, q), value in want.items():
+            row = ctx.stirling2_row(m)
+            assert value == sum(row[k] * k**q for k in range(m + 1)), (m, q)
+    else:
+        assert want[109, 1] != SeqContext().moment(109, 1)  # the bump reaches the fill
 
 
 def test_moment_closed_forms(ctx):
