@@ -293,38 +293,34 @@ def test_integral_values_are_ints_inside_and_the_result_is_a_fraction():
         assert type(raw) is (int if value.denominator == 1 else Fraction), src
 
 
-def test_an_integral_sum_builds_no_fractions():
+def _warm_evaluation(src, ctx):
+    """The value of src on ctx, evaluated again once its tables are warm,
+    and the Fractions that second evaluation built."""
     import cProfile
     import pstats
 
-    ctx = SeqContext()
-    node = parse("sum(k=0..60, S(60,k)*fact(k))")
-    evaluate(node, Env(ctx=ctx))  # warm the tables
+    evaluate(parse(src), Env(ctx=ctx))  # warm the tables
     profile = cProfile.Profile()
     profile.enable()
-    value = evaluate(parse("sum(k=0..60, S(60,k)*fact(k))"), Env(ctx=ctx))
+    value = evaluate(parse(src), Env(ctx=ctx))
     profile.disable()
-    assert value == ctx.fubini(60)
     made = sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
                if name == "__new__" and path.endswith("fractions.py"))
+    return value, made
+
+
+def test_an_integral_sum_builds_no_fractions():
+    ctx = SeqContext()
+    value, made = _warm_evaluation("sum(k=0..60, S(60,k)*fact(k))", ctx)
+    assert value == ctx.fubini(60)
     # the tree-walking evaluator made 491
     assert made <= 2
 
 
 def test_a_rational_sum_builds_one_fraction_at_the_end():
-    import cProfile
-    import pstats
-
     ctx = SeqContext()
-    node = parse("sum(k=1..60, H(k))")
-    evaluate(node, Env(ctx=ctx))  # warm the tables
-    profile = cProfile.Profile()
-    profile.enable()
-    value = evaluate(node, Env(ctx=ctx))
-    profile.disable()
+    value, made = _warm_evaluation("sum(k=1..60, H(k))", ctx)
     assert value == 61 * ctx.harmonic(60) - 60
-    made = sum(calls for (path, _, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
-               if name == "__new__" and path.endswith("fractions.py"))
     # work-budget guard: one for the sum and one for evaluate's result; a
     # Fraction accumulator made one per term, 60 here
     assert made <= 2

@@ -661,6 +661,16 @@ def test_weighted_partial_sums_match_the_fraction_loop(g, weight):
     assert [Fraction(a, b) for a, b in got] == weighted_partial_sums_oracle(g, weight)
 
 
+def test_check_ratios_compares_pairs_and_words_a_failure_as_fractions():
+    run = identities._Run()
+    run.check_ratios({"i": 0}, [(1, 2), (2, 4)], [(2, 4), (3, 6)])
+    assert (run.checked, run.failures) == (1, [])
+    run.check_ratios({"i": 1}, [(1, 2)], [(1, 2), (0, 1)])  # a shorter side is no vacuous pass
+    run.check_ratios({"i": 2}, [(1, 3)], [(1, 2)])
+    assert run.checked == 3
+    assert run.failures == [({"i": 1}, "[1/2]", "[1/2, 0]"), ({"i": 2}, "[1/3]", "[1/2]")]
+
+
 # Fraction.__new__ calls in one default-cap pass on a fresh context,
 # counted by the test below; before the transform engine handed integer
 # sums to the checkers, a pass built 7,539, and before L4 and
