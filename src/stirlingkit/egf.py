@@ -45,7 +45,7 @@ from operator import add, mul
 
 from .exact import _convolve, _Vector, common_denominator, factorial, format_rational
 from .seq import SeqContext, context
-from .transform import _weighted_sums
+from .transform import _sums
 
 
 class OrderMismatchError(ValueError):
@@ -342,8 +342,8 @@ def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fr
     ctx = context(ctx)
     row = ctx.stirling2_row if kind == "second" else ctx.stirling1_row
     # the direct route's value n is direct[n] / scales[n]
-    direct, step = _weighted_sums(f._nums, row, lam, mu)
-    scales = [f._den * step**n for n in range(len(direct))]
+    direct, scales = _sums(f._nums, row, lam, mu)
+    scales = [f._den * scale for scale in scales]
     composed = egf_compose(f, Egf._from_nums(*_exp_log_nums(f.order, lam, mu, kind)))
     for i, (d, c, scale) in enumerate(zip(direct, composed._nums, scales)):
         if d * composed._den != c * scale:

@@ -434,57 +434,30 @@ def _compile(node):
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
-def _level(node) -> int:
-    if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            return _LEVEL_ADD
-        if node.op in ("*", "/"):
-            return _LEVEL_MUL
-        return _LEVEL_POW
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
 def _render(node, min_level: int) -> str:
-    text = _render_raw(node)
-    if _level(node) < min_level:
-        return f"({text})"
-    return text
-
-
-def _render_raw(node) -> str:
+    """The node's source text, in parentheses when its level is below
+    min_level.  A left-deep chain of + - (or of * /) is printed by a loop,
+    its right operands one level up."""
     if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + _render(node.operand, _LEVEL_UNARY)
-    if isinstance(node, BinOp):
-        if node.op in ("+", "-"):
-            return _render_chain(node, _LEVEL_ADD, _LEVEL_MUL, " {} ")
-        if node.op in ("*", "/"):
-            return _render_chain(node, _LEVEL_MUL, _LEVEL_UNARY, "{}")
-        return f"{_render(node.left, _LEVEL_ATOM)}^{_render(node.right, _LEVEL_UNARY)}"
-    if isinstance(node, Call):
-        inside = ", ".join(_render(a, _LEVEL_ADD) for a in node.args)
-        return f"{node.name}({inside})"
-    if isinstance(node, Sum):
-        lo = _render(node.lo, _LEVEL_ADD)
-        hi = _render(node.hi, _LEVEL_ADD)
-        body = _render(node.body, _LEVEL_ADD)
-        return f"sum({node.var}={lo}..{hi}, {body})"
-    raise TypeError(f"cannot render node {node!r}")
-
-
-def _render_chain(node, level: int, right_level: int, joint: str) -> str:
-    """A left-deep chain of one precedence level, printed by a loop."""
-    first, tail = _chain(node)
-    parts = [_render(first, level)]
-    for op, operand in tail:
-        parts.append(joint.format(op))
-        parts.append(_render(operand, right_level))
-    return "".join(parts)
+        level, text = _LEVEL_ATOM, str(node.value)
+    elif isinstance(node, Var):
+        level, text = _LEVEL_ATOM, node.name
+    elif isinstance(node, Neg):
+        level, text = _LEVEL_UNARY, "-" + _render(node.operand, _LEVEL_UNARY)
+    elif isinstance(node, BinOp) and node.op in ("+", "-", "*", "/"):
+        level, joint = (_LEVEL_ADD, " {} ") if node.op in ("+", "-") else (_LEVEL_MUL, "{}")
+        first, tail = _chain(node)
+        text = _render(first, level) + "".join(joint.format(op) + _render(x, level + 1) for op, x in tail)
+    elif isinstance(node, BinOp):
+        level, text = _LEVEL_POW, f"{_render(node.left, _LEVEL_ATOM)}^{_render(node.right, _LEVEL_UNARY)}"
+    elif isinstance(node, Call):
+        level, text = _LEVEL_ATOM, f"{node.name}({', '.join(_render(a, _LEVEL_ADD) for a in node.args)})"
+    elif isinstance(node, Sum):
+        lo, hi, body = (_render(part, _LEVEL_ADD) for part in (node.lo, node.hi, node.body))
+        level, text = _LEVEL_ATOM, f"sum({node.var}={lo}..{hi}, {body})"
+    else:
+        raise TypeError(f"cannot render node {node!r}")
+    return f"({text})" if level < min_level else text
 
 
 def to_source(node) -> str:

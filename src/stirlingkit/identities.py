@@ -39,7 +39,7 @@ from .egf import (
 from .exact import _combine, binomial, binomial_rational, common_denominator, factorial, format_rational
 from .poly import ONE, Poly, X, ZERO, bernoulli_poly, binom_polys, euler_polys, exp_polys, geom_poly, xd_apply
 from .seq import SeqContext, context
-from .transform import _sums, stirling_transform
+from .transform import _sums
 
 DEFAULT_SERIES_ORDER = 12
 DEFAULT_EPS = Fraction(1, 10**12)
@@ -162,10 +162,10 @@ def _entry(*args, **kwargs):
 #
 # A scalar triangle-weighted sum sum_k S(n, k) a_k or sum_k s(n, k) a_k
 # is one pass of the transform engine over the weights a, taken once per
-# call and indexed by n: ``_sums`` gives integer sums over one
-# denominator, which ``check_ratio`` compares with the other side by
-# cross-multiplication, and a few entries still take the public
-# ``stirling_transform``'s Fractions.  A polynomial sum reads its row
+# call and indexed by n: ``_sums`` gives integer sums, each over its own
+# scale, which ``check_ratio`` compares with the other side by
+# cross-multiplication (the convolution entries, whose scalar levels are
+# Fractions, divide them out).  A polynomial sum reads its row
 # once per index and goes to ``_combine``, which builds one vector and
 # never reads weights past the row's end.
 
@@ -185,9 +185,9 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
         # k! h(p, k) is an integer, taken by exact division
         hs = [ctx.hyperharmonic(p, k) for k in range(n_hi + 1)]
         weights = [_ratio(f * h.numerator, h.denominator) for f, h in zip(signed_fact, hs)]
-        lhs, den = _sums(weights, ctx.stirling2_row)
+        lhs, scales = _sums(weights, ctx.stirling2_row)
         for n in range(n_lo, n_hi + 1):
-            run.check_ratio({"p": p, "n": n}, lhs[n], den, _sign(n) * n * p ** (n - 1), 1)
+            run.check_ratio({"p": p, "n": n}, lhs[n], scales[n], _sign(n) * n * p ** (n - 1), 1)
 
 
 @_entry(
@@ -200,9 +200,9 @@ def _chk_t1(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_t1b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     hs = [ctx.harmonic(k) for k in range(n_hi + 1)]
     weights = [_ratio(_sign(k) * ctx.factorial(k) * h.numerator, h.denominator) for k, h in enumerate(hs)]
-    lhs, den = _sums(weights, ctx.stirling2_row)
+    lhs, scales = _sums(weights, ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
-        run.check_ratio({"n": n}, lhs[n], den, _sign(n) * n, 1)
+        run.check_ratio({"n": n}, lhs[n], scales[n], _sign(n) * n, 1)
 
 
 @_entry(
@@ -217,11 +217,11 @@ def _chk_c2(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
         # the k = 0 summand carries a factor k, so its weight is 0
         weights = [_sign(k) * k * p ** (k - 1) if k else 0 for k in range(n_hi + 1)]
-        lhs, den = _sums(weights, ctx.stirling1_row)
+        lhs, scales = _sums(weights, ctx.stirling1_row)
         for n in range(n_lo, n_hi + 1):
             h = ctx.hyperharmonic(p, n)
             rhs = _sign(n) * ctx.factorial(n) * h.numerator
-            run.check_ratio({"p": p, "n": n}, lhs[n], den, rhs, h.denominator)
+            run.check_ratio({"p": p, "n": n}, lhs[n], scales[n], rhs, h.denominator)
 
 
 def _geometric_blocks(binom, w):
@@ -235,6 +235,27 @@ def _geometric_blocks(binom, w):
     return blocks
 
 
+def _reciprocal_blocks(n_hi):
+    """block_k = sum_(j<=k) (-1)^(k-j) / (k-j+1) binom_j for each k <= n_hi;
+    the weights are not geometric, so each block is its own sum."""
+    binom = binom_polys(n_hi)
+    recip = [Fraction(_sign(m), m + 1) for m in range(n_hi + 1)]
+    return [_combine(recip[k::-1], binom[: k + 1]) for k in range(n_hi + 1)]
+
+
+def _first_kind_sums(ctx, run, n_lo, n_hi, polys, blocks):
+    """Check sum_k s(n, k) P_k = n! block_n for each index n."""
+    for n in range(n_lo, n_hi + 1):
+        run.check({"n": n}, _combine(ctx.stirling1_row(n), polys[: n + 1]), ctx.factorial(n) * blocks[n])
+
+
+def _second_kind_sums(ctx, run, n_lo, n_hi, polys, blocks):
+    """Check P_n = sum_k S(n, k) k! block_k for each index n."""
+    fact = [ctx.factorial(k) for k in range(n_hi + 1)]
+    for n in range(n_lo, n_hi + 1):
+        run.check({"n": n}, polys[n], _combine(list(map(mul, ctx.stirling2_row(n), fact)), blocks[: n + 1]))
+
+
 @_entry(
     "T3a",
     "first-kind sums of Euler polynomials match half-power binomial-polynomial expansions",
@@ -243,11 +264,8 @@ def _geometric_blocks(binom, w):
     n_range=(0, 15),
 )
 def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    euler = euler_polys(n_hi)
-    rhs = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
-    for n in range(n_lo, n_hi + 1):
-        lhs = _combine(ctx.stirling1_row(n), euler[: n + 1])
-        run.check({"n": n}, lhs, ctx.factorial(n) * rhs[n])
+    blocks = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
+    _first_kind_sums(ctx, run, n_lo, n_hi, euler_polys(n_hi), blocks)
 
 
 @_entry(
@@ -258,12 +276,8 @@ def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 15),
 )
 def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    euler = euler_polys(n_hi)
     blocks = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
-    fact = [ctx.factorial(k) for k in range(n_hi + 1)]
-    for n in range(n_lo, n_hi + 1):
-        rhs = _combine(list(map(mul, ctx.stirling2_row(n), fact)), blocks[: n + 1])
-        run.check({"n": n}, euler[n], rhs)
+    _second_kind_sums(ctx, run, n_lo, n_hi, euler_polys(n_hi), blocks)
 
 
 @_entry(
@@ -281,9 +295,10 @@ def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for k in range(n_hi + 1):
         prefix += Fraction(binomial(2 * k, k), (1 - 2 * k) * 2**k)
         weights.append(ctx.factorial(k) * _sign(k) * prefix / 2**k)
-    rhs = stirling_transform(weights, ctx)
+    rhs, scales = _sums(weights, ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
-        run.check({"n": n}, ctx.euler_number(n), rhs[n])
+        e = ctx.euler_number(n)
+        run.check_ratio({"n": n}, e.numerator, e.denominator, rhs[n], scales[n])
 
 
 @_entry(
@@ -295,12 +310,7 @@ def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     bernoulli = [bernoulli_poly(k, ctx) for k in range(n_hi + 1)]
-    binom = binom_polys(n_hi)
-    recip = [Fraction(_sign(m), m + 1) for m in range(n_hi + 1)]
-    for n in range(n_lo, n_hi + 1):
-        lhs = _combine(ctx.stirling1_row(n), bernoulli[: n + 1])
-        rhs = _combine([recip[n - k] for k in range(n + 1)], binom[: n + 1])
-        run.check({"n": n}, lhs, ctx.factorial(n) * rhs)
+    _first_kind_sums(ctx, run, n_lo, n_hi, bernoulli, _reciprocal_blocks(n_hi))
 
 
 @_entry(
@@ -311,14 +321,8 @@ def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 15),
 )
 def _chk_t5b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    # the weights (-1)^m/(m+1) are not geometric, so each block is its own sum
-    binom = binom_polys(n_hi)
-    recip = [Fraction(_sign(m), m + 1) for m in range(n_hi + 1)]
-    blocks = [_combine([recip[k - j] for j in range(k + 1)], binom[: k + 1]) for k in range(n_hi + 1)]
-    fact = [ctx.factorial(k) for k in range(n_hi + 1)]
-    for n in range(n_lo, n_hi + 1):
-        rhs = _combine(list(map(mul, ctx.stirling2_row(n), fact)), blocks[: n + 1])
-        run.check({"n": n}, bernoulli_poly(n, ctx), rhs)
+    bernoulli = [bernoulli_poly(k, ctx) for k in range(n_hi + 1)]
+    _second_kind_sums(ctx, run, n_lo, n_hi, bernoulli, _reciprocal_blocks(n_hi))
 
 
 @_entry(
@@ -331,10 +335,10 @@ def _chk_t5b(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # independent side: reciprocal of the series with a_m = 1/(m+1),
     # whose coefficients are the Bernoulli numbers
-    series = egf_reciprocal(Egf(Fraction(1, m + 1) for m in range(n_hi + 1))).coeffs
-    lhs = stirling_transform([Fraction(ctx.factorial(k) * _sign(k), k + 1) for k in range(n_hi + 1)], ctx)
+    series = egf_reciprocal(Egf(Fraction(1, m + 1) for m in range(n_hi + 1)))
+    lhs, scales = _sums([Fraction(ctx.factorial(k) * _sign(k), k + 1) for k in range(n_hi + 1)], ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
-        run.check({"n": n}, lhs[n], series[n])
+        run.check_ratio({"n": n}, lhs[n], scales[n], series._nums[n], series._den)
 
 
 @_entry(
@@ -346,10 +350,10 @@ def _chk_t5c(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     # B_(k-1) for k >= 1; the k = 0 summand is absent
-    lhs, den = _sums([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)], ctx.stirling1_row)
+    lhs, scales = _sums([0] + [ctx.bernoulli(k - 1) for k in range(1, n_hi + 1)], ctx.stirling1_row)
     for n in range(n_lo, n_hi + 1):
         h = ctx.harmonic(n)
-        run.check_ratio({"n": n}, lhs[n], den, -_sign(n) * ctx.factorial(n - 1) * h.numerator, h.denominator)
+        run.check_ratio({"n": n}, lhs[n], scales[n], -_sign(n) * ctx.factorial(n - 1) * h.numerator, h.denominator)
 
 
 @_entry(
@@ -360,11 +364,11 @@ def _chk_t6a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    rhs = stirling_transform(
-        [0] + [-_sign(k) * ctx.factorial(k - 1) * ctx.harmonic(k) for k in range(1, n_hi + 1)], ctx
-    )
+    weights = [0] + [-_sign(k) * ctx.factorial(k - 1) * ctx.harmonic(k) for k in range(1, n_hi + 1)]
+    rhs, scales = _sums(weights, ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
-        run.check({"n": n}, ctx.bernoulli(n - 1), rhs[n])
+        b = ctx.bernoulli(n - 1)
+        run.check_ratio({"n": n}, b.numerator, b.denominator, rhs[n], scales[n])
 
 
 @_entry(
@@ -375,9 +379,9 @@ def _chk_t6b(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 40),
 )
 def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    lhs, den = _sums([0] + [ctx.bernoulli(k - 1) * _sign(k) for k in range(1, n_hi + 1)], ctx.stirling1_row)
+    lhs, scales = _sums([0] + [ctx.bernoulli(k - 1) * _sign(k) for k in range(1, n_hi + 1)], ctx.stirling1_row)
     for n in range(n_lo, n_hi + 1):
-        run.check_ratio({"n": n}, lhs[n], den, _sign(n) * ctx.factorial(n), n * n)
+        run.check_ratio({"n": n}, lhs[n], scales[n], _sign(n) * ctx.factorial(n), n * n)
 
 
 @_entry(
@@ -389,10 +393,10 @@ def _chk_t6c(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_t6d(ctx, run, n_lo, n_hi, p_hi, order, eps):
     weights = [0] + [Fraction(ctx.factorial(k) * _sign(k), k * k) for k in range(1, n_hi + 1)]
-    sums, den = _sums(weights, ctx.stirling2_row)
+    sums, scales = _sums(weights, ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
         b = ctx.bernoulli(n - 1)
-        run.check_ratio({"n": n}, b.numerator, b.denominator, _sign(n) * sums[n], den)
+        run.check_ratio({"n": n}, b.numerator, b.denominator, _sign(n) * sums[n], scales[n])
 
 
 _BELL_CLOSED_FORMS = {
@@ -414,10 +418,10 @@ _BELL_CLOSED_FORMS = {
 )
 def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for p in range(p_hi + 1):
-        direct, den = _sums([k**p for k in range(n_hi + 1)], ctx.stirling2_row)
+        direct, scales = _sums([k**p for k in range(n_hi + 1)], ctx.stirling2_row)
         for n in range(n_lo, n_hi + 1):
             params = {"n": n, "p": p, "form": "recurrence-vs-direct"}
-            run.check_ratio(params, ctx.moment(n, p), 1, direct[n], den)
+            run.check_ratio(params, ctx.moment(n, p), 1, direct[n], scales[n])
     for p, combo in _BELL_CLOSED_FORMS.items():
         for n in range(n_lo, n_hi + 1):
             rhs = sum(c * ctx.bell(n + off) for off, c in combo)
@@ -517,11 +521,12 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
         nums, den = common_denominator(level[1:])
         return [Fraction(_dot(conv[n], nums), n * bden * den) for n in range(1, len(level))]
 
+    sums, scales = _sums(recip, ctx.stirling2_row)
     forms = (
         ("polynomial", poly_hi, exp_polys(poly_hi), poly_level,
          lambda n: Poly._from_nums(list(map(mul, ctx.stirling2_row(n), inv)), inv_den)),
         ("scalar", n_hi, [ctx.bell(k) for k in range(n_hi + 1)], scalar_level,
-         stirling_transform(recip, ctx).__getitem__),
+         lambda n: Fraction(sums[n], scales[n])),
     )
     for form, hi, phi, next_level, partition_sum in forms:
         bnums, bden = common_denominator([bernoulli(j) for j in range(hi + 1)])
@@ -609,13 +614,13 @@ def _chk_c12(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_c13(ctx, run, n_lo, n_hi, p_hi, order, eps):
     plain_weights = [0] + [ctx.factorial(k - 1) for k in range(1, n_hi + 1)]
-    plain, plain_den = _sums(plain_weights, ctx.stirling2_row)
-    alt, alt_den = _sums([_sign(k) * w for k, w in enumerate(plain_weights)], ctx.stirling2_row)
+    plain, plain_scales = _sums(plain_weights, ctx.stirling2_row)
+    alt, alt_scales = _sums([_sign(k) * w for k, w in enumerate(plain_weights)], ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
         want_plain = 1 if n == 1 else 2 * ctx.fubini(n - 1)
-        run.check_ratio({"n": n, "form": "plain"}, plain[n], plain_den, want_plain, 1)
+        run.check_ratio({"n": n, "form": "plain"}, plain[n], plain_scales[n], want_plain, 1)
         want_alt = -1 if n == 1 else 0
-        run.check_ratio({"n": n, "form": "alternating"}, alt[n], alt_den, want_alt, 1)
+        run.check_ratio({"n": n, "form": "alternating"}, alt[n], alt_scales[n], want_alt, 1)
 
 
 def _tail_cutoff(n: int, eps: Fraction) -> int:
@@ -662,9 +667,9 @@ def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
     weights = [0, 0] + [ctx.factorial(k - 2) * _sign(k) for k in range(2, n_hi + 1)]
-    lhs, den = _sums(weights, ctx.stirling2_row)
+    lhs, scales = _sums(weights, ctx.stirling2_row)
     for n in range(n_lo, n_hi + 1):
-        run.check_ratio({"n": n}, lhs[n], den, n - 1, 1)
+        run.check_ratio({"n": n}, lhs[n], scales[n], n - 1, 1)
 
 
 @_entry(
@@ -675,10 +680,10 @@ def _chk_c14(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 40),
 )
 def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    derangement_sums, den = _sums([_sign(k) * ctx.derangement(k) for k in range(n_hi + 1)], ctx.stirling2_row)
+    derangement_sums, scales = _sums([_sign(k) * ctx.derangement(k) for k in range(n_hi + 1)], ctx.stirling2_row)
     signed_bell = [_sign(k) * ctx.bell(k) for k in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
-        via_derangements = _ratio(_sign(n) * derangement_sums[n], den)
+        via_derangements = _ratio(_sign(n) * derangement_sums[n], scales[n])
         via_binomial = sum(binomial(n, k) * signed_bell[k] for k in range(n + 1))
         telescoped = 1 - sum(signed_bell[:n])
         run.check_members(

@@ -13,6 +13,9 @@ Triangle recurrences, row by row:
     S(n, k) = k S(n-1, k) + S(n-1, k-1)        set partitions
     s(n, k) = s(n-1, k-1) - (n-1) s(n-1, k)    signed, falling factorial
 
+Both are T(n, k) = T(n-1, k-1) + w_k T(n-1, k), with w_k = k for S and
+w_k = 1 - n for s, and one function builds a row of either.
+
 Everything downstream of them (Bell, Fubini, moments) is a weighted row
 sum, which keeps each family on a single authoritative code path.  The
 Bernoulli and Euler numbers both read one column of zigzag numbers A_m,
@@ -33,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, mul
 
 from .exact import binomial, common_denominator
@@ -43,6 +46,12 @@ from .exact import binomial, common_denominator
 # 4.9 s under CPython 3.11 on one pinned core of a shared 2-vCPU VM), so
 # larger exponents are refused.
 MOMENT_ORDER_CAP = 256
+
+
+def _next_row(prev: tuple[int, ...], weights) -> tuple[int, ...]:
+    """Row m of a triangle with T(m, k) = T(m-1, k-1) + w_k T(m-1, k),
+    T(m, 0) = 0 and T(m, m) = 1, from row m - 1 and w_1, ..., w_(m-1)."""
+    return (0, *map(add, prev, map(mul, weights, prev[1:])), 1)
 
 
 class Family(namedtuple("Family", "cli_name expr_name method params")):
@@ -156,20 +165,10 @@ class SeqContext:
         return self._grow(self._s2_rows, n, self._next_s2_row)
 
     def _next_s2_row(self, m: int) -> tuple[int, ...]:
-        prev = self._s2_rows[m - 1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            above = prev[k] if k < m else 0
-            row[k] = k * above + prev[k - 1]
-        return tuple(row)
+        return _next_row(self._s2_rows[m - 1], range(1, m))
 
     def _next_s1_row(self, m: int) -> tuple[int, ...]:
-        prev = self._s1_rows[m - 1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            above = prev[k] if k < m else 0
-            row[k] = prev[k - 1] - (m - 1) * above
-        return tuple(row)
+        return _next_row(self._s1_rows[m - 1], repeat(1 - m))
 
     # -- integer sequences -------------------------------------------
 

@@ -6,9 +6,11 @@ from the ``SeqContext`` passed in, or from the default context when none is.
 All four are one integer engine, b_n = sum_k T(n, k) lam^(n-k) mu^k a_k,
 with T read a whole row at a time from S, s or Pascal's triangle.  The
 inputs go over one common denominator and the weights over another, so
-the engine takes integer numerators and returns integer sums.  The public
-transforms build one Fraction per output; the identity registry and the
-substitution engines keep the sums and compare by cross-multiplication.
+the engine takes integer numerators and returns integer sums.  ``_sums``
+is its one hand-off: it returns the sums with one scale per output, so
+output n is sums[n] / scales[n].  The public transforms build one
+Fraction per output from that pair; the identity registry and the
+substitution engines keep the pair and compare by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -42,34 +44,23 @@ def _transform(nums: list[int], row, down: int = 1, up: int = 1) -> list[int]:
     return [sum(map(mul, row(n), map(mul, down_pows[n::-1], weighted))) for n in range(len(nums))]
 
 
-def _sums(values, row) -> tuple[list[int], int]:
-    """(sums, den) with sum_k row(n)[k] values_k equal to sums[n] / den."""
+def _sums(values, row, lam=1, mu=1) -> tuple[list[int], list[int]]:
+    """(sums, scales) with sum_k row(n)[k] lam^(n-k) mu^k values_k equal to
+    sums[n] / scales[n], for lam and mu each an int or a Fraction."""
     nums, den = common_denominator(values)
-    return _transform(nums, row), den
-
-
-def _weighted_sums(nums: list[int], row, lam, mu) -> tuple[list[int], int]:
-    """(sums, step) with sum_k row(n)[k] lam^(n-k) mu^k nums_k equal to
-    sums[n] / step^n, for lam and mu each an int or a Fraction."""
     sums = _transform(nums, row, lam.numerator * mu.denominator, lam.denominator * mu.numerator)
-    return sums, lam.denominator * mu.denominator
-
-
-def _fractions(values, row, lam=1, mu=1) -> list[Fraction]:
-    """The weighted transform of values, one reduced Fraction per output."""
-    nums, den = common_denominator(values)
-    sums, step = _weighted_sums(nums, row, lam, mu)
-    return [Fraction(s, den * step**n) for n, s in enumerate(sums)]
+    step = lam.denominator * mu.denominator
+    return sums, [den * step**n for n in range(len(sums))]
 
 
 def stirling_transform(a, ctx: SeqContext | None = None) -> list[Fraction]:
     """b_n = sum_k S(n, k) a_k."""
-    return _fractions(a, context(ctx).stirling2_row)
+    return list(map(Fraction, *_sums(a, context(ctx).stirling2_row)))
 
 
 def stirling_inverse(b, ctx: SeqContext | None = None) -> list[Fraction]:
     """a_n = sum_k s(n, k) b_k; exact inverse of :func:`stirling_transform`."""
-    return _fractions(b, context(ctx).stirling1_row)
+    return list(map(Fraction, *_sums(b, context(ctx).stirling1_row)))
 
 
 def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
@@ -77,7 +68,7 @@ def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
 
     The alternating form is an involution.
     """
-    return _fractions(a, _pascal_row, mu=-1 if alternating else 1)
+    return list(map(Fraction, *_sums(a, _pascal_row, mu=-1 if alternating else 1)))
 
 
 def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContext | None = None) -> list[Fraction]:
@@ -89,4 +80,5 @@ def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContex
     if kind not in ("second", "first"):
         raise ValueError(f"unknown kind {kind!r}; expected 'second' or 'first'")
     ctx = context(ctx)
-    return _fractions(a, ctx.stirling2_row if kind == "second" else ctx.stirling1_row, Fraction(lam), Fraction(mu))
+    row = ctx.stirling2_row if kind == "second" else ctx.stirling1_row
+    return list(map(Fraction, *_sums(a, row, Fraction(lam), Fraction(mu))))

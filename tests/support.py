@@ -63,6 +63,21 @@ def stirling1_row_oracle(n: int) -> list[int]:
     return coeffs
 
 
+def triangle_rows_oracle(n: int, kind: str) -> list[tuple[int, ...]]:
+    """Rows 0..n of S (kind "second") or signed s (kind "first"), each
+    entry by its own textbook recurrence in a per-entry loop, the way the
+    rows were built before both triangles shared one row recurrence."""
+    rows = [(1,)]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        row = [0] * (m + 1)
+        for k in range(1, m + 1):
+            above = prev[k] if k < m else 0
+            row[k] = k * above + prev[k - 1] if kind == "second" else prev[k - 1] - (m - 1) * above
+        rows.append(tuple(row))
+    return rows
+
+
 def derangement_oracle(n: int) -> int:
     """Count fixed-point-free permutations by enumeration; keep n <= 7."""
     return sum(

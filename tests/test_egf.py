@@ -563,7 +563,7 @@ def test_substitution_rejects_zero_lambda(ctx):
         log_substitution(exp_series(4), 0, 1, ctx)
 
 
-@pytest.mark.parametrize("route", ["egf_compose", "_weighted_sums"])
+@pytest.mark.parametrize("route", ["egf_compose", "_sums"])
 def test_substitutions_raise_when_one_route_is_corrupted(ctx, monkeypatch, route):
     # perturbing one coefficient of either route must be caught, never returned
     import stirlingkit.egf as egf_module
@@ -576,11 +576,11 @@ def test_substitutions_raise_when_one_route_is_corrupted(ctx, monkeypatch, route
             coeffs = list(out.coeffs)
             coeffs[3] += 1
             return Egf(coeffs)
-        # the direct route's value n is sums[n] / (f's denominator step^n)
-        sums, step = out
+        # the direct route's value n is sums[n] / (f's denominator scales[n])
+        sums, scales = out
         sums = list(sums)
-        sums[3] += f._den * step**3
-        return sums, step
+        sums[3] += f._den * scales[3]
+        return sums, scales
 
     f = Egf(random_rationals(random.Random(47), ORDER + 1))
     cases = ((stirling_substitution, "second", 2, Fraction(1, 3)), (log_substitution, "first", -1, 2))
@@ -588,7 +588,7 @@ def test_substitutions_raise_when_one_route_is_corrupted(ctx, monkeypatch, route
     monkeypatch.setattr(egf_module, route, corrupted)
     for (substitution, kind, lam, mu), value in zip(cases, exact):
         # the message names the first differing index and both routes' values
-        direct, composed = (value + 1, value) if route == "_weighted_sums" else (value, value + 1)
+        direct, composed = (value + 1, value) if route == "_sums" else (value, value + 1)
         want = (
             f"substitution routes disagree; engine defect: kind {kind}, index 3, "
             f"direct {format_rational(direct)}, composed {format_rational(composed)}, "

@@ -349,6 +349,11 @@ def test_printer_golden_forms():
         assert to_source(parse(src)) == want, src
 
 
+def test_printer_refuses_an_unknown_node():
+    with pytest.raises(TypeError, match=r"^cannot render node 'k'$"):
+        to_source(BinOp("+", IntLit(1), "k"))
+
+
 _atoms = st.one_of(
     st.integers(min_value=0, max_value=99).map(IntLit),
     st.sampled_from("xyk").map(Var),

@@ -27,6 +27,7 @@ from support import (
     moment_fill_oracle,
     stirling1_row_oracle,
     stirling2_oracle,
+    triangle_rows_oracle,
 )
 
 
@@ -39,6 +40,19 @@ def test_stirling2_matches_set_partition_count(ctx):
     for n in range(0, 10):
         for k in range(0, n + 2):
             assert ctx.stirling2(n, k) == stirling2_oracle(n, k), (n, k)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+def test_rows_equal_the_per_entry_loop_up_to_150(warm):
+    # brute force reaches n = 10 only; the per-entry loop checks the shared
+    # row recurrence far out, grown at once and grown on top of row 40
+    ctx = SeqContext()
+    if warm:
+        ctx.stirling2_row(40)
+        ctx.stirling1_row(40)
+    for row, kind in ((ctx.stirling2_row, "second"), (ctx.stirling1_row, "first")):
+        row(150)
+        assert [row(n) for n in range(151)] == triangle_rows_oracle(150, kind), kind
 
 
 def test_stirling1_matches_falling_factorial(ctx):
