@@ -34,12 +34,10 @@ def _emit_values(values: list[str], fmt: str) -> str:
 
 
 def _emit_rows(rows: list[dict], fmt: str) -> str:
-    """Render a table of dicts that share one key order."""
+    """Render a nonempty table of dicts that share one key order."""
     rows = [{k: str(v) for k, v in row.items()} for row in rows]
     if fmt == "json":
         return _dumps(rows)
-    if not rows:
-        return ""
     headers = list(rows[0])
     if fmt == "csv":
         lines = [",".join(headers)]
@@ -375,9 +373,14 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, RecursionError) as exc:
         detail = exc.args[0] if exc.args else exc
         print(f"error: {detail}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # the last resort for a result too large for this process; a bare
+        # MemoryError carries no message
+        print("error: out of memory", file=sys.stderr)
         return 2
     except OSError as exc:
         # args[0] of an OSError is its errno; name the reason and the file

@@ -167,7 +167,8 @@ class _Vector:
         return cs
 
     def __bool__(self) -> bool:
-        return bool(self._nums)
+        """False for the zero vector, whatever its length."""
+        return any(self._nums)
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._den == other._den and self._nums == other._nums

@@ -16,10 +16,12 @@ Triangle recurrences, row by row:
 Both are T(n, k) = T(n-1, k-1) + w_k T(n-1, k), with w_k = k for S and
 w_k = 1 - n for s, and one function builds a row of either.
 
-Everything downstream of them (Bell, Fubini, moments) is a weighted row
-sum, which keeps each family on a single authoritative code path.  The
+Fubini numbers are a weighted row sum of the partition triangle.  Bell
+numbers are its row sums too, but they are grown by additions alone along
+Aitken's array (the Bell triangle), and the moments M(n, p) come from
+Bell numbers by a recurrence, so neither reads a triangle row.  The
 Bernoulli and Euler numbers both read one column of zigzag numbers A_m,
-grown by additions alone (Seidel's boustrophedon; Brent and Harvey,
+grown the same way (Seidel's boustrophedon; Brent and Harvey,
 arXiv:1108.0286), so this module builds on ``exact`` alone.
 
 Functions that take ``ctx=None`` resolve it through :func:`context` to one
@@ -89,7 +91,8 @@ class SeqContext:
         self._lock = threading.RLock()
         self._s2_rows: list[tuple[int, ...]] = [(1,)]
         self._s1_rows: list[tuple[int, ...]] = [(1,)]
-        self._bell: list[int] = []
+        self._bell: list[int] = [1]
+        self._bell_row: list[int] = [1]  # the row of Aitken's array that starts with the last B_m
         self._fubini: list[int] = []
         self._bernoulli: list[Fraction] = []
         self._euler: list[Fraction] = []
@@ -176,8 +179,16 @@ class SeqContext:
         return self._grow(self._factorial, n, lambda m: self._factorial[m - 1] * m)
 
     def bell(self, n: int) -> int:
-        """Row sum of the partition triangle."""
-        return self._grow(self._bell, n, lambda m: sum(self._s2_row(m)))
+        """B_n, the row sum of the partition triangle, from Aitken's array
+        (the Bell triangle): row m starts with the last entry of row m - 1,
+        which is B_m, and each later entry adds the one above it.  Only
+        additions and one row of state; no triangle row is read."""
+        return self._grow(self._bell, n, self._next_bell)
+
+    def _next_bell(self, m: int) -> int:
+        # under the lock, inside _grow: the row is read and written only here.
+        row = self._bell_row = list(accumulate(self._bell_row, initial=self._bell_row[-1]))
+        return row[0]
 
     def fubini(self, n: int) -> int:
         """Ordered set partitions: sum of S(n, k) k! over the row."""

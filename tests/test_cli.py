@@ -8,7 +8,7 @@ import pytest
 
 import stirlingkit.cli as cli
 import stirlingkit.identities as identities
-from stirlingkit import Failure, IdentityReport
+from stirlingkit import Failure, IdentityReport, SeqContext
 from stirlingkit.cli import main
 
 
@@ -481,3 +481,37 @@ def test_power_over_the_width_cap_is_one_line_error(capsys):
     code, out, err = run_cli(capsys, "eval", "2^(3*10^6)")
     assert code == 2 and out == ""
     assert err == "error: power would be wider than the cap of 1048576 bits\n"
+
+
+# -- last resorts --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError, "error: out of memory\n"),  # bare: no message of its own
+        (RecursionError("maximum recursion depth exceeded"), "error: maximum recursion depth exceeded\n"),
+    ],
+    ids=["memory", "recursion"],
+)
+def test_exhausted_memory_or_stack_is_one_line_usage_error(capsys, monkeypatch, error, message):
+    def exhausted(self, n):
+        raise error
+
+    monkeypatch.setattr(SeqContext, "bell", exhausted)
+    code, out, err = run_cli(capsys, "seq", "bell", "--n", "3")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert (code, out, err) == (2, "", message)
+
+
+def test_a_closed_stdout_ends_quietly_with_exit_0(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["seq", "bell", "--n", "3"]) == 0
+    assert capsys.readouterr().err == ""

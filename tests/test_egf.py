@@ -73,6 +73,14 @@ def test_order_and_equality():
     assert f.coeffs == (1, 2, 3)
 
 
+def test_repr_lists_the_coefficients_and_only_zero_is_false():
+    assert repr(Egf([1, Fraction(-1, 2), 0])) == "Egf([1, -1/2, 0])"
+    assert repr(Egf([0])) == "Egf([0])"
+    # a zero series is false at every order, although it keeps its length
+    assert not Egf([0]) and not Egf([0, 0, 0]) and not (exp_series(4) - exp_series(4))
+    assert Egf([0, 0, 1]) and Egf([Fraction(1, 3)])
+
+
 def test_immutable():
     f = Egf([1, 2])
     with pytest.raises(AttributeError):

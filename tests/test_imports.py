@@ -109,6 +109,8 @@ def test_submodules_resolve_and_unknown_names_raise():
 
     for name in ("exact", "seq", "poly", "egf", "transform", "identities", "expr"):
         assert getattr(stirlingkit, name) is importlib.import_module(f"stirlingkit.{name}")
+        # an imported submodule is a plain attribute, so call the hook itself
+        assert stirlingkit.__getattr__(name) is importlib.import_module(f"stirlingkit.{name}")
         assert name in dir(stirlingkit)
     assert set(stirlingkit.__all__) <= set(dir(stirlingkit))
     with pytest.raises(AttributeError):

@@ -93,6 +93,13 @@ def test_str_rendering():
     assert str(Poly([0, 0, 2])) == "2*x^2"
 
 
+def test_repr_shows_the_rendering_and_only_zero_is_false():
+    assert repr(Poly([Fraction(1, 6), -1, 1])) == "Poly('1/6 - x + x^2')"
+    assert repr(ZERO) == "Poly('0')"
+    assert not ZERO and not Poly([0, 0]) and not (X - X)
+    assert ONE and X and Poly([0, 0, Fraction(-1, 3)])
+
+
 def test_json_round_trip():
     p = Poly([Fraction(1, 3), 0, Fraction(-2, 7)])
     texts = [format_rational(c) for c in p.coeffs]

@@ -148,6 +148,53 @@ def test_bell_is_row_sum_of_oracle(ctx):
     assert ctx.bell(10) == 115975
 
 
+def _partition_row_sums(top: int) -> list[int]:
+    # Bell numbers checked against the partition triangle, never against
+    # Aitken's array: the library grows them along that array, and two
+    # recurrences that share nothing check each other
+    rows = SeqContext()
+    return [sum(rows.stirling2_row(n)) for n in range(top + 1)]
+
+
+@pytest.mark.parametrize("order", ["fresh", "warm", "row-then-bell", "bell-then-row"])
+def test_bell_equals_the_partition_row_sums_up_to_200(order):
+    ctx = SeqContext()
+    if order in ("fresh", "warm"):
+        if order == "warm":
+            ctx.bell(60)
+        ctx.bell(200)
+        got = [ctx.bell(n) for n in range(201)]
+    else:
+        # the triangle grows in step with the Bell table, one side first
+        got = []
+        for n in range(201):
+            if order == "row-then-bell":
+                ctx.stirling2_row(n)
+            got.append(ctx.bell(n))
+            if order == "bell-then-row":
+                ctx.stirling2_row(n)
+    assert got == _partition_row_sums(200)
+
+
+def test_bell_table_fills_safely_between_threads():
+    assert _filled_three_ways("bell", 200) == [_partition_row_sums(200)] * 4
+
+
+@pytest.mark.parametrize(
+    "fill, top",
+    [(lambda ctx: ctx.bell(600), 600), (lambda ctx: ctx.moment(100, 20), 120)],
+    ids=["bell", "moment"],
+)
+def test_bell_and_moment_fills_read_no_triangle_row(fill, top):
+    # work guard: Bell numbers grow along Aitken's array, keeping one row of
+    # it, and moments from Bell numbers (moment(100, 20) reads B_0..B_120),
+    # so neither builds a partition-triangle row
+    ctx = SeqContext()
+    fill(ctx)
+    assert len(ctx._s2_rows) == 1
+    assert len(ctx._bell) == len(ctx._bell_row) == top + 1
+
+
 def test_fubini_weights_oracle_row_by_factorials(ctx):
     for n in range(0, 10):
         assert ctx.fubini(n) == sum(
