@@ -236,11 +236,12 @@ def _geometric_blocks(binom, w):
 
 
 def _reciprocal_blocks(n_hi):
-    """block_k = sum_(j<=k) (-1)^(k-j) / (k-j+1) binom_j for each k <= n_hi;
-    the weights are not geometric, so each block is its own sum."""
-    binom = binom_polys(n_hi)
-    recip = [Fraction(_sign(m), m + 1) for m in range(n_hi + 1)]
-    return [_combine(recip[k::-1], binom[: k + 1]) for k in range(n_hi + 1)]
+    """block_k = sum_(j<=k) (-1)^(k-j) / (k-j+1) binom_j for each k <= n_hi.
+
+    sum_k block_k t^k = (log(1+t)/t) (1+t)^x = (1/t) d/dx (1+t)^x, and
+    (1+t)^x = sum_k binom_k t^k, so block_k is the derivative of
+    binom_(k+1)."""
+    return [b.derivative() for b in binom_polys(n_hi + 1)[1:]]
 
 
 def _first_kind_sums(ctx, run, n_lo, n_hi, polys, blocks):
@@ -438,14 +439,16 @@ def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 1)
-    # right side only: powers[n][j] = (xD)^j phi_n, built once per index
-    powers = [[xd_apply(f, j) for j in range(p_hi + 1)] for f in phi]
+    # powers[n][j] = (xD)^j phi_n and shifted[n][j] = x powers[n][j], each
+    # built once; the left side reads powers[n][p + 1]
+    powers = [[xd_apply(f, j) for j in range(p_hi + 2)] for f in phi]
+    shifted = [[X * f for f in row[: p_hi + 1]] for row in powers[: n_hi + 1]]
     for p in range(p_hi + 1):
-        weights = [binomial(p, j) for j in range(p + 1)]
+        # the right side is powers[n + 1][p] - sum_j C(p, j) shifted[n][j]
+        weights = [1] + [-binomial(p, j) for j in range(p + 1)]
         for n in range(n_lo, n_hi + 1):
-            lhs = xd_apply(phi[n], p + 1)
-            rhs = powers[n + 1][p] - X * _combine(weights, powers[n][: p + 1])
-            run.check({"n": n, "p": p}, lhs, rhs)
+            rhs = _combine(weights, [powers[n + 1][p], *shifted[n][: p + 1]])
+            run.check({"n": n, "p": p}, powers[n][p + 1], rhs)
 
 
 @_entry(
@@ -457,6 +460,7 @@ def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 2)
+    two_x, x2_minus_x = 2 * X, X * X - X
     for n in range(n_lo, n_hi + 1):
         row = ctx.stirling2_row(n)
         first_sum = Poly._from_nums([c * k for k, c in enumerate(row)], 1)
@@ -471,7 +475,7 @@ def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
         )
         second_sum = Poly._from_nums([c * k * k for k, c in enumerate(row)], 1)
         second_op = xd_apply(phi[n], 2)
-        second_comb = phi[n + 2] - 2 * X * phi[n + 1] + (X * X - X) * phi[n]
+        second_comb = phi[n + 2] - two_x * phi[n + 1] + x2_minus_x * phi[n]
         run.check_members(
             {"n": n, "display": 2},
             (
@@ -649,8 +653,11 @@ def _tail_cutoff(n: int, eps: Fraction) -> int:
 def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
     for n in range(n_lo, n_hi + 1):
         K = _tail_cutoff(n, eps)
-        # sum_(k<=K) k^n / 2^(k+1) as one integer over 2^(K+1)
-        partial, scale = sum(k**n << (K - k) for k in range(K + 1)), 2 ** (K + 1)
+        # sum_(k<=K) k^n / 2^(k+1) as one integer over 2^(K+1), by Horner's rule
+        partial = 0
+        for k in range(K + 1):
+            partial = (partial << 1) + k**n
+        scale = 2 ** (K + 1)
         target = ctx.fubini(n)
         if abs(partial - target * scale) * eps.denominator < eps.numerator * scale:
             run.checked += 1
@@ -704,10 +711,12 @@ def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi)
-    for n in range(n_lo, n_hi + 1):
-        lhs = _combine([binomial(n, k) * _sign(k) for k in range(n + 1)], phi[: n + 1])
-        acc = _combine([-_sign(j) for j in range(n)], phi[:n]) if n else ZERO
-        run.check({"n": n}, lhs, ONE + X * acc)
+    acc = ZERO  # the telescoped sum_(j<n) -(-1)^j phi_j
+    for n in range(n_hi + 1):
+        if n >= n_lo:
+            lhs = _combine([binomial(n, k) * _sign(k) for k in range(n + 1)], phi[: n + 1])
+            run.check({"n": n}, lhs, ONE + X * acc)
+        acc = acc + phi[n] if n % 2 else acc - phi[n]
 
 
 @_entry(

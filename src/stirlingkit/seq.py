@@ -16,13 +16,14 @@ Triangle recurrences, row by row:
 Both are T(n, k) = T(n-1, k-1) + w_k T(n-1, k), with w_k = k for S and
 w_k = 1 - n for s, and one function builds a row of either.
 
-Fubini numbers are a weighted row sum of the partition triangle.  Bell
-numbers are its row sums too, but they are grown by additions alone along
-Aitken's array (the Bell triangle), and the moments M(n, p) come from
-Bell numbers by a recurrence, so neither reads a triangle row.  The
-Bernoulli and Euler numbers both read one column of zigzag numbers A_m,
-grown the same way (Seidel's boustrophedon; Brent and Harvey,
-arXiv:1108.0286), so this module builds on ``exact`` alone.
+Bell numbers are the row sums of the partition triangle, but they are
+grown by additions alone along Aitken's array (the Bell triangle), and the
+moments M(n, p) come from Bell numbers by a recurrence.  The Bernoulli and
+Euler numbers both read one column of zigzag numbers A_m, grown by
+additions too (Seidel's boustrophedon; Brent and Harvey, arXiv:1108.0286).
+Fubini numbers, the triangle's factorial-weighted row sums, are grown over
+rows of Pascal's triangle.  So no family reads a Stirling triangle row, and
+this module builds on ``exact`` alone.
 
 Functions that take ``ctx=None`` resolve it through :func:`context` to one
 process-wide default context, so their memo tables are shared and live as
@@ -93,7 +94,7 @@ class SeqContext:
         self._s1_rows: list[tuple[int, ...]] = [(1,)]
         self._bell: list[int] = [1]
         self._bell_row: list[int] = [1]  # the row of Aitken's array that starts with the last B_m
-        self._fubini: list[int] = []
+        self._fubini: list[int] = [1]
         self._bernoulli: list[Fraction] = []
         self._euler: list[Fraction] = []
         self._zigzag: list[int] = [1]  # A_m, the alternating permutations of m
@@ -153,7 +154,7 @@ class SeqContext:
 
     # The row methods are the one place the public triangle entries come
     # from, so a subclass that overrides them changes every entry lookup
-    # and every transform.  The families below read the private rows.
+    # and every transform.  No family below reads a triangle row.
     # A row is stored as a tuple, so it is returned without a copy.
 
     def stirling2_row(self, n: int) -> tuple[int, ...]:
@@ -163,9 +164,6 @@ class SeqContext:
     def stirling1_row(self, n: int) -> tuple[int, ...]:
         """Row n of the signed first-kind triangle: s(n, 0), ..., s(n, n)."""
         return self._grow(self._s1_rows, n, self._next_s1_row)
-
-    def _s2_row(self, n: int) -> tuple[int, ...]:
-        return self._grow(self._s2_rows, n, self._next_s2_row)
 
     def _next_s2_row(self, m: int) -> tuple[int, ...]:
         return _next_row(self._s2_rows[m - 1], range(1, m))
@@ -191,12 +189,17 @@ class SeqContext:
         return row[0]
 
     def fubini(self, n: int) -> int:
-        """Ordered set partitions: sum of S(n, k) k! over the row."""
+        """Ordered set partitions F_n, the sum of S(n, k) k! over the row,
+        grown by F_0 = 1 and F_m = sum_(j<m) C(m, j) F_j: the first block
+        takes m - j of the m elements and the other j are partitioned in
+        order.  One Pascal row per index; no Stirling row and no factorial
+        is read."""
         return self._grow(self._fubini, n, self._next_fubini)
 
     def _next_fubini(self, m: int) -> int:
-        row = self._s2_row(m)
-        return sum(row[k] * self.factorial(k) for k in range(m + 1))
+        # under the lock, inside _grow: F_0 .. F_(m-1) are built, so the
+        # row's last entry C(m, m) finds no F_m to pair with
+        return sum(map(mul, self._grow(self._pascal, m, self._next_pascal), self._fubini))
 
     def derangement(self, n: int) -> int:
         """Fixed-point-free permutations, by inclusion-exclusion.

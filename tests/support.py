@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from math import comb, factorial
 
-from stirlingkit.exact import binomial, common_denominator
+from stirlingkit.exact import _combine, binomial, common_denominator
 from stirlingkit.expr import (
     _BUILTINS,
     POWER_BITS_CAP,
@@ -30,7 +30,7 @@ from stirlingkit.expr import (
     _chain,
     _power_bits,
 )
-from stirlingkit.poly import ONE, Poly, X, xd_apply
+from stirlingkit.poly import ONE, Poly, X, binom_polys, xd_apply
 
 
 def stirling2_oracle(n: int, k: int) -> int:
@@ -288,6 +288,22 @@ def binom_poly_oracle(k: int) -> Poly:
     for i in range(k):
         p = p * Poly([-i, 1])
     return Fraction(1, factorial(k)) * p
+
+
+def reciprocal_blocks_oracle(n_hi: int) -> list[Poly]:
+    """block_k = sum_(j<=k) (-1)^(k-j) / (k-j+1) binom_j for each k <= n_hi,
+    each block one reciprocal-weighted combination of the binomial
+    polynomials, as T5a and T5b built them before they took derivatives."""
+    binom = binom_polys(n_hi)
+    recip = [Fraction(-1 if m % 2 else 1, m + 1) for m in range(n_hi + 1)]
+    return [_combine(recip[k::-1], binom[: k + 1]) for k in range(n_hi + 1)]
+
+
+def fubini_oracle(n: int, ctx) -> list[int]:
+    """F_0 .. F_n as the weighted row sums sum_k S(m, k) k! of the
+    partition triangle, as ``SeqContext.fubini`` computed them before it
+    grew them over Pascal rows."""
+    return [sum(s * factorial(k) for k, s in enumerate(ctx.stirling2_row(m))) for m in range(n + 1)]
 
 
 def exp_poly_oracle(n: int) -> Poly:

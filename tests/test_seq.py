@@ -24,6 +24,7 @@ from support import (
     euler_poly_oracle,
     euler_polys_oracle,
     faulhaber_oracle,
+    fubini_oracle,
     moment_fill_oracle,
     stirling1_row_oracle,
     stirling2_oracle,
@@ -88,7 +89,7 @@ def test_negative_index_rejected(ctx):
         (getattr(ctx, family.method), [-1 if name == "n" else 1 for name in family.params])
         for family in FAMILIES
     ]
-    calls += [(fn, [-1]) for fn in (ctx.stirling2_row, ctx.stirling1_row, ctx._s2_row)]
+    calls += [(fn, [-1]) for fn in (ctx.stirling2_row, ctx.stirling1_row)]
     calls += [(fn, [-1, 0]) for fn in (ctx.stirling2, ctx.stirling1)]
     calls += [(fn, [-1]) for fn in (exp_poly, geom_poly, bernoulli_poly, euler_poly, binom_poly)]
     for fn, args in calls:
@@ -201,6 +202,46 @@ def test_fubini_weights_oracle_row_by_factorials(ctx):
             stirling2_oracle(n, k) * ctx.factorial(k) for k in range(n + 1)
         )
     assert [ctx.fubini(n) for n in range(8)] == [1, 1, 3, 13, 75, 541, 4683, 47293]
+
+
+@pytest.mark.parametrize("fill", ["fresh", "warm", "threads"])
+def test_fubini_equals_the_weighted_partition_row_sums_up_to_200(fill):
+    want = fubini_oracle(200, SeqContext())
+    if fill == "threads":
+        assert _filled_three_ways("fubini", 200) == [want] * 4
+        return
+    ctx = SeqContext()
+    if fill == "warm":
+        ctx.moment(0, 80)  # Pascal rows 0..79, ahead of the Fubini table
+        ctx.fubini(60)
+    ctx.fubini(200)
+    assert [ctx.fubini(n) for n in range(201)] == want
+
+
+def test_fubini_fill_reads_no_triangle_row_and_no_factorial():
+    # work guard: the Fubini table reads Pascal rows alone.  A fresh
+    # fubini(600) took 1.0-1.1 s over the partition triangle and 0.25-0.31
+    # s over Pascal rows (one pinned CPU); the gate leaves room for a
+    # host that runs twice as slowly
+    import time
+
+    class CountingContext(SeqContext):
+        calls = 0
+
+        def factorial(self, n):
+            self.calls += 1
+            return super().factorial(n)
+
+    times = []
+    for _ in range(3):
+        ctx = CountingContext()
+        start = time.perf_counter()
+        ctx.fubini(600)
+        times.append(time.perf_counter() - start)
+        assert len(ctx._s2_rows) == 1
+        assert ctx.calls == 0
+        assert len(ctx._fubini) == len(ctx._pascal) == 601
+    assert min(times) < 0.6
 
 
 def test_derangement_matches_enumeration(ctx):
