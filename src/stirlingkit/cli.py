@@ -12,42 +12,63 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, count, islice
 
 # Only exact and seq load with the command line.  Each subcommand imports
 # the modules it runs, so a call pays start-up time for those alone.
 from .exact import format_rational, parse_rational
 from .seq import FAMILIES, context
 
-_JSON_SEPARATORS = (",", ":")
+# one encoder for every call: json.dumps builds a new one each time
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _dumps(data) -> str:
-    return json.dumps(data, separators=_JSON_SEPARATORS)
+def _chunks(items):
+    """Lists of up to 256 items: output goes out a chunk at a time, since
+    a write or an encoder call per row costs more than the row's text."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, 256)), [])
 
 
-def _emit_values(values: list[str], fmt: str) -> str:
-    """Render canonical rational strings, indexed implicitly from 0."""
+def _write_json_array(items) -> None:
+    """Write a JSON array to stdout a chunk of items at a time, with the
+    bytes of the compact encoding of the whole list."""
+    write = sys.stdout.write
+    texts = (_encode(chunk)[1:-1] for chunk in _chunks(items))
+    write("[" + next(texts, ""))
+    for text in texts:
+        write("," + text)
+    write("]\n")
+
+
+def _write_table(headers: tuple[str, ...], rows, fmt: str) -> None:
+    """Write string tuples under ``headers`` to stdout: a line per row in
+    text and csv, and in json an array of objects keyed by ``headers``.
+
+    json and csv hold one chunk of rows at a time; text holds every row,
+    since each column is as wide as its widest entry.  Each format
+    computes its first chunk before it writes a byte, so an error raised
+    while computing the first row leaves stdout empty."""
     if fmt == "json":
-        return _dumps(values)
-    rows = [{"n": str(i), "value": v} for i, v in enumerate(values)]
-    return _emit_rows(rows, fmt)
-
-
-def _emit_rows(rows: list[dict], fmt: str) -> str:
-    """Render a nonempty table of dicts that share one key order."""
-    rows = [{k: str(v) for k, v in row.items()} for row in rows]
-    if fmt == "json":
-        return _dumps(rows)
-    headers = list(rows[0])
+        return _write_json_array(dict(zip(headers, row)) for row in rows)
     if fmt == "csv":
-        lines = [",".join(headers)]
-        lines += [",".join(row[h] for h in headers) for row in rows]
-        return "\n".join(lines)
-    widths = {h: max(len(h), *(len(row[h]) for row in rows)) for h in headers}
-    lines = ["  ".join(h.ljust(widths[h]) for h in headers).rstrip()]
-    for row in rows:
-        lines.append("  ".join(row[h].ljust(widths[h]) for h in headers).rstrip())
-    return "\n".join(lines)
+        lines = map(",".join, chain([headers], rows))
+    else:
+        table = [headers, *rows]
+        line = "  ".join(f"%-{max(map(len, column))}s" for column in zip(*table))
+        lines = ((line % row).rstrip() for row in table)
+    write = sys.stdout.write
+    for chunk in _chunks(lines):
+        write("\n".join([*chunk, ""]))  # one copy of the chunk's text, not two
+
+
+def _write_values(values, fmt: str, index: str = "n") -> None:
+    """Rational strings indexed from 0: a json array, or a table of index
+    and value."""
+    if fmt == "json":
+        _write_json_array(values)
+    else:
+        _write_table((index, "value"), zip(map(str, count()), values), fmt)
 
 
 def _report_dict(report) -> dict:
@@ -65,7 +86,7 @@ def _report_dict(report) -> dict:
 
 def _emit_reports(reports: list, fmt: str) -> str:
     if fmt == "json":
-        return _dumps([_report_dict(r) for r in reports])
+        return _encode([_report_dict(r) for r in reports])
     lines = []
     width = max(len(r.id) for r in reports)
     for r in reports:
@@ -107,11 +128,8 @@ def _cmd_seq(args) -> int:
     _check_n(args.n)
     ctx = context()
     family = _SEQ_BY_NAME[args.family]
-    values = [
-        format_rational(family(ctx, *(i if name == "n" else args.p for name in family.params)))
-        for i in range(args.n + 1)
-    ]
-    print(_emit_values(values, args.format))
+    values = (family(ctx, *(i if name == "n" else args.p for name in family.params)) for i in range(args.n + 1))
+    _write_values(map(format_rational, values), args.format)
     return 0
 
 
@@ -119,8 +137,8 @@ def _cmd_triangle(args) -> int:
     _check_n(args.n)
     ctx = context()
     row_of = ctx.stirling2_row if args.triangle == "stirling2" else ctx.stirling1_row
-    rows = [{"n": n, "k": k, "value": value} for n in range(args.n + 1) for k, value in enumerate(row_of(n))]
-    print(_emit_rows(rows, args.format))
+    rows = ((str(n), str(k), format_rational(v)) for n in range(args.n + 1) for k, v in enumerate(row_of(n)))
+    _write_table(("n", "k", "value"), rows, args.format)
     return 0
 
 
@@ -128,13 +146,10 @@ def _cmd_poly(args) -> int:
     from . import poly
 
     p = getattr(poly, _POLY_FAMILIES[args.family])(args.n)
-    if args.format == "json":
-        print(_emit_values([format_rational(c) for c in p.coeffs], "json"))
-    elif args.format == "csv":
-        rows = [{"k": k, "value": format_rational(c)} for k, c in enumerate(p.coeffs)]
-        print(_emit_rows(rows, "csv"))
+    if args.format == "text":
+        print(p)
     else:
-        print(str(p))
+        _write_values(map(format_rational, p.coeffs), args.format, "k")
     return 0
 
 
@@ -143,11 +158,8 @@ def _cmd_series(args) -> int:
 
     f = egf_elementary(args.kind, args.order, x=args.x, c=args.c, m=args.m)
     ordinary = to_ordinary(f)
-    rows = [
-        {"n": n, "egf": format_rational(a), "ordinary": format_rational(c)}
-        for n, (a, c) in enumerate(zip(f.coeffs, ordinary))
-    ]
-    print(_emit_rows(rows, args.format))
+    rows = zip(map(str, count()), map(format_rational, f.coeffs), map(format_rational, ordinary))
+    _write_table(("n", "egf", "ordinary"), rows, args.format)
     return 0
 
 
@@ -192,7 +204,7 @@ def _cmd_transform(args) -> int:
         out = binomial_transform(seq, alternating=True)
     else:
         out = weighted_stirling_transform(seq, args.lam, args.mu, kind=args.weighted_kind)
-    print(_emit_values([format_rational(v) for v in out], args.format))
+    _write_values(map(format_rational, out), args.format)
     return 0
 
 
@@ -225,11 +237,8 @@ def _cmd_verify(args) -> int:
 def _cmd_identities(args) -> int:
     from .identities import list_identities
 
-    rows = [
-        {"id": spec.id, "kind": spec.kind, "description": spec.description}
-        for spec in list_identities()
-    ]
-    print(_emit_rows(rows, args.format))
+    rows = ((spec.id, spec.kind, spec.description) for spec in list_identities())
+    _write_table(("id", "kind", "description"), rows, args.format)
     return 0
 
 
@@ -244,10 +253,7 @@ def _cmd_eval(args) -> int:
         bindings[name] = parse_rational(value)
     result = evaluate(parse(args.expression), Env(bindings=bindings))
     text = format_rational(result)
-    if args.format == "json":
-        print(_dumps(text))
-    else:
-        print(text)
+    print(_encode(text) if args.format == "json" else text)
     return 0
 
 

@@ -71,7 +71,8 @@ def common_denominator(values) -> tuple[list[int], int]:
 
 def format_rational(x: Fraction | int) -> str:
     """Render canonically as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    if type(x) is not int:
+        x = Fraction(x)
     try:
         return str(x)
     except ValueError:

@@ -22,8 +22,8 @@ moments M(n, p) come from Bell numbers by a recurrence.  The Bernoulli and
 Euler numbers both read one column of zigzag numbers A_m, grown by
 additions too (Seidel's boustrophedon; Brent and Harvey, arXiv:1108.0286).
 Fubini numbers, the triangle's factorial-weighted row sums, are grown over
-rows of Pascal's triangle.  So no family reads a Stirling triangle row, and
-this module builds on ``exact`` alone.
+one rolling row of Pascal's triangle.  So no family reads a Stirling
+triangle row, and this module builds on ``exact`` alone.
 
 Functions that take ``ctx=None`` resolve it through :func:`context` to one
 process-wide default context, so their memo tables are shared and live as
@@ -55,6 +55,11 @@ def _next_row(prev: tuple[int, ...], weights) -> tuple[int, ...]:
     """Row m of a triangle with T(m, k) = T(m-1, k-1) + w_k T(m-1, k),
     T(m, 0) = 0 and T(m, m) = 1, from row m - 1 and w_1, ..., w_(m-1)."""
     return (0, *map(add, prev, map(mul, weights, prev[1:])), 1)
+
+
+def _next_pascal_row(prev: tuple[int, ...]) -> tuple[int, ...]:
+    """Row m of Pascal's triangle, C(m, 0), ..., C(m, m), from row m - 1."""
+    return (1, *map(add, prev, prev[1:]), 1)
 
 
 class Family(namedtuple("Family", "cli_name expr_name method params")):
@@ -95,6 +100,7 @@ class SeqContext:
         self._bell: list[int] = [1]
         self._bell_row: list[int] = [1]  # the row of Aitken's array that starts with the last B_m
         self._fubini: list[int] = [1]
+        self._fubini_row: tuple[int, ...] = (1,)  # the Pascal row of the last F_m
         self._bernoulli: list[Fraction] = []
         self._euler: list[Fraction] = []
         self._zigzag: list[int] = [1]  # A_m, the alternating permutations of m
@@ -103,7 +109,7 @@ class SeqContext:
         self._harmonic: list[Fraction] = [Fraction(0)]
         self._factorial: list[int] = [1]
         self._moment: dict[tuple[int, int], int] = {}
-        self._pascal: list[tuple[int, ...]] = [(1,)]  # C(m, 0), ..., C(m, m)
+        self._pascal: list[tuple[int, ...]] = [(1,)]  # C(m, 0), ..., C(m, m), for moment
         self._power_sums: dict[int, list[int]] = {}
         self._hyperharmonic: dict[tuple[int, int], Fraction] = {}
         self._faulhaber: dict[int, tuple[tuple[int, ...], int]] = {}
@@ -192,14 +198,16 @@ class SeqContext:
         """Ordered set partitions F_n, the sum of S(n, k) k! over the row,
         grown by F_0 = 1 and F_m = sum_(j<m) C(m, j) F_j: the first block
         takes m - j of the m elements and the other j are partitioned in
-        order.  One Pascal row per index; no Stirling row and no factorial
-        is read."""
+        order.  One Pascal row of state, as Bell numbers keep one row of
+        Aitken's array; no Stirling row and no factorial is read."""
         return self._grow(self._fubini, n, self._next_fubini)
 
     def _next_fubini(self, m: int) -> int:
-        # under the lock, inside _grow: F_0 .. F_(m-1) are built, so the
-        # row's last entry C(m, m) finds no F_m to pair with
-        return sum(map(mul, self._grow(self._pascal, m, self._next_pascal), self._fubini))
+        # under the lock, inside _grow: the row is read and written only
+        # here.  F_0 .. F_(m-1) are built, so the row's last entry C(m, m)
+        # finds no F_m to pair with
+        row = self._fubini_row = _next_pascal_row(self._fubini_row)
+        return sum(map(mul, row, self._fubini))
 
     def derangement(self, n: int) -> int:
         """Fixed-point-free permutations, by inclusion-exclusion.
@@ -366,7 +374,7 @@ class SeqContext:
         # complete, and any other is read up to its first gap and extended.
         memo = self._moment
         pascal = self._pascal
-        self._grow(pascal, p - 1, self._next_pascal)
+        self._grow(pascal, p - 1, lambda m: _next_pascal_row(pascal[m - 1]))
         for m in range(n + p - 1, n - 1, -1):
             top = n + p - m
             if (m, top) in memo:
@@ -382,10 +390,6 @@ class SeqContext:
                 memo[m, q] = value = above - sum(map(mul, pascal[q - 1], column))
                 column.append(value)
         return memo[n, p]
-
-    def _next_pascal(self, m: int) -> tuple[int, ...]:
-        prev = self._pascal[m - 1]
-        return (1, *map(add, prev, prev[1:]), 1)
 
 
 _DEFAULT = SeqContext()

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 from fractions import Fraction
@@ -10,6 +11,9 @@ import stirlingkit.cli as cli
 import stirlingkit.identities as identities
 from stirlingkit import Failure, IdentityReport, SeqContext
 from stirlingkit.cli import main
+from stirlingkit.seq import context
+
+FORMATS = ("text", "csv", "json")
 
 
 def run_cli(capsys, *argv):
@@ -460,9 +464,30 @@ def test_factorial_beyond_the_int_digit_limit(capsys):
 
 
 def test_moment_exponent_over_the_cap_is_one_line_usage_error(capsys):
+    # the first row is computed before the first byte, so no format has
+    # written its csv header or json bracket when the error comes
+    for fmt in FORMATS:
+        code, out, err = run_cli(capsys, "seq", "moment", "--n", "5", "--p", "300", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: moment exponent 300 exceeds the cap 256\n")
     code, out, err = run_cli(capsys, "seq", "moment", "--n", "0", "--p", "1500")
     assert code == 2 and out == ""
     assert err == "error: moment exponent 1500 exceeds the cap 256\n"
+
+
+def test_triangle_entries_beyond_the_int_digit_limit(capsys):
+    # s(400, 1) = -399! has 868 digits; str() refuses it under a limit of
+    # 640, and format_rational does not
+    import sys
+
+    want = run_cli(capsys, "triangle", "stirling1", "--n", "400", "--format", "csv")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = run_cli(capsys, "triangle", "stirling1", "--n", "400", "--format", "csv")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert want[0] == 0 and len(want[1].splitlines()[-400]) > 640
 
 
 def test_deep_nesting_is_one_line_parse_error(capsys):
@@ -499,19 +524,92 @@ def test_exhausted_memory_or_stack_is_one_line_usage_error(capsys, monkeypatch, 
         raise error
 
     monkeypatch.setattr(SeqContext, "bell", exhausted)
-    code, out, err = run_cli(capsys, "seq", "bell", "--n", "3")
-    assert "Traceback" not in err and err.count("\n") == 1
-    assert (code, out, err) == (2, "", message)
+    for fmt in FORMATS:
+        code, out, err = run_cli(capsys, "seq", "bell", "--n", "3", "--format", fmt)
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert (code, out, err) == (2, "", message)
 
 
 def test_a_closed_stdout_ends_quietly_with_exit_0(capsys, monkeypatch):
-    class ClosedPipe:
+    class ClosingPipe:
+        """Takes ``writes`` writes, then is closed by its reader."""
+
+        def __init__(self, writes):
+            self.writes = writes
+
         def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
+            if not self.writes:
+                raise BrokenPipeError(32, "Broken pipe")
+            self.writes -= 1
+            return len(text)
 
         def flush(self):
             pass
 
-    monkeypatch.setattr("sys.stdout", ClosedPipe())
-    assert main(["seq", "bell", "--n", "3"]) == 0
-    assert capsys.readouterr().err == ""
+    for writes in (0, 1):  # closed before anything, or after the first write
+        for fmt in FORMATS:
+            pipe = ClosingPipe(writes)
+            monkeypatch.setattr("sys.stdout", pipe)
+            assert main(["seq", "bell", "--n", "600", "--format", fmt]) == 0  # more than one write
+            assert pipe.writes == 0
+            assert capsys.readouterr().err == ""
+
+
+# -- streamed output -----------------------------------------------------
+
+# sha256 of stdout, recorded before the tables were streamed row by row
+STDOUT_SHA256 = {
+    ("seq", "bell", "--n", "400", "--format", "text"): "ba532d51b0f145fb9224867f670d48e6a62cb6f91ecdc1659f59d54834bd0b65",
+    ("seq", "bell", "--n", "400", "--format", "csv"): "8d287b9ebff783b0d5f95963a1f757ba688cae0c33e2d80736c7eddaaa5f6e95",
+    ("seq", "bell", "--n", "400", "--format", "json"): "c2bffecc64354a551890d90e60eaa4efcbe1666bec043ad41dac74c35a3d4612",
+    ("triangle", "stirling2", "--n", "60", "--format", "text"):
+        "b0fa107a41f88de63a14da1c43fbaf2481a507c0aa8e329082042f45d352dde4",
+    ("triangle", "stirling2", "--n", "60", "--format", "csv"):
+        "8892b60eb73b8be590b7dccdd11fbc595ef24cdeb6df401a1a9a7a654ba7f258",
+    ("triangle", "stirling2", "--n", "60", "--format", "json"):
+        "ec7b1d5cd3172b30bf40d07069bed1f9a062107aa0e248122a933e189568330b",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_large_outputs_keep_their_bytes(capsys, argv):
+    import hashlib
+
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+def test_streamed_json_equals_the_whole_list_encoded():
+    # chunks of 256 items are encoded one at a time; 600 items take three
+    items = ["1", "-3/2", 'a "quoted" \\ é', {"n": "0", "value": "1"}, [], *map(str, range(595))]
+    for k in (0, 1, 2, 5, 255, 256, 257, 512, 513, 600):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._write_json_array(iter(items[:k]))
+        assert out.getvalue() == json.dumps(items[:k], separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("fmt, bound_mb", [("csv", 1), ("json", 1), ("text", 12)])
+def test_a_triangle_streams_without_holding_its_output(fmt, bound_mb):
+    # csv and json hold one chunk of 256 rows at a time; text holds every
+    # row's strings for the column widths, but no dict per entry and no
+    # joined output.  Before streaming, each format peaked at 20.4 MB here
+    import tracemalloc
+
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    context().stirling1_row(200)  # the rows are the context's, not the writer's
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            assert main(["triangle", "stirling1", "--n", "200", "--format", fmt]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20

@@ -272,6 +272,16 @@ def test_env_without_a_context_uses_the_default_and_owns_its_bindings():
     assert Env().bindings is not Env().bindings
 
 
+def test_a_float_or_decimal_binding_is_read_as_its_exact_rational():
+    # Env takes any value Fraction() accepts; the evaluator converts it
+    # once, exactly (0.5 is 1/2 in binary), and an integral one to an int
+    from decimal import Decimal
+
+    assert evaluate(parse("x + 1"), Env(bindings={"x": 0.5})) == Fraction(3, 2)
+    assert evaluate(parse("x"), Env(bindings={"x": Decimal("0.1")})) == Fraction(1, 10)
+    assert evaluate(parse("S(x, 2)"), Env(bindings={"x": 4.0})) == 7
+
+
 def test_errors_found_while_compiling_raise_only_when_reached():
     for body in (Call("zeta", (Var("k"),)), Call("S", (Var("k"),)), BinOp("%", Var("k"), IntLit(2)), object()):
         assert evaluate(Sum("k", IntLit(1), IntLit(0), body)) == 0
