@@ -557,11 +557,15 @@ def test_a_closed_stdout_ends_quietly_with_exit_0(capsys, monkeypatch):
 
 # -- streamed output -----------------------------------------------------
 
-# sha256 of stdout, recorded before the tables were streamed row by row
+# sha256 of stdout, recorded when each command built its whole output
+# before printing it
 STDOUT_SHA256 = {
-    ("seq", "bell", "--n", "400", "--format", "text"): "ba532d51b0f145fb9224867f670d48e6a62cb6f91ecdc1659f59d54834bd0b65",
-    ("seq", "bell", "--n", "400", "--format", "csv"): "8d287b9ebff783b0d5f95963a1f757ba688cae0c33e2d80736c7eddaaa5f6e95",
-    ("seq", "bell", "--n", "400", "--format", "json"): "c2bffecc64354a551890d90e60eaa4efcbe1666bec043ad41dac74c35a3d4612",
+    ("seq", "bell", "--n", "400", "--format", "text"):
+        "ba532d51b0f145fb9224867f670d48e6a62cb6f91ecdc1659f59d54834bd0b65",
+    ("seq", "bell", "--n", "400", "--format", "csv"):
+        "8d287b9ebff783b0d5f95963a1f757ba688cae0c33e2d80736c7eddaaa5f6e95",
+    ("seq", "bell", "--n", "400", "--format", "json"):
+        "c2bffecc64354a551890d90e60eaa4efcbe1666bec043ad41dac74c35a3d4612",
     ("triangle", "stirling2", "--n", "60", "--format", "text"):
         "b0fa107a41f88de63a14da1c43fbaf2481a507c0aa8e329082042f45d352dde4",
     ("triangle", "stirling2", "--n", "60", "--format", "csv"):
