@@ -205,8 +205,12 @@ class SeqContext:
     def _next_fubini(self, m: int) -> int:
         # under the lock, inside _grow: the row is read and written only
         # here.  F_0 .. F_(m-1) are built, so the row's last entry C(m, m)
-        # finds no F_m to pair with
-        row = self._fubini_row = _next_pascal_row(self._fubini_row)
+        # finds no F_m to pair with.  The row is advanced only while it is
+        # row m - 1, so a step that raised (say a MemoryError in the sum)
+        # leaves row m to the retry instead of stepping past it
+        row = self._fubini_row
+        if len(row) == m:
+            row = self._fubini_row = _next_pascal_row(row)
         return sum(map(mul, row, self._fubini))
 
     def derangement(self, n: int) -> int:

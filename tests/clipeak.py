@@ -1,8 +1,9 @@
 """Peak memory of large command-line calls, each in its own child process.
 
 Runs each call below through ``stirlingkit.cli.run`` in a fresh
-interpreter, with a wall-clock timeout and an address-space limit
-(``RLIMIT_AS``) set on that child alone, and prints one row per call:
+interpreter, with a wall-clock timeout of 60 s and an address-space
+limit (``RLIMIT_AS``) of 2000 MB set on that child alone, and prints one
+row per call:
 the exit code (negative for the signal that ended it, so -9 is a
 timeout), the wall time, the bytes written to stdout and the child's
 peak resident set size, read from the rusage that ``os.wait4`` returns.
@@ -10,7 +11,7 @@ stdout is counted and dropped as it arrives, so this process stays
 small: a child's peak can read no lower than the size of the process it
 was forked from.  Standard library only, Linux or another POSIX system.
 
-    python tests/clipeak.py [--src DIR] [--timeout SECONDS] [--limit-mb MB]
+    python tests/clipeak.py [--src DIR]
 
 ``--src`` is the directory that holds the ``stirlingkit`` package
 (default: this checkout's ``src``), so two checkouts can be compared.
@@ -41,14 +42,16 @@ CALLS = (
     ("eval", "D(100000)"),
 )
 
+TIMEOUT_S = 60.0  # a child still running then is killed and reads exit -9
+LIMIT_BYTES = 2000 << 20  # each child's RLIMIT_AS
 ENTRY = "from stirlingkit.cli import run; run()"
 
 
-def measure(argv, src: str, timeout: float, limit_bytes: int) -> tuple[int, float, int, float]:
+def measure(argv, src: str) -> tuple[int, float, int, float]:
     """(exit code, wall seconds, stdout bytes, peak RSS in MB) of one call."""
 
     def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+        resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
 
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
@@ -63,7 +66,7 @@ def measure(argv, src: str, timeout: float, limit_bytes: int) -> tuple[int, floa
 
     reader = threading.Thread(target=drain)
     reader.start()
-    timer = threading.Timer(timeout, os.kill, (proc.pid, signal.SIGKILL))
+    timer = threading.Timer(TIMEOUT_S, os.kill, (proc.pid, signal.SIGKILL))
     timer.start()
     try:
         _, status, usage = os.wait4(proc.pid, 0)
@@ -79,12 +82,10 @@ def measure(argv, src: str, timeout: float, limit_bytes: int) -> tuple[int, floa
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--timeout", type=float, default=60.0)
-    parser.add_argument("--limit-mb", type=int, default=2000)
     args = parser.parse_args(argv[1:])
     print(f"{'call':<48}{'exit':>5}{'wall s':>9}{'stdout bytes':>14}{'peak MB':>9}", flush=True)
     for call in CALLS:
-        code, elapsed, written, peak = measure(call, args.src, args.timeout, args.limit_mb << 20)
+        code, elapsed, written, peak = measure(call, args.src)
         print(f"{' '.join(call):<48}{code:>5}{elapsed:>9.2f}{written:>14}{peak:>9.1f}", flush=True)
     return 0
 

@@ -245,6 +245,23 @@ def test_fubini_fill_reads_no_triangle_row_and_no_factorial():
     assert min(times) < 0.6
 
 
+def test_fubini_step_that_raised_leaves_the_table_in_step(monkeypatch):
+    # a MemoryError or KeyboardInterrupt inside the weighted sum must not
+    # leave the rolling Pascal row one step ahead of the table
+    import stirlingkit.seq as seq_module
+
+    ctx = SeqContext()
+    ctx.fubini(10)
+
+    def failing_mul(a, b):
+        raise MemoryError
+
+    monkeypatch.setattr(seq_module, "mul", failing_mul)
+    with pytest.raises(MemoryError):
+        ctx.fubini(11)
+    monkeypatch.undo()
+    assert [ctx.fubini(n) for n in range(41)] == fubini_oracle(40, SeqContext())
+
 def test_derangement_matches_enumeration(ctx):
     for n in range(0, 8):
         assert ctx.derangement(n) == derangement_oracle(n)
