@@ -20,10 +20,12 @@ every entry's default index cap to at least that value; an explicit
 
 from __future__ import annotations
 
+import math
 import os
 from collections import namedtuple
 from fractions import Fraction
-from operator import mul
+from itertools import islice, starmap, zip_longest
+from operator import add, mul, sub
 
 from .egf import (
     Egf,
@@ -165,9 +167,11 @@ def _entry(*args, **kwargs):
 # call and indexed by n: ``_sums`` gives integer sums, each over its own
 # scale, which ``check_ratio`` compares with the other side by
 # cross-multiplication (the convolution entries, whose scalar levels are
-# Fractions, divide them out).  A polynomial sum reads its row
-# once per index and goes to ``_combine``, which builds one vector and
-# never reads weights past the row's end.
+# Fractions, divide them out).  A triangle-weighted polynomial sum reads
+# its row once per index and goes to ``_combine``, which builds one vector
+# and never reads weights past the row's end.  A binomial sum over a
+# family (L8, L16) is taken for every upper index at once on the family's
+# numerator rows by Pascal's rule, and a product by x is a shift of a row.
 
 
 @_entry(
@@ -429,6 +433,34 @@ def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
             run.check({"n": n, "p": p, "form": "bell-closed-form"}, ctx.moment(n, p), rhs)
 
 
+def _rows(polys, den=None):
+    """(rows, den): the coefficient numerators of the polynomials over den,
+    by default the lcm of their denominators.  A given den must be a
+    multiple of each, so no denominator is dropped."""
+    if den is None:
+        den = math.lcm(*[f._den for f in polys])
+    return [f._nums if f._den == den else [c * (den // f._den) for c in f._nums] for f in polys], den
+
+
+def _binomial_sums(rows, op=add):
+    """sums[p] = sum_(j<=p) C(p, j) rows[j] for each p < len(rows), or
+    sum_(j<=p) C(p, j) (-1)^j rows[j] when op is sub, on integer rows of
+    any lengths, by Pascal's rule: level 0 is the rows, each next level
+    pairs every row with its right neighbour by op, and sums[p] is the
+    first row of level p."""
+    sums = []
+    level = rows
+    while level:
+        sums.append(level[0])
+        level = [list(starmap(op, zip_longest(a, b, fillvalue=0))) for a, b in zip(level, level[1:])]
+    return sums
+
+
+def _shift_sub(a, b):
+    """The integer row of a - x b: b shifted up one degree and subtracted."""
+    return list(starmap(sub, zip_longest(a, [0, *b], fillvalue=0)))
+
+
 @_entry(
     "L8",
     "commutation rule for repeated x d/dx applied to exponential polynomials",
@@ -439,15 +471,16 @@ def _chk_t7(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 1)
-    # powers[n][j] = (xD)^j phi_n and shifted[n][j] = x powers[n][j], each
-    # built once; the left side reads powers[n][p + 1]
+    # powers[n][j] = (xD)^j phi_n, each built once; the left side reads powers[n][p + 1]
     powers = [[xd_apply(f, j) for j in range(p_hi + 2)] for f in phi]
-    shifted = [[X * f for f in row[: p_hi + 1]] for row in powers[: n_hi + 1]]
+    # xD keeps a denominator or divides it, so phi's common one serves every power
+    _, den = _rows(phi)
+    rows = [_rows(row, den)[0] for row in powers]
+    # sums[n][p] = sum_j C(p, j) (xD)^j phi_n
+    sums = [_binomial_sums(row[: p_hi + 1]) for row in rows[: n_hi + 1]]
     for p in range(p_hi + 1):
-        # the right side is powers[n + 1][p] - sum_j C(p, j) shifted[n][j]
-        weights = [1] + [-binomial(p, j) for j in range(p + 1)]
         for n in range(n_lo, n_hi + 1):
-            rhs = _combine(weights, [powers[n + 1][p], *shifted[n][: p + 1]])
+            rhs = Poly._from_nums(_shift_sub(rows[n + 1][p], sums[n][p]), den)
             run.check({"n": n, "p": p}, powers[n][p + 1], rhs)
 
 
@@ -460,12 +493,15 @@ def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi + 2)
-    two_x, x2_minus_x = 2 * X, X * X - X
+    rows, den = _rows(phi)
+    # diff[m] = phi_(m+1) - x phi_m, and phi_(n+2) - 2x phi_(n+1) + (x^2 - x) phi_n
+    # is diff[n+1] - x diff[n] - x phi_n
+    diff = [_shift_sub(rows[m + 1], rows[m]) for m in range(n_hi + 2)]
     for n in range(n_lo, n_hi + 1):
         row = ctx.stirling2_row(n)
         first_sum = Poly._from_nums([c * k for k, c in enumerate(row)], 1)
         first_op = xd_apply(phi[n], 1)
-        first_comb = phi[n + 1] - X * phi[n]
+        first_comb = Poly._from_nums(diff[n], den)
         run.check_members(
             {"n": n, "display": 1},
             (
@@ -475,7 +511,7 @@ def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
         )
         second_sum = Poly._from_nums([c * k * k for k, c in enumerate(row)], 1)
         second_op = xd_apply(phi[n], 2)
-        second_comb = phi[n + 2] - two_x * phi[n + 1] + x2_minus_x * phi[n]
+        second_comb = Poly._from_nums(_shift_sub(_shift_sub(diff[n + 1], diff[n]), rows[n]), den)
         run.check_members(
             {"n": n, "display": 2},
             (
@@ -603,10 +639,12 @@ def _chk_p11(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(1, 15),
 )
 def _chk_c12(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    x_plus_x2 = X + X * X
+    prev = geom_poly(n_lo - 1, ctx)
     for n in range(n_lo, n_hi + 1):
-        prev = geom_poly(n - 1, ctx)
-        rhs = X * prev + (X + X * X) * prev.derivative()
-        run.check({"n": n}, geom_poly(n, ctx), rhs)
+        geom = geom_poly(n, ctx)
+        run.check({"n": n}, geom, X * prev + x_plus_x2 * prev.derivative())
+        prev = geom
 
 
 @_entry(
@@ -711,11 +749,14 @@ def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
 )
 def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
     phi = exp_polys(n_hi)
+    rows, den = _rows(phi)
+    # lhs[n] = sum_k C(n, k) (-1)^k phi_k, the first row of each level of
+    # repeated differences
+    lhs = _binomial_sums(rows, sub)
     acc = ZERO  # the telescoped sum_(j<n) -(-1)^j phi_j
     for n in range(n_hi + 1):
         if n >= n_lo:
-            lhs = _combine([binomial(n, k) * _sign(k) for k in range(n + 1)], phi[: n + 1])
-            run.check({"n": n}, lhs, ONE + X * acc)
+            run.check({"n": n}, Poly._from_nums(lhs[n], den), ONE + X * acc)
         acc = acc + phi[n] if n % 2 else acc - phi[n]
 
 
@@ -729,20 +770,21 @@ def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
 def _chk_orth(ctx, run, n_lo, n_hi, p_hi, order, eps):
     second = [ctx.stirling2_row(n) for n in range(n_hi + 1)]
     first = [ctx.stirling1_row(n) for n in range(n_hi + 1)]
-    # column j of each triangle, zero above the diagonal
-    second_cols = [[row[j] if j < len(row) else 0 for row in second] for j in range(n_hi + 1)]
-    first_cols = [[row[j] if j < len(row) else 0 for row in first] for j in range(n_hi + 1)]
+    # column j of each triangle from row j down: an entry above the
+    # diagonal is zero, so each product of row n and column j starts at k = j
+    second_cols = [[row[j] for row in second[j:]] for j in range(n_hi + 1)]
+    first_cols = [[row[j] for row in first[j:]] for j in range(n_hi + 1)]
     for n in range(n_lo, n_hi + 1):
         for j in range(n + 1):
             want = 1 if n == j else 0
             run.check(
                 {"n": n, "j": j, "form": "second-then-first"},
-                _dot(second[n], first_cols[j]),
+                _dot(islice(second[n], j, None), first_cols[j]),
                 want,
             )
             run.check(
                 {"n": n, "j": j, "form": "first-then-second"},
-                _dot(first[n], second_cols[j]),
+                _dot(islice(first[n], j, None), second_cols[j]),
                 want,
             )
 

@@ -105,7 +105,7 @@ class SeqContext:
         self._euler: list[Fraction] = []
         self._zigzag: list[int] = [1]  # A_m, the alternating permutations of m
         self._zigzag_row: list[int] = [1]  # the boustrophedon row ending in the last A_m
-        self._derangement: list[int] = []
+        self._derangement: list[int] = [1]
         self._harmonic: list[Fraction] = [Fraction(0)]
         self._factorial: list[int] = [1]
         self._moment: dict[tuple[int, int], int] = {}
@@ -214,21 +214,11 @@ class SeqContext:
         return sum(map(mul, row, self._fubini))
 
     def derangement(self, n: int) -> int:
-        """Fixed-point-free permutations, by inclusion-exclusion.
-
-        D_n = sum_{j=0}^{n} (-1)^j n!/j!.  The recurrence
-        D_n = n D_{n-1} + (-1)^n is left to the tests as a cross-check.
-        """
-        return self._grow(self._derangement, n, self._next_derangement)
-
-    @staticmethod
-    def _next_derangement(m: int) -> int:
-        total = 0
-        term = 1  # m!/j!, walked downward so it grows by integer multiplies
-        for j in range(m, -1, -1):
-            total += term if j % 2 == 0 else -term
-            term *= j
-        return total
+        """Fixed-point-free permutations, by D_0 = 1 and the recurrence
+        D_m = m D_(m-1) + (-1)^m: one product per new index.  The tests
+        check it against inclusion-exclusion,
+        D_n = sum_{j=0}^{n} (-1)^j n!/j!."""
+        return self._grow(self._derangement, n, lambda m: m * self._derangement[m - 1] + (-1) ** m)
 
     # -- rational sequences ------------------------------------------
 

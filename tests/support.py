@@ -87,6 +87,18 @@ def derangement_oracle(n: int) -> int:
     )
 
 
+def derangement_sum_oracle(n: int) -> int:
+    """D_n by inclusion-exclusion, D_n = sum_(j<=n) (-1)^j n!/j!: an
+    n-term sum for each n, where the library grows the table by the
+    recurrence D_m = m D_(m-1) + (-1)^m."""
+    total = 0
+    term = 1  # n!/j!, walked downward so it grows by integer multiplies
+    for j in range(n, -1, -1):
+        total += term if j % 2 == 0 else -term
+        term *= j
+    return total
+
+
 def bernoulli_oracle(n: int) -> list[Fraction]:
     """B_0 .. B_n from sum_{j<=m} C(m+1, j) B_j = 0 (m >= 1), which pins
     B_1 = -1/2."""

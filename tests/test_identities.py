@@ -8,6 +8,8 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
+from math import comb
+from operator import add, sub
 from pathlib import Path
 
 import pytest
@@ -434,7 +436,11 @@ def test_binom_builder_fault_breaks_binomial_entries(monkeypatch, entry):
     assert min(f.params["n"] for f in r.failures) == FIRST_BINOM_FAULT_INDEX[entry]
 
 
-@pytest.mark.parametrize("entry", ["L8", "E15", "L16", "C10", "E21", "E22"])
+# every entry that reads exp_polys
+EXP_BUILDER_ENTRIES = {"L8", "E15", "L16", "C10", "E21", "E22"}
+
+
+@pytest.mark.parametrize("entry", sorted(EXP_BUILDER_ENTRIES))
 def test_exp_builder_fault_breaks_exponential_entries(monkeypatch, entry):
     monkeypatch.setattr(identities, "exp_polys", _corrupt_entry(poly.exp_polys, 4))
     r = check_identity(entry, ctx=SeqContext())
@@ -463,26 +469,39 @@ def _count_products_and_combinations(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("entry", ["T3b", "T5b", "L8"])
+# the most Poly products, _combine calls and xd_apply calls, together,
+# that each entry may make at n <= 30.  A per-summand rebuild of the
+# families makes over 20,000 products in T3b or T5b; L8 applies x d/dx
+# once per index and power it reads, (n_hi + 2)(p_hi + 2) = 256 times,
+# where a rebuild per summand would apply it over 1,000 times.
+FAMILY_WORK_AT_30 = {"T3b": 2000, "T5b": 2000, "L8": 256}
+
+
+@pytest.mark.parametrize("entry", list(FAMILY_WORK_AT_30))
 def test_family_lists_bound_polynomial_products(monkeypatch, entry):
-    # a per-summand rebuild of the families makes over 20,000 products
-    # for each of these entries at n <= 30; products and linear
-    # combinations are counted together
     monkeypatch.setenv(ENV_MAX_N, "30")
     counts = _count_products_and_combinations(monkeypatch)
+    counts["applications"] = 0
+    apply = identities.xd_apply
+
+    def counting_apply(a, times):
+        counts["applications"] += 1
+        return apply(a, times)
+
+    monkeypatch.setattr(identities, "xd_apply", counting_apply)
     r = check_identity(entry, ctx=SeqContext())
     assert r.passed and r.checked >= 31
-    assert 0 < sum(counts.values()) <= 2000
+    assert 0 < sum(counts.values()) <= FAMILY_WORK_AT_30[entry]
 
 
 # (Poly products, _combine calls) of each entry that makes any, at n <= 30.
-# T5a and T5b made 62 combinations each while their blocks were reciprocal-
-# weighted sums; L16 made 61 while it combined phi_0 .. phi_(n-1) afresh for
-# each n; E15 made 155 products while it rebuilt 2x and x^2 - x for each n.
+# L8 and E15 add and shift integer rows, and L16 takes its binomial sums
+# by Pascal's rule; before, they made (217, 217), (95, 0) and (31, 31).
+# C12 made 90 products while it rebuilt x + x^2 for each n.
 POLY_WORK_AT_30 = {
     "T3a": (62, 31), "T3b": (31, 31), "T5a": (31, 31), "T5b": (0, 31),
-    "L8": (217, 217), "E15": (95, 0), "C10": (0, 12), "E21": (0, 12),
-    "E22": (0, 24), "P11": (29, 0), "C12": (90, 0), "L16": (31, 31),
+    "C10": (0, 12), "E21": (0, 12), "E22": (0, 24), "P11": (29, 0),
+    "C12": (61, 0), "L16": (31, 0),
 }
 
 
@@ -526,8 +545,9 @@ def test_empty_effective_range_is_refused():
 
 # every entry whose routes take a Cauchy product of two polynomials; EGF
 # products and composition read the binomial rows (below), so P9, GF6,
-# L4 and DIL are not among them
-CONVOLUTION_ENTRIES = {"L8", "E15", "P11", "C12", "L16"}
+# L4 and DIL are not among them, and L8 and E15 multiply by x as a shift
+# of integer rows
+CONVOLUTION_ENTRIES = {"P11", "C12", "L16"}
 
 
 def _faulty_convolve(a, b, size):
@@ -566,16 +586,19 @@ def _faulty_bell_column(rows, prev, k):
     return out
 
 
+# DIL is the one entry that composes series
+COMPOSE_ENTRIES = {"DIL"}
+
+
 def test_compose_fault_cannot_cancel_across_routes(monkeypatch):
-    # DIL is the one entry that composes series, and composition is the
-    # second route of both substitution engines
+    # composition is the second route of both substitution engines
     src = Path(egf.__file__).parent
     definitions = sum(path.read_text().count("def _bell_column(") for path in src.glob("*.py"))
     assert definitions == 1
     monkeypatch.setattr(egf, "_bell_column", _faulty_bell_column)
     reports = run_all(ctx=SeqContext())
     assert [r.id for r in reports] == EXPECTED_ORDER
-    assert {r.id for r in reports if not r.passed} == {"DIL"}
+    assert {r.id for r in reports if not r.passed} == COMPOSE_ENTRIES
     for substitution in (stirling_substitution, log_substitution):
         with pytest.raises(ArithmeticError):
             substitution(Egf([1, 2, 3, 4, 5]), 1, 1, SeqContext())
@@ -646,8 +669,9 @@ def test_reciprocal_fault_cannot_cancel_across_routes(monkeypatch):
 
 # -- the shared linear combination -------------------------------------
 
-# every entry whose polynomial sums go through the combination kernel
-COMBINATION_ENTRIES = {"T3a", "T3b", "T5a", "T5b", "L8", "C10", "E21", "E22", "L16"}
+# every entry whose polynomial sums go through the combination kernel; L8
+# and L16 take their binomial sums by Pascal's rule on integer rows
+COMBINATION_ENTRIES = {"T3a", "T3b", "T5a", "T5b", "C10", "E21", "E22"}
 
 
 def _faulty_combine(weights, vectors):
@@ -705,6 +729,52 @@ def test_transform_fault_cannot_cancel_across_routes(monkeypatch):
     for substitution in (stirling_substitution, log_substitution):
         with pytest.raises(ArithmeticError):
             substitution(Egf([1, 2, 3, 4, 5, 6, 7]), 1, 1, SeqContext())
+
+
+# the entries no pinned fault reaches: CBH reads only exact.binomial and
+# exact.binomial_rational, and no fault above corrupts either
+UNFAULTED_ENTRIES = {"CBH"}
+
+
+def test_every_entry_but_the_listed_ones_fails_under_a_pinned_fault():
+    # an entry that no fault fails could stop checking anything unseen
+    failed = set().union(
+        *ROW_FAULT_ENTRIES.values(), *TABLE_FAULT_ENTRIES.values(), FIRST_BINOM_FAULT_INDEX,
+        EXP_BUILDER_ENTRIES, CONVOLUTION_ENTRIES, COMPOSE_ENTRIES, BINOMIAL_ROWS_ENTRIES,
+        RECIPROCAL_ENTRIES, COMBINATION_ENTRIES, TRANSFORM_ENTRIES,
+    )
+    assert failed == set(EXPECTED_ORDER) - UNFAULTED_ENTRIES
+
+
+# -- the integer-row helpers of L8, E15 and L16 --------------------------
+
+int_rows = st.lists(st.integers(-99, 99), max_size=7)
+
+
+@settings(max_examples=150)
+@given(st.lists(int_rows, max_size=8), st.sampled_from([1, -1]))
+def test_binomial_sums_equal_the_direct_sums(rows, sign):
+    got = identities._binomial_sums(rows, add if sign == 1 else sub)
+    assert len(got) == len(rows)
+    width = max(map(len, rows), default=0)
+    for p, row in enumerate(got):
+        direct = [
+            sum(comb(p, j) * sign**j * r[i] for j, r in enumerate(rows[: p + 1]) if i < len(r))
+            for i in range(width)
+        ]
+        assert list(row) + [0] * (width - len(row)) == direct, p
+
+
+@settings(max_examples=150)
+@given(int_rows, int_rows)
+def test_shift_sub_equals_poly_arithmetic(a, b):
+    assert Poly._from_nums(identities._shift_sub(a, b), 1) == Poly(a) - X * Poly(b)
+
+
+def test_rows_put_every_polynomial_over_one_denominator():
+    half, third = Poly([Fraction(1, 2), 1]), Poly([0, Fraction(1, 3)])
+    assert identities._rows([half, third, X]) == ([[3, 6], [0, 2], [0, 6]], 6)
+    assert identities._rows([X], 4) == ([[0, 4]], 4)
 
 
 # -- L4's direct side ----------------------------------------------------
