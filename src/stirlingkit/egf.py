@@ -265,7 +265,7 @@ def log1p_series(order: int, scale=1) -> Egf:
 def geom_series(order: int) -> Egf:
     """1/(1 - t): a_n = n!."""
     _check_order(order)
-    return Egf(Fraction(factorial(n)) for n in range(order + 1))
+    return Egf._from_nums([factorial(n) for n in range(order + 1)], 1)
 
 
 def pow1p_series(x, order: int) -> Egf:
@@ -294,27 +294,22 @@ def monomial_series(c, m: int, order: int) -> Egf:
         raise ValueError(f"negative degree {m}")
     if m > order:
         raise ValueError(f"degree {m} exceeds order {order}")
-    out = [Fraction(0)] * (order + 1)
-    out[m] = Fraction(c)
-    return Egf(out)
+    c = Fraction(c)
+    return Egf._from_nums([c.numerator if n == m else 0 for n in range(order + 1)], c.denominator)
+
+
+# the named series that take the order alone
+_BY_ORDER = {"exp": exp_series, "expm1": expm1_series, "log1p": log1p_series, "geom": geom_series, "dilog": dilog_series}
 
 
 def egf_elementary(kind: str, order: int, *, x=None, c=None, m=None) -> Egf:
     """Build one of the named series; pow1p needs x, monomial needs c and m."""
-    if kind == "exp":
-        return exp_series(order)
-    if kind == "expm1":
-        return expm1_series(order)
-    if kind == "log1p":
-        return log1p_series(order)
-    if kind == "geom":
-        return geom_series(order)
+    if kind in _BY_ORDER:
+        return _BY_ORDER[kind](order)
     if kind == "pow1p":
         if x is None:
             raise ValueError("pow1p needs the exponent x")
         return pow1p_series(x, order)
-    if kind == "dilog":
-        return dilog_series(order)
     if kind == "monomial":
         if c is None or m is None:
             raise ValueError("monomial needs c and m")

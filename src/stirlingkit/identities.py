@@ -77,11 +77,6 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-def _dot(a, b) -> int:
-    """sum of a[k] b[k] over the indices both sequences have."""
-    return sum(map(mul, a, b))
-
-
 def _ratio(num: int, den: int):
     """num / den as an int when den divides num, else as a Fraction: a
     value that should be an integer and is not still reaches the check."""
@@ -166,10 +161,9 @@ def _entry(*args, **kwargs):
 # is one pass of the transform engine over the weights a, taken once per
 # call and indexed by n: ``_sums`` gives integer sums, each over its own
 # scale, which ``check_ratio`` compares with the other side by
-# cross-multiplication (the convolution entries, whose scalar levels are
-# Fractions, divide them out).  A triangle-weighted polynomial sum reads
-# its row once per index and goes to ``_combine``, which builds one vector
-# and never reads weights past the row's end.  A binomial sum over a
+# cross-multiplication.  A triangle-weighted polynomial sum reads its row
+# once per index and goes to ``_combine``, which builds one vector and
+# never reads weights past the row's end.  A binomial sum over a
 # family (L8, L16) is taken for every upper index at once on the family's
 # numerator rows by Pascal's rule, and a product by x is a shift of a row.
 
@@ -546,41 +540,35 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
     to the exponential polynomials phi_k, with b the given Bernoulli
     convention, and adds phi_{n-1} when ``previous`` is set.  The
     polynomial form runs for n <= 12; the scalar form, at x = 1 with Bell
-    numbers for phi, runs over the whole range.  Each convolution level is
-    built once per form, bottom-up, for every index up to the form's cap.
+    numbers for phi, runs over the whole range on integers over one
+    running denominator.  Both read one table of convolution weights, and
+    each level is built once, bottom-up, for every index up to its cap.
     """
     poly_hi = min(n_hi, 12)
     # 1/k^depth; the k = 0 summand is absent
     recip = [0] + [Fraction(1, k**depth) for k in range(1, n_hi + 1)]
     inv, inv_den = common_denominator(recip)
-
-    def poly_level(level, conv, bden):
-        return [_combine(conv[n], level[1 : n + 1]).scale(Fraction(1, n * bden)) for n in range(1, len(level))]
-
-    def scalar_level(level, conv, bden):
-        nums, den = common_denominator(level[1:])
-        return [Fraction(_dot(conv[n], nums), n * bden * den) for n in range(1, len(level))]
-
     sums, scales = _sums(recip, ctx.stirling2_row)
-    forms = (
-        ("polynomial", poly_hi, exp_polys(poly_hi), poly_level,
-         lambda n: Poly._from_nums(list(map(mul, ctx.stirling2_row(n), inv)), inv_den)),
-        ("scalar", n_hi, [ctx.bell(k) for k in range(n_hi + 1)], scalar_level,
-         lambda n: Fraction(sums[n], scales[n])),
-    )
-    for form, hi, phi, next_level, partition_sum in forms:
-        bnums, bden = common_denominator([bernoulli(j) for j in range(hi + 1)])
-        # conv[n][k - 1] = C(n, k) b_(n-k) for 1 <= k <= n, over bden
-        conv = [[binomial(n, k) * bnums[n - k] for k in range(1, n + 1)] for n in range(hi + 1)]
-        level = phi
-        for _ in range(depth):
-            # index 0 has no convolution and is never read
-            level = [None] + next_level(level, conv, bden)
-        for n in range(n_lo, hi + 1):
-            rhs = level[n]
-            if previous:
-                rhs = phi[n - 1] + rhs
-            run.check({"n": n, "form": form}, partition_sum(n), rhs)
+    bnums, bden = common_denominator([bernoulli(j) for j in range(n_hi + 1)])
+    # conv[n][k - 1] = C(n, k) b_(n-k) for 1 <= k <= n, over bden
+    conv = [[binomial(n, k) * bnums[n - k] for k in range(1, n + 1)] for n in range(n_hi + 1)]
+    # scalar level n is nums[n] / den; 1/n is (lcm / n) / lcm
+    lcm = math.lcm(*range(1, n_hi + 1))
+    phi, bell = exp_polys(poly_hi), [ctx.bell(k) for k in range(n_hi + 1)]
+    polys, nums, den = phi, bell, 1
+    for _ in range(depth):
+        # index 0 has no convolution and is never read
+        polys = [None] + [
+            _combine(conv[n], polys[1 : n + 1]).scale(Fraction(1, n * bden)) for n in range(1, poly_hi + 1)
+        ]
+        nums = [None] + [sum(map(mul, conv[n], nums[1 : n + 1])) * (lcm // n) for n in range(1, n_hi + 1)]
+        den *= bden * lcm
+    for n in range(n_lo, poly_hi + 1):
+        lhs = Poly._from_nums(list(map(mul, ctx.stirling2_row(n), inv)), inv_den)
+        run.check({"n": n, "form": "polynomial"}, lhs, phi[n - 1] + polys[n] if previous else polys[n])
+    for n in range(n_lo, n_hi + 1):
+        rhs = bell[n - 1] * den + nums[n] if previous else nums[n]
+        run.check_ratio({"n": n, "form": "scalar"}, sums[n], scales[n], rhs, den)
 
 
 @_entry(
@@ -779,12 +767,12 @@ def _chk_orth(ctx, run, n_lo, n_hi, p_hi, order, eps):
             want = 1 if n == j else 0
             run.check(
                 {"n": n, "j": j, "form": "second-then-first"},
-                _dot(islice(second[n], j, None), first_cols[j]),
+                sum(map(mul, islice(second[n], j, None), first_cols[j])),
                 want,
             )
             run.check(
                 {"n": n, "j": j, "form": "first-then-second"},
-                _dot(islice(first[n], j, None), second_cols[j]),
+                sum(map(mul, islice(first[n], j, None), second_cols[j])),
                 want,
             )
 
@@ -827,15 +815,18 @@ _L4_SEQUENCES = (
 _L4_LAMBDAS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
 
 
-def _weighted_partial_sums(nums, den, apows, bpows):
+def _weighted_partial_sums(nums, den, a, b):
     """The partial sums sum_(k<=i) g_k w^(i-k), for g = nums / den and a
-    weight w = a/b given by its powers apows[j] = a^j and bpows[j] = b^j
-    (b > 0, and 0^0 = 1), as (numerator, denominator) pairs: entry i is
-    sum_k nums_k a^(i-k) b^k over den b^i."""
-    size = len(nums)
-    scaled = list(map(mul, nums, bpows))  # nums_k b^k
-    falling = apows[:size][::-1]  # a^(size-1), ..., a^0
-    return [(sum(map(mul, scaled, falling[size - 1 - i:])), den * bpows[i]) for i in range(size)]
+    weight w = a/b (b > 0, and 0^0 = 1), as (numerator, denominator)
+    pairs: entry i is t_i = sum_k nums_k a^(i-k) b^k over den b^i, through
+    the recurrence t_i = a t_(i-1) + nums_i b^i."""
+    sums = []
+    t, bpow = 0, 1
+    for x in nums:
+        t = a * t + x * bpow
+        sums.append((t, den * bpow))
+        bpow *= b
+    return sums
 
 
 @_entry(
@@ -850,17 +841,14 @@ def _chk_l4(ctx, run, n_lo, n_hi, p_hi, order, eps):
         nums, den = common_denominator(g)
         series = from_ordinary(g)
         for lam in _L4_LAMBDAS:
-            # the weight is lam for "minus" and -lam for "plus"
-            apows = [lam.numerator**j for j in range(order + 1)]
-            bpows = [lam.denominator**j for j in range(order + 1)]
             for form, denom_sign in (("minus", -1), ("plus", 1)):
                 denom = Egf([1, denom_sign * lam] + [0] * (order - 1))
                 product = egf_mul(series, egf_reciprocal(denom))
                 # the ordinary coefficients a_i / i!, as to_ordinary reads them
                 pden = product._den
                 via_series = [(a, pden * factorial(i)) for i, a in enumerate(product._nums)]
-                signed = apows if form == "minus" else [_sign(j) * x for j, x in enumerate(apows)]
-                direct = _weighted_partial_sums(nums, den, signed, bpows)
+                # the weight is lam for "minus" and -lam for "plus"
+                direct = _weighted_partial_sums(nums, den, -denom_sign * lam.numerator, lam.denominator)
                 run.check_ratios(
                     {"sequence": name, "lambda": format_rational(lam), "form": form},
                     direct,

@@ -27,7 +27,7 @@ def _pascal_row(n: int) -> list[int]:
     return [comb(n, k) for k in range(n + 1)]
 
 
-def _transform(nums: list[int], row, down: int = 1, up: int = 1) -> list[int]:
+def _transform(nums: list[int], row, down: int, up: int) -> list[int]:
     """The integer sums sum_k row(n)[k] down^(n-k) up^k nums_k, n < len(nums).
 
     With a_k = nums_k / den, lam = p/q, mu = r/s, down = ps and up = qr,

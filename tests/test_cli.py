@@ -557,8 +557,10 @@ def test_a_closed_stdout_ends_quietly_with_exit_0(capsys, monkeypatch):
 
 # -- streamed output -----------------------------------------------------
 
-# sha256 of stdout, recorded when each command built its whole output
-# before printing it
+# sha256 of stdout: the bell and triangle outputs were recorded when each
+# command built its whole output before printing it, and the Bernoulli,
+# Euler and moment outputs before the registry's convolution levels moved
+# onto integers
 STDOUT_SHA256 = {
     ("seq", "bell", "--n", "400", "--format", "text"):
         "ba532d51b0f145fb9224867f670d48e6a62cb6f91ecdc1659f59d54834bd0b65",
@@ -572,6 +574,14 @@ STDOUT_SHA256 = {
         "8892b60eb73b8be590b7dccdd11fbc595ef24cdeb6df401a1a9a7a654ba7f258",
     ("triangle", "stirling2", "--n", "60", "--format", "json"):
         "ec7b1d5cd3172b30bf40d07069bed1f9a062107aa0e248122a933e189568330b",
+    ("seq", "bernoulli", "--n", "600"):
+        "2828987f2c378073dd777726bfe253b4cb8afb451f663c97b4414803934df41e",
+    ("seq", "euler", "--n", "600"):
+        "7e95ab6e8222cd6cb17cef3fd84833f81c08e73b52b979df88404173dd066b0c",
+    ("eval", "B(1000)"):
+        "1dc2210cd675fb0ff0e2460f5605d6ec7036285b50cff0760966a54db436ae83",
+    ("seq", "moment", "--n", "60", "--p", "7"):
+        "e1af5c2565cf5ecc94b76e8119bf2746405d873cd3d538cb3db0e36be3ab9100",
 }
 
 

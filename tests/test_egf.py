@@ -382,6 +382,11 @@ def test_elementary_series_coefficients(ctx):
         Fraction(3, 2),
     )
     assert monomial_series(Fraction(5), 2, 4).coeffs == (0, 0, 5, 0, 0)
+    for c in (Fraction(3, 4), Fraction(-3, 4), 0):
+        for m in (0, 4):
+            got = monomial_series(c, m, 4)
+            assert got == Egf([Fraction(c) if n == m else Fraction(0) for n in range(5)])
+            assert_canonical(got)
 
 
 def test_monomial_degree_must_lie_in_the_truncation():
@@ -426,14 +431,25 @@ def test_egf_elementary_order_zero_is_the_constant_term_and_negative_orders_rais
 
 
 def test_egf_elementary_dispatch():
-    assert egf_elementary("exp", 4) == exp_series(4)
-    assert egf_elementary("pow1p", 4, x=Fraction(1, 2)) == pow1p_series(
-        Fraction(1, 2), 4
-    )
-    assert egf_elementary("monomial", 4, c=Fraction(2), m=1) == monomial_series(
-        Fraction(2), 1, 4
-    )
-    with pytest.raises(ValueError):
+    builders = {
+        "exp": ({}, exp_series),
+        "expm1": ({}, expm1_series),
+        "log1p": ({}, log1p_series),
+        "geom": ({}, geom_series),
+        "dilog": ({}, dilog_series),
+        "pow1p": ({"x": Fraction(1, 2)}, lambda order: pow1p_series(Fraction(1, 2), order)),
+        "monomial": ({"c": Fraction(2), "m": 1}, lambda order: monomial_series(Fraction(2), 1, order)),
+    }
+    for kind, (args, build) in builders.items():
+        got = egf_elementary(kind, 6, **args)
+        assert got == build(6), kind
+        assert_canonical(got)
+    with pytest.raises(ValueError, match="^pow1p needs the exponent x$"):
+        egf_elementary("pow1p", 4)
+    for args in ({}, {"c": 2}, {"m": 1}):
+        with pytest.raises(ValueError, match="^monomial needs c and m$"):
+            egf_elementary("monomial", 4, **args)
+    with pytest.raises(ValueError, match="^unknown elementary series kind 'sinh'$"):
         egf_elementary("sinh", 4)
 
 

@@ -138,6 +138,7 @@ PASSING_REPORT_DIGESTS = {
     None: "c6532e90598a92d5500a0ceefdd9c1268f0cfb469bc8da7647b6e96e42758454",
     "30": "0c6bcac439a232a3c4b0fb86fb916229820b4b5497b73b85887c280718a13dd1",
     "60": "2d2f5b80ea3b31ffa02b380bd0e5d8f6a747ab0c7023e813951d57f27fa33b8c",
+    "100": "a8db9abccffe1e4279bb2cadeec235de9fc47bb4242d630208fbaddfd10afc90",
 }
 
 
@@ -787,9 +788,7 @@ l4_weights = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-4, max_valu
 @given(st.lists(l4_terms, min_size=1, max_size=40), l4_weights)
 def test_weighted_partial_sums_match_the_fraction_loop(g, weight):
     nums, den = exact.common_denominator(g)
-    apows = [weight.numerator**j for j in range(len(g))]
-    bpows = [weight.denominator**j for j in range(len(g))]
-    got = identities._weighted_partial_sums(nums, den, apows, bpows)
+    got = identities._weighted_partial_sums(nums, den, weight.numerator, weight.denominator)
     assert [Fraction(a, b) for a, b in got] == weighted_partial_sums_oracle(g, weight)
 
 
@@ -807,10 +806,19 @@ def test_check_ratios_compares_pairs_and_words_a_failure_as_fractions():
 # counted by the test below; before the transform engine handed integer
 # sums to the checkers, a pass built 7,539; before L4 and bernoulli_poly
 # moved onto integers, 2,975; before E9, T5c and T6b compared the
-# engine's integer sums, 2,183; and before T5's blocks were taken as
-# derivatives and E15 scaled x by 2 once, 2,035.  A change that lowers
-# the count lowers this figure.
-FRACTIONS_PER_PASS = 1988
+# engine's integer sums, 2,183; before T5's blocks were taken as
+# derivatives and E15 scaled x by 2 once, 2,035; and before C10, E21 and
+# E22 took their scalar levels on integers, 1,988 through run_all (whose
+# tolerance argument adds one Fraction per entry) and 1,953 entry by
+# entry.  A change that lowers a count lowers its figure.
+FRACTIONS_PER_PASS = 1713
+
+# the same pass, entry by entry; an entry not named builds none
+FRACTIONS_BY_ENTRY = {
+    "T1": 422, "E18": 403, "L4": 118, "E9": 106, "T5c": 82, "E22": 79, "CBH": 64, "E21": 55,
+    "C10": 54, "C2": 41, "T6b": 40, "T6c": 40, "T6d": 40, "T3a": 35, "T5a": 32, "T1b": 26,
+    "T6a": 24, "GF6": 20, "T3b": 19, "DIL": 12, "P9": 1,
+}
 
 
 def test_a_default_pass_builds_no_more_fractions_than_its_budget(monkeypatch):
@@ -826,13 +834,21 @@ def test_a_default_pass_builds_no_more_fractions_than_its_budget(monkeypatch):
         if event == "call" and frame.f_code is new:
             count += 1
 
+    ctx = SeqContext()
+    counts = {}
     previous = sys.getprofile()
-    sys.setprofile(profile)  # this thread only
-    try:
-        run_all(ctx=SeqContext())
-    finally:
-        sys.setprofile(previous)
-    assert count <= FRACTIONS_PER_PASS * 11 // 10, count
+    for spec in list_identities():
+        count = 0
+        sys.setprofile(profile)  # this thread only
+        try:
+            check_identity(spec.id, ctx=ctx)
+        finally:
+            sys.setprofile(previous)
+        counts[spec.id] = count
+    total = sum(counts.values())
+    assert total <= FRACTIONS_PER_PASS * 11 // 10, total
+    over = {k: v for k, v in counts.items() if v * 10 > FRACTIONS_BY_ENTRY.get(k, 0) * 11}
+    assert over == {}, over
 
 
 def test_a_registry_pass_leaves_no_reference_cycles():
