@@ -84,9 +84,11 @@ def _report_dict(report) -> dict:
     return data
 
 
-def _emit_reports(reports: list, fmt: str) -> str:
+def _write_reports(reports: list, fmt: str) -> None:
+    """Write reports to stdout: a JSON array, or a line per report, note
+    and counterexample and a closing summary line."""
     if fmt == "json":
-        return _encode([_report_dict(r) for r in reports])
+        return _write_json_array(map(_report_dict, reports))
     lines = []
     width = max(len(r.id) for r in reports)
     for r in reports:
@@ -102,7 +104,7 @@ def _emit_reports(reports: list, fmt: str) -> str:
         lines.append(f"{failed} of {len(reports)} identities FAILED")
     else:
         lines.append(f"all {len(reports)} identities passed")
-    return "\n".join(lines)
+    sys.stdout.write("\n".join([*lines, ""]))
 
 
 # -- subcommand implementations --------------------------------------
@@ -126,9 +128,9 @@ def _check_n(n: int) -> None:
 
 def _cmd_seq(args) -> int:
     _check_n(args.n)
-    ctx = context()
     family = _SEQ_BY_NAME[args.family]
-    values = (family(ctx, *(i if name == "n" else args.p for name in family.params)) for i in range(args.n + 1))
+    method = getattr(context(), family.method)
+    values = (method(*(i if name == "n" else args.p for name in family.params)) for i in range(args.n + 1))
     _write_values(map(format_rational, values), args.format)
     return 0
 
@@ -230,7 +232,7 @@ def _cmd_verify(args) -> int:
         reports = run_all(max_n=args.max_n, series_order=args.order, eps=eps)
     else:
         reports = [check_identity(args.id, max_n=args.max_n, order=args.order, eps=eps)]
-    print(_emit_reports(reports, args.format))
+    _write_reports(reports, args.format)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -372,9 +374,8 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else list(argv)))
-    if getattr(args, "order", None) is not None and args.command in ("verify", "series"):
-        if args.order < 1 or args.order > 64:
-            parser.error(f"--order must be between 1 and 64, got {args.order}")
+    if args.command in ("verify", "series") and not 1 <= args.order <= 64:
+        parser.error(f"--order must be between 1 and 64, got {args.order}")
     try:
         return args.fn(args)
     except BrokenPipeError:

@@ -32,17 +32,14 @@ def binomial(n: int, k: int) -> int:
     """C(n, k) for integer n of either sign.
 
     k < 0 gives 0, as does k > n when n >= 0.  For negative n the value
-    is the falling factorial n(n-1)...(n-k+1) over k!, which is always an
-    integer; for example C(-1, k) = (-1)^k.
+    is the falling factorial n(n-1)...(n-k+1) over k!, which reflects to
+    (-1)^k C(k-n-1, k); for example C(-1, k) = (-1)^k.
     """
     if k < 0:
         return 0
     if n >= 0:
         return math.comb(n, k) if k <= n else 0
-    num = 1
-    for i in range(k):
-        num *= n - i
-    return num // math.factorial(k)
+    return -math.comb(k - n - 1, k) if k & 1 else math.comb(k - n - 1, k)
 
 
 def binomial_rational(x: Fraction | int, k: int) -> Fraction:
@@ -119,15 +116,15 @@ class _Vector:
     denominator, kept canonical: the denominator shares no factor with
     every numerator, and the zero vector has denominator 1.  Equal values
     therefore have equal storage, so equality and hashing compare it
-    directly.  ``coeffs``, the tuple of ``Fraction``s, is built on first
-    read and cached.
+    directly.  ``coeffs``, the tuple of ``Fraction``s, is built on each
+    read.
 
     Each subclass turns the numerator list into the stored tuple in its
     own ``_shape``, and refuses an operand it cannot combine with in
     ``_match``.  Values of different subclasses never compare equal.
     """
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs=()) -> None:
         # over the lcm of reduced denominators the gcd is already 1
@@ -137,7 +134,6 @@ class _Vector:
     def _store(self, nums: list[int], den: int) -> None:
         object.__setattr__(self, "_nums", self._shape(nums))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_coeffs", None)
 
     @classmethod
     def _from_nums(cls, nums: list[int], den: int):
@@ -160,12 +156,8 @@ class _Vector:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        cs = self._coeffs
-        if cs is None:
-            den = self._den
-            cs = tuple([Fraction(x, den) for x in self._nums])
-            object.__setattr__(self, "_coeffs", cs)
-        return cs
+        den = self._den
+        return tuple([Fraction(x, den) for x in self._nums])
 
     def __bool__(self) -> bool:
         """False for the zero vector, whatever its length."""

@@ -18,10 +18,10 @@ levels.  Exponents must evaluate to nonnegative integers, with 0^0 = 1,
 and a power may be at most about 2^20 bits wide.  Chains of + - or * /
 have no length cap: they evaluate and print by a loop, not recursion.
 The tokenizer is one compiled pattern.  Each evaluation compiles the
-tree once into closures, which resolve builtins by name and dispatch on
-node kind before any term runs; integral values stay ints while they run,
-a sum keeps its terms as one integer over the lcm of their denominators,
-and the result is a Fraction.
+tree once, against its context, into closures of the bindings: node kind
+is dispatched and each builtin's method bound before any term runs.
+Integral values stay ints while they run, a sum keeps its terms as one
+integer over the lcm of their denominators, and the result is a Fraction.
 """
 
 from __future__ import annotations
@@ -246,8 +246,9 @@ class Env:
 
 
 # (arity, function of ctx that returns the builtin) by name: the triangles
-# and binomials here, then every sequence family of seq.FAMILIES.  A method
-# is looked up on ctx at call time, so subclasses take effect.
+# and binomials here, then every sequence family of seq.FAMILIES.  Each call
+# site looks its method up once, on the context it is compiled against, so
+# subclasses take effect.
 _BUILTINS = {
     "S": (2, operator.attrgetter("stirling2")),
     "s": (2, operator.attrgetter("stirling1")),
@@ -280,7 +281,7 @@ def evaluate(node, env: Env | None = None) -> Fraction:
     """
     if env is None:
         env = Env()
-    return Fraction(_compile(node)(env.bindings, env.ctx))
+    return Fraction(_compile(node, env.ctx)(env.bindings))
 
 
 def _chain(node):
@@ -314,37 +315,38 @@ _STEPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide}
 
 
 def _fail(message: str):
-    def fail(b, ctx):
+    def fail(b):
         raise EvalError(message)
     return fail
 
 
-def _compile(node):
-    """Compile a syntax tree into a closure f(bindings, ctx) that returns
-    its value, an int when integral and else a Fraction.  Dispatch, chain
-    flattening, builtin lookup and messages are done here, once; an error
-    found here compiles to a closure that raises only when reached."""
+def _compile(node, ctx):
+    """Compile a syntax tree against the context ``ctx`` into a closure
+    f(bindings) that returns its value, an int when integral and else a
+    Fraction.  Dispatch, chain flattening, builtin lookup and messages are
+    done here, once; an error found here compiles to a closure that raises
+    only when reached."""
     if isinstance(node, IntLit):
         value = _num(node.value)
-        return lambda b, ctx: value
+        return lambda b: value
     if isinstance(node, Var):
         name = node.name
 
-        def var(b, ctx):
+        def var(b):
             if name not in b:
                 raise EvalError(f"unbound variable {name!r}")
             value = b[name]
             return value if type(value) is int else _num(value)
         return var
     if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda b, ctx: -operand(b, ctx)
+        operand = _compile(node.operand, ctx)
+        return lambda b: -operand(b)
     if isinstance(node, BinOp) and node.op == "^":
-        base, exponent = _compile(node.left), _compile(node.right)
+        base, exponent = _compile(node.left, ctx), _compile(node.right, ctx)
 
-        def power(b, ctx):
-            left = base(b, ctx)
-            e = _as_int(exponent(b, ctx), "exponent")
+        def power(b):
+            left = base(b)
+            e = _as_int(exponent(b), "exponent")
             if e < 0:
                 raise EvalError(f"exponent must be nonnegative, got {e}")
             if _power_bits(left, e) > POWER_BITS_CAP:
@@ -355,13 +357,13 @@ def _compile(node):
         if node.op not in _STEPS:
             return _fail(f"unknown operator {node.op!r}")
         first, tail = _chain(node)
-        head = _compile(first)
-        steps = [(_STEPS[op], _compile(operand)) for op, operand in tail]
+        head = _compile(first, ctx)
+        steps = [(_STEPS[op], _compile(operand, ctx)) for op, operand in tail]
 
-        def chain(b, ctx):
-            acc = head(b, ctx)
+        def chain(b):
+            acc = head(b)
             for step, operand in steps:
-                acc = step(acc, operand(b, ctx))
+                acc = step(acc, operand(b))
                 if type(acc) is not int:
                     acc = _num(acc)
             return acc
@@ -373,34 +375,35 @@ def _compile(node):
         if len(node.args) != arity:
             return _fail(f"{node.name} takes {arity} argument(s), got {len(node.args)}")
         what = f"argument of {node.name}"
+        fn = lookup(ctx)
         if arity == 1:
-            (first,) = [_compile(a) for a in node.args]
+            (first,) = [_compile(a, ctx) for a in node.args]
 
-            def call1(b, ctx):
-                n = first(b, ctx)
+            def call1(b):
+                n = first(b)
                 if type(n) is not int:
                     raise EvalError(f"{what} must be an integer, got {n}")
-                value = lookup(ctx)(n)
+                value = fn(n)
                 return value if type(value) is int else _num(value)
             return call1
-        first, second = [_compile(a) for a in node.args]
+        first, second = [_compile(a, ctx) for a in node.args]
 
-        def call2(b, ctx):
-            n = first(b, ctx)
+        def call2(b):
+            n = first(b)
             if type(n) is not int:
                 raise EvalError(f"{what} must be an integer, got {n}")
-            k = second(b, ctx)
+            k = second(b)
             if type(k) is not int:
                 raise EvalError(f"{what} must be an integer, got {k}")
-            value = lookup(ctx)(n, k)
+            value = fn(n, k)
             return value if type(value) is int else _num(value)
         return call2
     if isinstance(node, Sum):
-        var, lo, hi, body = node.var, _compile(node.lo), _compile(node.hi), _compile(node.body)
+        var, lo, hi, body = node.var, _compile(node.lo, ctx), _compile(node.hi, ctx), _compile(node.body, ctx)
 
-        def total(b, ctx):
-            first = _as_int(lo(b, ctx), "summation lower bound")
-            last = _as_int(hi(b, ctx), "summation upper bound")
+        def total(b):
+            first = _as_int(lo(b), "summation lower bound")
+            last = _as_int(hi(b), "summation upper bound")
             if last < first:
                 return 0
             if last - first >= SUM_TERM_CAP:
@@ -411,7 +414,7 @@ def _compile(node):
             try:
                 for i in range(first, last + 1):
                     b[var] = i
-                    term = body(b, ctx)
+                    term = body(b)
                     if type(term) is int:
                         num += term * den
                     else:

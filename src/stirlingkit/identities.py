@@ -902,6 +902,35 @@ def _env_floor() -> int | None:
         raise ValueError(f"{ENV_MAX_N} must be an integer, got {raw!r}") from None
 
 
+def _settings(ctx, order, eps) -> tuple:
+    """A pass's settings, resolved once: (ctx, floor, order, eps), with the
+    default context for None, the STIRLINGKIT_MAX_N floor, and the series
+    order and tolerance with their defaults, checked."""
+    floor = _env_floor()
+    order = DEFAULT_SERIES_ORDER if order is None else order
+    if order < 1:
+        raise ValueError(f"series order must be positive, got {order}")
+    eps = DEFAULT_EPS if eps is None else Fraction(eps)
+    if eps <= 0:
+        raise ValueError("tolerance must be positive")
+    return context(ctx), floor, order, eps
+
+
+def _check(spec, checker, max_n, ctx, floor, order, eps) -> IdentityReport:
+    """One entry's report, its range capped by ``max_n``, under a pass's
+    settings."""
+    n_lo, n_hi = spec.n_range if spec.n_range else (0, 0)
+    if spec.n_range and floor is not None:
+        n_hi = max(n_hi, floor)
+    if spec.n_range and max_n is not None:
+        n_hi = min(n_hi, max_n)
+    if n_hi < n_lo:
+        raise ValueError(f"{spec.id} has no instance in its effective range {n_lo} <= n <= {n_hi}")
+    run = _Run()
+    checker(ctx, run, n_lo, n_hi, spec.p_max or 0, order, eps)
+    return IdentityReport(spec.id, run.checked, tuple(run.failures), tuple(run.notes))
+
+
 def check_identity(
     identity_id: str,
     ctx: SeqContext | None = None,
@@ -920,25 +949,7 @@ def check_identity(
     """
     if identity_id not in _REGISTRY:
         raise KeyError(f"unknown identity id: {identity_id!r}")
-    spec, checker = _REGISTRY[identity_id]
-    ctx = context(ctx)
-    n_lo, n_hi = spec.n_range if spec.n_range else (0, 0)
-    floor = _env_floor()
-    if spec.n_range and floor is not None:
-        n_hi = max(n_hi, floor)
-    if spec.n_range and max_n is not None:
-        n_hi = min(n_hi, max_n)
-    if n_hi < n_lo:
-        raise ValueError(f"{spec.id} has no instance in its effective range {n_lo} <= n <= {n_hi}")
-    eff_order = DEFAULT_SERIES_ORDER if order is None else order
-    if eff_order < 1:
-        raise ValueError(f"series order must be positive, got {eff_order}")
-    eff_eps = DEFAULT_EPS if eps is None else Fraction(eps)
-    if eff_eps <= 0:
-        raise ValueError("tolerance must be positive")
-    run = _Run()
-    checker(ctx, run, n_lo, n_hi, spec.p_max or 0, eff_order, eff_eps)
-    return IdentityReport(spec.id, run.checked, tuple(run.failures), tuple(run.notes))
+    return _check(*_REGISTRY[identity_id], max_n, *_settings(ctx, order, eps))
 
 
 def run_all(
@@ -950,7 +961,5 @@ def run_all(
     """Check every entry, sharing one memo context, in registry order."""
     if max_n is not None and max_n < 5:
         raise ValueError(f"max_n must be at least 5, got {max_n}")
-    return [
-        check_identity(identity_id, ctx=ctx, max_n=max_n, order=series_order, eps=eps)
-        for identity_id in _REGISTRY
-    ]
+    settings = _settings(ctx, series_order, eps)
+    return [_check(spec, checker, max_n, *settings) for spec, checker in _REGISTRY.values()]

@@ -57,8 +57,6 @@ class Poly(_Vector):
         return Poly._from_nums([k * c for k, c in enumerate(self._nums)][1:], self._den)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         parts: list[str] = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -73,7 +71,7 @@ class Poly(_Vector):
                 parts.append(f"-{body}" if c < 0 else body)
             else:
                 parts.append(f"- {body}" if c < 0 else f"+ {body}")
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"Poly({str(self)!r})"

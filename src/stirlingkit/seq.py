@@ -69,11 +69,6 @@ class Family(namedtuple("Family", "cli_name expr_name method params")):
 
     __slots__ = ()
 
-    def __call__(self, ctx: SeqContext, *args):
-        """The value at ``args``, given in ``params`` order.  The method is
-        looked up on ``ctx`` at call time, so subclasses take effect."""
-        return getattr(ctx, self.method)(*args)
-
 
 FAMILIES = (
     Family("bell", "bell", "bell", ("n",)),

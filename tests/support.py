@@ -78,6 +78,18 @@ def triangle_rows_oracle(n: int, kind: str) -> list[tuple[int, ...]]:
     return rows
 
 
+def binomial_falling_oracle(n: int, k: int) -> int:
+    """C(n, k) for n < 0 as the falling factorial n(n-1)...(n-k+1) over
+    k!, a k-term product, where the library reflects to (-1)^k C(k-n-1, k);
+    0 for k < 0."""
+    if k < 0:
+        return 0
+    num = 1
+    for i in range(k):
+        num *= n - i
+    return num // factorial(k)
+
+
 def derangement_oracle(n: int) -> int:
     """Count fixed-point-free permutations by enumeration; keep n <= 7."""
     return sum(

@@ -258,6 +258,39 @@ def test_verify_failure_json_payload(capsys, monkeypatch):
     ]
 
 
+VERIFY_FAILURE_BYTES = {
+    "text": (
+        "T1  checked=12  failures=0  PASS\n"
+        "  note: order-0 instances rely on 0^0 = 1\n"
+        "C2  checked=3  failures=2  FAIL\n"
+        "  note: a note\n"
+        "  counterexample n=1 p=0: lhs=1/2 rhs=1/3\n"
+        "  counterexample n=4 p=2: lhs=[1, -3/2] rhs=[1]\n"
+        "1 of 2 identities FAILED\n"
+    ),
+    "json": (
+        '[{"id":"T1","checked":12,"failures":[],"notes":["order-0 instances rely on 0^0 = 1"]},'
+        '{"id":"C2","checked":3,"failures":[{"params":{"n":1,"p":0},"lhs":"1/2","rhs":"1/3"},'
+        '{"params":{"n":4,"p":2},"lhs":"[1, -3/2]","rhs":"[1]"}],"notes":["a note"]}]\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", list(VERIFY_FAILURE_BYTES))
+def test_verify_failure_report_keeps_its_bytes(capsys, monkeypatch, fmt):
+    # a passing and a failing report, with notes and two counterexamples
+    reports = [
+        IdentityReport("T1", 12, (), ("order-0 instances rely on 0^0 = 1",)),
+        IdentityReport(
+            "C2", 3,
+            (Failure({"n": 1, "p": 0}, "1/2", "1/3"), Failure({"n": 4, "p": 2}, "[1, -3/2]", "[1]")),
+            ("a note",),
+        ),
+    ]
+    monkeypatch.setattr(identities, "run_all", lambda *a, **kw: reports)
+    assert run_cli(capsys, "verify", "--all", "--format", fmt) == (1, VERIFY_FAILURE_BYTES[fmt], "")
+
+
 def test_identities_lister(capsys):
     code, out, _ = run_cli(capsys, "identities", "--format", "json")
     assert code == 0
@@ -582,6 +615,10 @@ STDOUT_SHA256 = {
         "1dc2210cd675fb0ff0e2460f5605d6ec7036285b50cff0760966a54db436ae83",
     ("seq", "moment", "--n", "60", "--p", "7"):
         "e1af5c2565cf5ecc94b76e8119bf2746405d873cd3d538cb3db0e36be3ab9100",
+    ("verify", "--all", "--format", "text"):
+        "7d8c5ac1c82063902cf82dca6fa8fdf72d17476b419c023d6b0ed9fe85b4e062",
+    ("verify", "--all", "--format", "json"):
+        "326f8add2a6de9db9f5610ab6d9703e07cda3043652d1c289336e314e3978972",
 }
 
 

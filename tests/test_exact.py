@@ -25,6 +25,7 @@ from stirlingkit.poly import X, ZERO, xd_apply
 
 from support import (
     assert_canonical,
+    binomial_falling_oracle,
     combine_oracle,
     convolve_oracle,
     ordinary_mul_oracle,
@@ -71,6 +72,12 @@ def test_binomial_negative_upper():
     for n in range(1, 8):
         for k in range(0, 8):
             assert binomial(-n, k) == (-1) ** k * binomial(n + k - 1, k)
+
+
+def test_binomial_negative_upper_matches_the_falling_factorial():
+    for n in range(-60, 0):
+        for k in range(-2, 61):
+            assert binomial(n, k) == binomial_falling_oracle(n, k), (n, k)
 
 
 def test_binomial_rational_half():

@@ -298,7 +298,7 @@ def test_integral_values_are_ints_inside_and_the_result_is_a_fraction():
                 "sum(k=1..2, y)", "sum(k=1..3, y)", "sum(k=1..0, y)", "fact(sum(k=1..2, y)) + 2^(y^0)"):
         node = parse(src)
         value = evaluate(node, Env(bindings=dict(bindings), ctx=ctx))
-        raw = _compile(node)(dict(bindings), ctx)
+        raw = _compile(node, ctx)(dict(bindings))
         assert type(value) is Fraction and raw == value, src
         assert type(raw) is (int if value.denominator == 1 else Fraction), src
 
@@ -446,7 +446,7 @@ def test_compiled_evaluator_matches_the_tree_walking_oracle(node, bindings):
     if got[0] == "value":
         assert type(got[1]) is Fraction
         # inside, an integral value is an int and only a non-integral one a Fraction
-        raw = _compile(node)(dict(bindings), ctx)
+        raw = _compile(node, ctx)(dict(bindings))
         assert raw == got[1] and type(raw) is (int if raw.denominator == 1 else Fraction)
 
 

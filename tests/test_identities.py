@@ -732,9 +732,39 @@ def test_transform_fault_cannot_cancel_across_routes(monkeypatch):
             substitution(Egf([1, 2, 3, 4, 5, 6, 7]), 1, 1, SeqContext())
 
 
-# the entries no pinned fault reaches: CBH reads only exact.binomial and
-# exact.binomial_rational, and no fault above corrupts either
-UNFAULTED_ENTRIES = {"CBH"}
+# -- the integer binomial ------------------------------------------------
+
+# every entry that reads C(4, 2) through exact.binomial, on either route;
+# CBH reads it for its closed form
+BINOMIAL_FAULT_ENTRIES = {"C10", "C2", "CBH", "E18", "E21", "E22", "E9", "GF6", "T1", "T15", "T5a", "T5b"}
+
+_clean_binomial = exact.binomial
+
+
+def _faulty_binomial(n, k):
+    return _clean_binomial(n, k) + (n == 4 and k == 2)
+
+
+def test_binomial_fault_cannot_cancel_across_routes(monkeypatch):
+    users = {
+        name
+        for name, module in sys.modules.items()
+        if name.startswith("stirlingkit.") and getattr(module, "binomial", None) is _clean_binomial
+    }
+    # expr binds it for the C builtin, which no entry evaluates
+    assert users - {"stirlingkit.expr"} == {
+        "stirlingkit.exact", "stirlingkit.identities", "stirlingkit.poly", "stirlingkit.seq",
+    }
+    for name in users:
+        monkeypatch.setattr(sys.modules[name], "binomial", _faulty_binomial)
+    reports = run_all(ctx=SeqContext())
+    assert [r.id for r in reports] == EXPECTED_ORDER
+    assert {r.id for r in reports if not r.passed} == BINOMIAL_FAULT_ENTRIES
+
+
+# the entries no pinned fault reaches; since the binomial fault reaches
+# CBH, there are none
+UNFAULTED_ENTRIES = set()
 
 
 def test_every_entry_but_the_listed_ones_fails_under_a_pinned_fault():
@@ -742,7 +772,7 @@ def test_every_entry_but_the_listed_ones_fails_under_a_pinned_fault():
     failed = set().union(
         *ROW_FAULT_ENTRIES.values(), *TABLE_FAULT_ENTRIES.values(), FIRST_BINOM_FAULT_INDEX,
         EXP_BUILDER_ENTRIES, CONVOLUTION_ENTRIES, COMPOSE_ENTRIES, BINOMIAL_ROWS_ENTRIES,
-        RECIPROCAL_ENTRIES, COMBINATION_ENTRIES, TRANSFORM_ENTRIES,
+        RECIPROCAL_ENTRIES, COMBINATION_ENTRIES, TRANSFORM_ENTRIES, BINOMIAL_FAULT_ENTRIES,
     )
     assert failed == set(EXPECTED_ORDER) - UNFAULTED_ENTRIES
 
@@ -849,6 +879,39 @@ def test_a_default_pass_builds_no_more_fractions_than_its_budget(monkeypatch):
     assert total <= FRACTIONS_PER_PASS * 11 // 10, total
     over = {k: v for k, v in counts.items() if v * 10 > FRACTIONS_BY_ENTRY.get(k, 0) * 11}
     assert over == {}, over
+
+
+def test_a_pass_resolves_its_settings_once(monkeypatch):
+    # the env floor, order and tolerance are the same for every entry, so
+    # a pass reads the variable once and converts the tolerance once
+    monkeypatch.delenv(ENV_MAX_N, raising=False)
+    run_all(ctx=SeqContext())  # imports and lazy set-up settle
+    reads = 0
+    clean_floor = identities._env_floor
+
+    def counting_floor():
+        nonlocal reads
+        reads += 1
+        return clean_floor()
+
+    monkeypatch.setattr(identities, "_env_floor", counting_floor)
+    new = Fraction.__new__.__code__
+    callers = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            caller = frame.f_back.f_code
+            if caller.co_filename == identities.__file__:
+                callers[caller.co_name] = callers.get(caller.co_name, 0) + 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)  # this thread only
+    try:
+        run_all(ctx=SeqContext())
+    finally:
+        sys.setprofile(previous)
+    assert reads == 1
+    assert sum(callers.get(name, 0) for name in ("run_all", "check_identity", "_settings")) <= 1, callers
 
 
 def test_a_registry_pass_leaves_no_reference_cycles():
