@@ -734,8 +734,8 @@ def test_transform_fault_cannot_cancel_across_routes(monkeypatch):
 
 # -- the integer binomial ------------------------------------------------
 
-# every entry that reads C(4, 2) through exact.binomial, on either route;
-# CBH reads it for its closed form
+# the entries that fail when C(4, 2) is one too large, as measured; CBH
+# reads it in its closed form's C(2j, j) at j = 2
 BINOMIAL_FAULT_ENTRIES = {"C10", "C2", "CBH", "E18", "E21", "E22", "E9", "GF6", "T1", "T15", "T5a", "T5b"}
 
 _clean_binomial = exact.binomial
