@@ -129,11 +129,8 @@ class _Vector:
     def __init__(self, coeffs=()) -> None:
         # over the lcm of reduced denominators the gcd is already 1
         nums, den = common_denominator(coeffs)
-        self._store(nums, den)
-
-    def _store(self, nums: list[int], den: int) -> None:
-        object.__setattr__(self, "_nums", self._shape(nums))
-        object.__setattr__(self, "_den", den)
+        _set_nums(self, self._shape(nums))
+        _set_den(self, den)
 
     @classmethod
     def _from_nums(cls, nums: list[int], den: int):
@@ -143,7 +140,8 @@ class _Vector:
             nums = [x // g for x in nums]
             den //= g
         out = object.__new__(cls)
-        out._store(nums, den)
+        _set_nums(out, cls._shape(nums))
+        _set_den(out, den)
         return out
 
     def _match(self, other: "_Vector") -> None:
@@ -194,6 +192,10 @@ class _Vector:
         return self._from_nums([p * x for x in self._nums], self._den * c.denominator)
 
 
+# the slots' own setters, which the immutable vector's __setattr__ refuses
+_set_nums, _set_den = _Vector._nums.__set__, _Vector._den.__set__
+
+
 def _convolve(a, b, size: int) -> list[int]:
     """The first ``size`` coefficients of the Cauchy product of two
     integer sequences: out[k] is the sum of a[i] b[j] over i + j = k."""
@@ -217,9 +219,11 @@ def _combine(weights, vectors):
     the pair, as it does for ``Egf``s of different orders.
     """
     first = vectors[0]
-    for v in vectors:
-        first._match(v)
-    wn, wd = common_denominator(weights)
+    kind = type(first)
+    if kind._match is not _Vector._match or {*map(type, vectors)} != {kind}:
+        for v in vectors:
+            first._match(v)
+    wn, wd = (weights, 1) if {*map(type, weights)} <= {int} else common_denominator(weights)
     den = math.lcm(*[v._den for v in vectors])
     out = [0] * max([len(v._nums) for v in vectors])
     for w, v in zip(wn, vectors):

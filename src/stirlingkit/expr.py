@@ -281,7 +281,13 @@ def evaluate(node, env: Env | None = None) -> Fraction:
     """
     if env is None:
         env = Env()
-    return Fraction(_compile(node, env.ctx)(env.bindings))
+    # a private copy: a sum binds its index here, never in the caller's
+    # dict, and an integral Fraction is read as an int from the start
+    bindings = {
+        name: value.numerator if type(value) is Fraction and value.denominator == 1 else value
+        for name, value in env.bindings.items()
+    }
+    return Fraction(_compile(node, env.ctx)(bindings))
 
 
 def _chain(node):
@@ -411,22 +417,22 @@ def _compile(node, ctx):
             saved = {var: b[var]} if var in b else {}
             # the terms so far are num / den, den the lcm of their denominators
             num, den = 0, 1
-            try:
-                for i in range(first, last + 1):
-                    b[var] = i
-                    term = body(b)
-                    if type(term) is int:
-                        num += term * den
-                    else:
-                        d = term.denominator
-                        if den % d:
-                            scale = d // gcd(den, d)
-                            num *= scale
-                            den *= scale
-                        num += term.numerator * (den // d)
-            finally:
-                b.pop(var, None)
-                b.update(saved)
+            for i in range(first, last + 1):
+                b[var] = i
+                term = body(b)
+                if type(term) is int:
+                    num += term * den
+                else:
+                    d = term.denominator
+                    if den % d:
+                        scale = d // gcd(den, d)
+                        num *= scale
+                        den *= scale
+                    num += term.numerator * (den // d)
+            # an outer sum over the same name reads its own index again; the
+            # bindings are private to the evaluation, so an error needs no undo
+            del b[var]
+            b.update(saved)
             return num if den == 1 else _num(Fraction(num, den))
         return total
     return _fail(f"cannot evaluate node {node!r}")

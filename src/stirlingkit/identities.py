@@ -94,15 +94,35 @@ def _fmt(v) -> str:
     return format_rational(v)
 
 
+class _Families(dict):
+    """The families a pass builds once.  ``families(builder, n, *args)`` is
+    the tuple of the first n + 1 entries of ``builder(n, *args)``, read off
+    the longest list built so far for that builder and those arguments;
+    every builder passed here gives at n a prefix of what it gives at any
+    larger n.  The checkers pass each builder through the module global, so
+    a patched builder takes effect."""
+
+    __slots__ = ()
+
+    def __call__(self, builder, n: int, *args) -> tuple:
+        key = (builder, *args)
+        held = self.get(key)
+        if held is None or len(held) <= n:
+            held = self[key] = tuple(builder(n, *args))
+        return held[: n + 1]
+
+
 class _Run:
-    """Accumulates instance counts, counterexamples, and notes."""
+    """Accumulates instance counts, counterexamples, and notes, with the
+    families of the pass the entry runs in."""
 
-    __slots__ = ("checked", "failures", "notes")
+    __slots__ = ("checked", "failures", "notes", "families")
 
-    def __init__(self) -> None:
+    def __init__(self, families: _Families | None = None) -> None:
         self.checked = 0
         self.failures: list[Failure] = []
         self.notes: list[str] = []
+        self.families = families
 
     def check(self, params: dict, lhs, rhs) -> None:
         self.checked += 1
@@ -233,6 +253,11 @@ def _geometric_blocks(binom, w):
     return blocks
 
 
+def _half_blocks(n_hi):
+    """The geometric blocks of binom_0 .. binom_(n_hi) at weight -1/2."""
+    return _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
+
+
 def _reciprocal_blocks(n_hi):
     """block_k = sum_(j<=k) (-1)^(k-j) / (k-j+1) binom_j for each k <= n_hi.
 
@@ -240,6 +265,11 @@ def _reciprocal_blocks(n_hi):
     (1+t)^x = sum_k binom_k t^k, so block_k is the derivative of
     binom_(k+1)."""
     return [b.derivative() for b in binom_polys(n_hi + 1)[1:]]
+
+
+def _bernoulli_polys(n_hi, ctx):
+    """B_0(x) .. B_(n_hi)(x), each built binomially from ctx's numbers."""
+    return [bernoulli_poly(k, ctx) for k in range(n_hi + 1)]
 
 
 def _first_kind_sums(ctx, run, n_lo, n_hi, polys, blocks):
@@ -263,8 +293,7 @@ def _second_kind_sums(ctx, run, n_lo, n_hi, polys, blocks):
     n_range=(0, 15),
 )
 def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    blocks = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
-    _first_kind_sums(ctx, run, n_lo, n_hi, euler_polys(n_hi), blocks)
+    _first_kind_sums(ctx, run, n_lo, n_hi, run.families(euler_polys, n_hi), run.families(_half_blocks, n_hi))
 
 
 @_entry(
@@ -275,8 +304,7 @@ def _chk_t3a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 15),
 )
 def _chk_t3b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    blocks = _geometric_blocks(binom_polys(n_hi), Fraction(-1, 2))
-    _second_kind_sums(ctx, run, n_lo, n_hi, euler_polys(n_hi), blocks)
+    _second_kind_sums(ctx, run, n_lo, n_hi, run.families(euler_polys, n_hi), run.families(_half_blocks, n_hi))
 
 
 @_entry(
@@ -308,8 +336,8 @@ def _chk_e9(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 15),
 )
 def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    bernoulli = [bernoulli_poly(k, ctx) for k in range(n_hi + 1)]
-    _first_kind_sums(ctx, run, n_lo, n_hi, bernoulli, _reciprocal_blocks(n_hi))
+    bernoulli = run.families(_bernoulli_polys, n_hi, ctx)
+    _first_kind_sums(ctx, run, n_lo, n_hi, bernoulli, run.families(_reciprocal_blocks, n_hi))
 
 
 @_entry(
@@ -320,8 +348,8 @@ def _chk_t5a(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 15),
 )
 def _chk_t5b(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    bernoulli = [bernoulli_poly(k, ctx) for k in range(n_hi + 1)]
-    _second_kind_sums(ctx, run, n_lo, n_hi, bernoulli, _reciprocal_blocks(n_hi))
+    bernoulli = run.families(_bernoulli_polys, n_hi, ctx)
+    _second_kind_sums(ctx, run, n_lo, n_hi, bernoulli, run.families(_reciprocal_blocks, n_hi))
 
 
 @_entry(
@@ -464,7 +492,8 @@ def _shift_sub(a, b):
     p_max=6,
 )
 def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    phi = exp_polys(n_hi + 1)
+    # phi_0 .. phi_(n_hi+1), a prefix of the list E15 reads, so a pass builds one
+    phi = run.families(exp_polys, n_hi + 2)[: n_hi + 2]
     # powers[n][j] = (xD)^j phi_n, each built once; the left side reads powers[n][p + 1]
     powers = [[xd_apply(f, j) for j in range(p_hi + 2)] for f in phi]
     # xD keeps a denominator or divides it, so phi's common one serves every power
@@ -486,7 +515,7 @@ def _chk_l8(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 15),
 )
 def _chk_e15(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    phi = exp_polys(n_hi + 2)
+    phi = run.families(exp_polys, n_hi + 2)
     rows, den = _rows(phi)
     # diff[m] = phi_(m+1) - x phi_m, and phi_(n+2) - 2x phi_(n+1) + (x^2 - x) phi_n
     # is diff[n+1] - x diff[n] - x phi_n
@@ -554,7 +583,7 @@ def _bernoulli_convolution(ctx, run, n_lo, n_hi, bernoulli, depth=1, previous=Fa
     conv = [[binomial(n, k) * bnums[n - k] for k in range(1, n + 1)] for n in range(n_hi + 1)]
     # scalar level n is nums[n] / den; 1/n is (lcm / n) / lcm
     lcm = math.lcm(*range(1, n_hi + 1))
-    phi, bell = exp_polys(poly_hi), [ctx.bell(k) for k in range(n_hi + 1)]
+    phi, bell = run.families(exp_polys, poly_hi), [ctx.bell(k) for k in range(n_hi + 1)]
     polys, nums, den = phi, bell, 1
     for _ in range(depth):
         # index 0 has no convolution and is never read
@@ -736,7 +765,7 @@ def _chk_t15(ctx, run, n_lo, n_hi, p_hi, order, eps):
     n_range=(0, 15),
 )
 def _chk_l16(ctx, run, n_lo, n_hi, p_hi, order, eps):
-    phi = exp_polys(n_hi)
+    phi = run.families(exp_polys, n_hi)
     rows, den = _rows(phi)
     # lhs[n] = sum_k C(n, k) (-1)^k phi_k, the first row of each level of
     # repeated differences
@@ -903,9 +932,11 @@ def _env_floor() -> int | None:
 
 
 def _settings(ctx, order, eps) -> tuple:
-    """A pass's settings, resolved once: (ctx, floor, order, eps), with the
-    default context for None, the STIRLINGKIT_MAX_N floor, and the series
-    order and tolerance with their defaults, checked."""
+    """A pass's settings, resolved once: (ctx, floor, order, eps,
+    families), with the default context for None, the STIRLINGKIT_MAX_N
+    floor, the series order and tolerance with their defaults, checked, and
+    an empty memo for the families the pass builds, which lives as long as
+    the pass."""
     floor = _env_floor()
     order = DEFAULT_SERIES_ORDER if order is None else order
     if order < 1:
@@ -913,10 +944,10 @@ def _settings(ctx, order, eps) -> tuple:
     eps = DEFAULT_EPS if eps is None else Fraction(eps)
     if eps <= 0:
         raise ValueError("tolerance must be positive")
-    return context(ctx), floor, order, eps
+    return context(ctx), floor, order, eps, _Families()
 
 
-def _check(spec, checker, max_n, ctx, floor, order, eps) -> IdentityReport:
+def _check(spec, checker, max_n, ctx, floor, order, eps, families) -> IdentityReport:
     """One entry's report, its range capped by ``max_n``, under a pass's
     settings."""
     n_lo, n_hi = spec.n_range if spec.n_range else (0, 0)
@@ -926,7 +957,7 @@ def _check(spec, checker, max_n, ctx, floor, order, eps) -> IdentityReport:
         n_hi = min(n_hi, max_n)
     if n_hi < n_lo:
         raise ValueError(f"{spec.id} has no instance in its effective range {n_lo} <= n <= {n_hi}")
-    run = _Run()
+    run = _Run(families)
     checker(ctx, run, n_lo, n_hi, spec.p_max or 0, order, eps)
     return IdentityReport(spec.id, run.checked, tuple(run.failures), tuple(run.notes))
 

@@ -103,18 +103,21 @@ class SeqContext:
         self._derangement: list[int] = [1]
         self._harmonic: list[Fraction] = [Fraction(0)]
         self._factorial: list[int] = [1]
-        self._moment: dict[tuple[int, int], int] = {}
+        self._moment: dict[int, list[int]] = {}  # M(m, 0), M(m, 1), ... by m
         self._pascal: list[tuple[int, ...]] = [(1,)]  # C(m, 0), ..., C(m, m), for moment
         self._power_sums: dict[int, list[int]] = {}
         self._hyperharmonic: dict[tuple[int, int], Fraction] = {}
         self._faulhaber: dict[int, tuple[tuple[int, ...], int]] = {}
 
+    # Each public read returns a built entry from its own frame, without the
+    # lock, and enters ``_grow`` or ``_memo`` only on a miss; those two are
+    # the only code that grows a table, and only growth takes the lock.
+    # Lists only append and no dict entry is replaced, so an entry another
+    # thread can see is complete.
+
     def _grow(self, table: list, n: int, step):
         """``table[n]``, first appending ``step(m)`` for each missing index m
-        in order; a negative n is refused here, for every list table.
-        Every table reads a built entry without the lock, which only growth
-        takes: lists only append and no dict entry is replaced, so an entry
-        another thread can see is complete."""
+        in order; a negative n is refused here, for every list table."""
         if 0 <= n < len(table):
             return table[n]
         if n < 0:
@@ -160,11 +163,13 @@ class SeqContext:
 
     def stirling2_row(self, n: int) -> tuple[int, ...]:
         """Row n of the partition triangle: S(n, 0), ..., S(n, n)."""
-        return self._grow(self._s2_rows, n, self._next_s2_row)
+        rows = self._s2_rows
+        return rows[n] if 0 <= n < len(rows) else self._grow(rows, n, self._next_s2_row)
 
     def stirling1_row(self, n: int) -> tuple[int, ...]:
         """Row n of the signed first-kind triangle: s(n, 0), ..., s(n, n)."""
-        return self._grow(self._s1_rows, n, self._next_s1_row)
+        rows = self._s1_rows
+        return rows[n] if 0 <= n < len(rows) else self._grow(rows, n, self._next_s1_row)
 
     def _next_s2_row(self, m: int) -> tuple[int, ...]:
         return _next_row(self._s2_rows[m - 1], range(1, m))
@@ -175,14 +180,16 @@ class SeqContext:
     # -- integer sequences -------------------------------------------
 
     def factorial(self, n: int) -> int:
-        return self._grow(self._factorial, n, lambda m: self._factorial[m - 1] * m)
+        table = self._factorial
+        return table[n] if 0 <= n < len(table) else self._grow(table, n, lambda m: table[m - 1] * m)
 
     def bell(self, n: int) -> int:
         """B_n, the row sum of the partition triangle, from Aitken's array
         (the Bell triangle): row m starts with the last entry of row m - 1,
         which is B_m, and each later entry adds the one above it.  Only
         additions and one row of state; no triangle row is read."""
-        return self._grow(self._bell, n, self._next_bell)
+        table = self._bell
+        return table[n] if 0 <= n < len(table) else self._grow(table, n, self._next_bell)
 
     def _next_bell(self, m: int) -> int:
         # under the lock, inside _grow: the row is read and written only here.
@@ -195,7 +202,8 @@ class SeqContext:
         takes m - j of the m elements and the other j are partitioned in
         order.  One Pascal row of state, as Bell numbers keep one row of
         Aitken's array; no Stirling row and no factorial is read."""
-        return self._grow(self._fubini, n, self._next_fubini)
+        table = self._fubini
+        return table[n] if 0 <= n < len(table) else self._grow(table, n, self._next_fubini)
 
     def _next_fubini(self, m: int) -> int:
         # under the lock, inside _grow: the row is read and written only
@@ -213,13 +221,15 @@ class SeqContext:
         D_m = m D_(m-1) + (-1)^m: one product per new index.  The tests
         check it against inclusion-exclusion,
         D_n = sum_{j=0}^{n} (-1)^j n!/j!."""
-        return self._grow(self._derangement, n, lambda m: m * self._derangement[m - 1] + (-1) ** m)
+        table = self._derangement
+        return table[n] if 0 <= n < len(table) else self._grow(table, n, lambda m: m * table[m - 1] + (-1) ** m)
 
     # -- rational sequences ------------------------------------------
 
     def harmonic(self, n: int) -> Fraction:
         """H_n = 1 + 1/2 + ... + 1/n, with H_0 = 0."""
-        return self._grow(self._harmonic, n, lambda m: self._harmonic[m - 1] + Fraction(1, m))
+        table = self._harmonic
+        return table[n] if 0 <= n < len(table) else self._grow(table, n, lambda m: table[m - 1] + Fraction(1, m))
 
     def hyperharmonic(self, p: int, n: int) -> Fraction:
         """Order-p hyperharmonic number h_n^(p).
@@ -237,6 +247,9 @@ class SeqContext:
             return Fraction(0) if n == 0 else Fraction(1, n)
         if p == 1:
             return self.harmonic(n)
+        value = self._hyperharmonic.get((p, n))
+        if value is not None:
+            return value
         return self._memo(self._hyperharmonic, (p, n), lambda: self._hyperharmonic_value(p, n))
 
     def _hyperharmonic_value(self, p: int, n: int) -> Fraction:
@@ -253,7 +266,8 @@ class SeqContext:
 
         and B_n = 0 for odd n >= 3.
         """
-        return self._grow(self._bernoulli, n, self._next_bernoulli)
+        table = self._bernoulli
+        return table[n] if 0 <= n < len(table) else self._grow(table, n, self._next_bernoulli)
 
     def _next_bernoulli(self, m: int) -> Fraction:
         if m < 2:
@@ -282,7 +296,8 @@ class SeqContext:
         (-1)^(n/2) A_n for even n, the signed secant numbers, and 0 for
         odd n.
         """
-        return self._grow(self._euler, n, self._next_euler)
+        table = self._euler
+        return table[n] if 0 <= n < len(table) else self._grow(table, n, self._next_euler)
 
     def _next_euler(self, m: int) -> Fraction:
         if m % 2:
@@ -299,9 +314,12 @@ class SeqContext:
     def power_sum(self, p: int, n: int) -> int:
         """1^p + 2^p + ... + n^p by direct summation (0 terms give 0),
         kept as a running prefix table per exponent."""
+        table = self._power_sums.get(p)
+        if table is not None and 0 <= n < len(table):
+            return table[n]
         if p < 0:
             raise ValueError(f"negative exponent {p}")
-        table = self._power_sums.get(p) or [0]
+        table = table or [0]
         value = self._grow(table, n, lambda m: table[m - 1] + m**p)
         self._memo(self._power_sums, p, lambda: table)  # once _grow has taken n
         return value
@@ -320,7 +338,7 @@ class SeqContext:
             raise ValueError(f"negative index {n}")
         if p == 0:
             return Fraction(n)
-        coeffs, den = self._memo(self._faulhaber, p, lambda: self._faulhaber_poly(p))
+        coeffs, den = self._faulhaber.get(p) or self._memo(self._faulhaber, p, lambda: self._faulhaber_poly(p))
         total = 0
         for c in reversed(coeffs):
             total = total * n + c
@@ -340,11 +358,15 @@ class SeqContext:
         M(n, p+1) = M(n+1, p) - sum_{j<=p} C(p, j) M(n, j),
 
         with M(n, 0) the Bell number.  The direct sum is the test oracle.
-        M(n, p) needs M(m, q) for every m >= n with m + q <= n + p; they
-        are filled one column of fixed m at a time, from the largest m
-        down, so the work takes no recursion.  Each entry is one dot
-        product of a row of Pascal's triangle with its column.
+        Column m of the table is the list M(m, 0), M(m, 1), ...; M(n, p)
+        needs column m up to n + p - m for every m from n to n + p, each
+        entry from the column to its right, so the columns are grown from
+        the largest m down and the work takes no recursion.  Each entry is
+        one dot product of a row of Pascal's triangle with its column.
         """
+        column = self._moment.get(n)
+        if column is not None and 0 <= p < len(column):
+            return column[p]
         if n < 0:
             raise ValueError(f"negative index {n}")
         if p < 0:
@@ -353,32 +375,17 @@ class SeqContext:
             raise ValueError(f"moment exponent {p} exceeds the cap {MOMENT_ORDER_CAP}")
         if p == 0:
             return self.bell(n)
-        return self._memo(self._moment, (n, p), lambda: self._fill_moments(n, p))
-
-    def _fill_moments(self, n: int, p: int) -> int:
-        # under the lock, inside _memo: stores every M(m, q >= 1) it needs.
-        # Column m needs M(m, 1..top) with top = n + p - m, each from the
-        # column to its right, so columns are filled right to left.  A fill
-        # stores a prefix of each column, so a column whose top is stored is
-        # complete, and any other is read up to its first gap and extended.
-        memo = self._moment
         pascal = self._pascal
         self._grow(pascal, p - 1, lambda m: _next_pascal_row(pascal[m - 1]))
-        for m in range(n + p - 1, n - 1, -1):
-            top = n + p - m
-            if (m, top) in memo:
-                continue
-            column = [self.bell(m)]
-            value = memo.get((m, 1))
-            while value is not None:
-                column.append(value)
-                value = memo.get((m, len(column)))
-            for q in range(len(column), top + 1):
+        columns = self._moment
+        right = None
+        for m in range(n + p, n - 1, -1):
+            column = columns.get(m) or self._memo(columns, m, lambda: [self.bell(m)])
+            if len(column) <= n + p - m:
                 # M(m, q) = M(m + 1, q - 1) - sum_j C(q - 1, j) M(m, j)
-                above = memo[m + 1, q - 1] if q > 1 else self.bell(m + 1)
-                memo[m, q] = value = above - sum(map(mul, pascal[q - 1], column))
-                column.append(value)
-        return memo[n, p]
+                self._grow(column, n + p - m, lambda q: right[q - 1] - sum(map(mul, pascal[q - 1], column)))
+            right = column
+        return column[p]
 
 
 _DEFAULT = SeqContext()

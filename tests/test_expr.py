@@ -266,6 +266,57 @@ def test_bindings_are_restored_after_a_sum_raises():
     assert env.bindings == {"n": Fraction(1, 2)}
 
 
+class _RecordingBindings(dict):
+    """A bindings dict that records every write made to it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.writes = []
+
+    def __setitem__(self, name, value):
+        self.writes.append(name)
+        super().__setitem__(name, value)
+
+    def __delitem__(self, name):
+        self.writes.append(name)
+        super().__delitem__(name)
+
+    def pop(self, name, *default):
+        self.writes.append(name)
+        return super().pop(name, *default)
+
+    def update(self, *args, **kwargs):
+        self.writes.append(dict(*args, **kwargs))
+        super().update(*args, **kwargs)
+
+
+def test_evaluation_never_writes_into_the_callers_bindings(monkeypatch):
+    # a sum binds its index in a private copy, so threads may evaluate
+    # against one Env; an integral Fraction is read as an int without a
+    # conversion per read
+    import stirlingkit.expr as expr
+
+    bindings = _RecordingBindings({"n": Fraction(2), "k": Fraction(7), "y": Fraction(1, 2)})
+    env = Env(bindings=bindings)
+    assert evaluate(parse("sum(k=1..3, k*n) + k + y"), env) == Fraction(39, 2)
+    with pytest.raises(EvalError, match="^division by zero$"):
+        evaluate(parse("sum(k=0..2, 1/(k-1))"), env)
+    assert bindings.writes == []
+    assert bindings == {"n": 2, "k": 7, "y": Fraction(1, 2)}
+    assert all(type(v) is Fraction for v in bindings.values())
+    conversions = 0
+    clean_num = expr._num
+
+    def counting_num(value):
+        nonlocal conversions
+        conversions += type(value) is not int
+        return clean_num(value)
+
+    monkeypatch.setattr(expr, "_num", counting_num)
+    assert evaluate(parse("sum(k=1..100, n*k)"), env) == 10100
+    assert conversions == 0  # one per read of n before
+
+
 def test_env_without_a_context_uses_the_default_and_owns_its_bindings():
     assert Env(ctx=None).ctx is seq.context()
     assert evaluate(parse("S(3,1)"), Env(ctx=None)) == 1

@@ -519,6 +519,75 @@ def test_polynomial_entries_make_the_pinned_products_and_combinations(monkeypatc
     assert work == POLY_WORK_AT_30
 
 
+# the builders whose lists a pass shares: T3a and T3b read the Euler
+# polynomials and the half-weight blocks, T5a and T5b the Bernoulli
+# polynomials and the reciprocal blocks, and L8, E15, C10, E21, E22 and
+# L16 the exponential polynomials
+SHARED_BUILDERS = ("euler_polys", "_half_blocks", "_bernoulli_polys", "_reciprocal_blocks", "exp_polys")
+
+
+def _count_builds(monkeypatch):
+    """Calls of each shared builder from here on, through the module
+    globals the checkers read, as a dict that the calls update."""
+    counts = dict.fromkeys(SHARED_BUILDERS, 0)
+
+    def counting(name, clean):
+        def build(*args):
+            counts[name] += 1
+            return clean(*args)
+
+        return build
+
+    for name in SHARED_BUILDERS:
+        monkeypatch.setattr(identities, name, counting(name, getattr(identities, name)))
+    return counts
+
+
+def test_a_pass_builds_each_shared_family_once(monkeypatch):
+    monkeypatch.delenv(ENV_MAX_N, raising=False)
+    counts = _count_builds(monkeypatch)
+    assert all(r.passed for r in run_all(ctx=SeqContext()))
+    assert counts == dict.fromkeys(SHARED_BUILDERS, 1)
+    # one entry on its own builds its own, and so does the next pass
+    assert check_identity("T3b", ctx=SeqContext()).passed
+    assert check_identity("T5a", ctx=SeqContext()).passed
+    assert counts == {**dict.fromkeys(SHARED_BUILDERS, 1), "euler_polys": 2, "_half_blocks": 2,
+                      "_bernoulli_polys": 2, "_reciprocal_blocks": 2}
+    run_all(ctx=SeqContext())
+    assert counts == {**dict.fromkeys(SHARED_BUILDERS, 2), "euler_polys": 3, "_half_blocks": 3,
+                      "_bernoulli_polys": 3, "_reciprocal_blocks": 3}
+
+
+def test_shared_families_are_tuples_that_live_as_long_as_their_pass(monkeypatch):
+    import weakref
+
+    families, handed = [], set()
+
+    class Tracked(identities._Families):
+        def __init__(self):
+            super().__init__()
+            families.append(weakref.ref(self))
+
+    def recording(clean):
+        def checked(ctx, run, n_lo, n_hi, polys, blocks):
+            handed.update({type(polys), type(blocks)})
+            return clean(ctx, run, n_lo, n_hi, polys, blocks)
+
+        return checked
+
+    monkeypatch.setattr(identities, "_Families", Tracked)
+    for name in ("_first_kind_sums", "_second_kind_sums"):
+        monkeypatch.setattr(identities, name, recording(getattr(identities, name)))
+    run_all(ctx=SeqContext())
+    assert handed == {tuple}
+    assert len(families) == 1 and families[0]() is None  # dropped when the pass returned
+    # a shorter request reads a prefix of the longest list built so far
+    shared = identities._Families()
+    longest = shared(poly.exp_polys, 8)
+    assert type(longest) is tuple and longest == tuple(poly.exp_polys(8))
+    assert shared(poly.exp_polys, 5) == longest[:6] and shared(poly.exp_polys, 8) is longest
+
+
 def test_geometric_blocks_equal_direct_double_sum():
     w = Fraction(-1, 2)
     blocks = identities._geometric_blocks(poly.binom_polys(20), w)

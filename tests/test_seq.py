@@ -466,21 +466,28 @@ def test_only_the_growth_primitives_take_the_lock_and_seq_builds_on_exact_alone(
 
 def test_no_method_that_grows_a_list_table_checks_the_index_sign_itself():
     """``_grow`` refuses a negative index for every list table, so a method
-    that returns ``self._grow(table, n, ...)`` has no ``if n < 0: raise``
-    of its own; checks of a second argument or a ``_memo`` key stay."""
+    that returns ``self._grow(table, n, ...)``, directly or as the miss
+    branch of ``table[n] if 0 <= n < len(table) else self._grow(...)``,
+    has no ``if n < 0: raise`` of its own; checks of a second argument or
+    a ``_memo`` key stay."""
     import ast
     import inspect
+
+    def grow_call(value):
+        if isinstance(value, ast.IfExp):
+            value = value.orelse
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "self._grow":
+            return value
+        return None
 
     tree = ast.parse(inspect.getsource(SeqContext))
     methods = [node for node in tree.body[0].body if isinstance(node, ast.FunctionDef)]
     grown, copies = [], []
     for method in methods:
         indices = {
-            ast.unparse(node.value.args[1])
+            ast.unparse(grow_call(node.value).args[1])
             for node in ast.walk(method)
-            if isinstance(node, ast.Return)
-            and isinstance(node.value, ast.Call)
-            and ast.unparse(node.value.func) == "self._grow"
+            if isinstance(node, ast.Return) and grow_call(node.value) is not None
         }
         if not indices:
             continue
@@ -606,6 +613,50 @@ def test_built_entries_are_read_without_the_lock():
         release.set()
         holder.join(timeout=10)
         reader.join(timeout=10)
+
+
+# (method, built entry's arguments, a miss's arguments, the primitive the
+# miss must enter) for every list table, then every keyed table
+TABLE_READS = [
+    ("stirling2_row", (9,), (10,), "_grow"),
+    ("stirling1_row", (9,), (10,), "_grow"),
+    ("factorial", (9,), (10,), "_grow"),
+    ("bell", (9,), (10,), "_grow"),
+    ("fubini", (9,), (10,), "_grow"),
+    ("derangement", (9,), (10,), "_grow"),
+    ("harmonic", (9,), (10,), "_grow"),
+    ("bernoulli", (9,), (10,), "_grow"),
+    ("euler_number", (9,), (10,), "_grow"),
+    ("power_sum", (3, 9), (3, 10), "_grow"),
+    ("hyperharmonic", (3, 9), (3, 10), "_memo"),
+    ("faulhaber", (3, 9), (4, 9), "_memo"),
+    ("moment", (9, 3), (8, 3), "_memo"),
+]
+
+
+@pytest.mark.parametrize("method, built, missing, primitive", TABLE_READS, ids=[row[0] for row in TABLE_READS])
+def test_a_built_entry_is_read_without_entering_the_growth_primitives(method, built, missing, primitive):
+    # each public read returns a built entry from its own frame; only a
+    # miss enters _grow or _memo, the code that grows a table
+    ctx = SeqContext()
+    read = getattr(ctx, method)
+    want = read(*built)
+    entered = []
+
+    def recording(name):
+        clean = getattr(ctx, name)
+
+        def primitive_call(*args):
+            entered.append(name)
+            return clean(*args)
+
+        return primitive_call
+
+    ctx._grow, ctx._memo = recording("_grow"), recording("_memo")  # shadow the methods
+    assert read(*built) == want
+    assert entered == []
+    assert read(*missing) == getattr(SeqContext(), method)(*missing)
+    assert primitive in entered
 
 
 def test_moment_recurrence_equals_direct_sum(ctx):
