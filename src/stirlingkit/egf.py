@@ -148,7 +148,9 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     (Comtet, Advanced Combinatorics, 3.3).  Each column k is grown from
     the last by :func:`_bell_column` over the weight rows of
     :func:`_binomial_rows`, made once, and reduced by its gcd against its
-    denominator; f_k times it is added over the lcm of the denominators.
+    denominator.  The columns with f_k != 0 are kept, and one fold at the
+    end adds each f_k (L/den_k) column_k over L, the lcm of their
+    denominators, so no partial sum is ever rescaled.
     An order-N compose takes N(N+1)/2 products for the rows and about
     N^3/6 for the columns.  With g(0) = 0 the truncation is exact.
     """
@@ -160,8 +162,7 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
     size = len(F)
     rows = _binomial_rows(G, 1)
     last = max([k for k, c in enumerate(F) if c], default=0)
-    acc = [F[0]] + [0] * (size - 1)
-    den = 1
+    kept = []  # (f_k, column k, its denominator) for each k >= 1 with f_k != 0
     column = [1] + [0] * (size - 1)  # B_(n,0) over column_den
     column_den = 1
     for k in range(1, last + 1):
@@ -172,10 +173,12 @@ def egf_compose(f: Egf, g: Egf) -> Egf:
             column = [c // common for c in column]
             column_den //= common
         if F[k]:
-            both = lcm(den, column_den)
-            a, b = both // den, F[k] * (both // column_den)
-            acc = [a * x + b * y for x, y in zip(acc, column)]
-            den = both
+            kept.append((F[k], column, column_den))
+    den = lcm(*[d for _, _, d in kept])
+    acc = [F[0] * den] + [0] * (size - 1)
+    for c, column, column_den in kept:
+        b = c * (den // column_den)
+        acc = [x + b * y for x, y in zip(acc, column)]
     return Egf._from_nums(acc, den * f._den)
 
 

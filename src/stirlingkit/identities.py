@@ -24,7 +24,7 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice, starmap, zip_longest
+from itertools import count, islice, starmap, zip_longest
 from operator import add, mul, sub
 
 from .egf import (
@@ -706,12 +706,15 @@ def _tail_cutoff(n: int, eps: Fraction) -> int:
     n_range=(0, 15),
 )
 def _chk_e30(ctx, run, n_lo, n_hi, p_hi, order, eps):
+    powers = []  # k^n for k < len(powers), each grown from k^(n-1)
     for n in range(n_lo, n_hi + 1):
         K = _tail_cutoff(n, eps)
+        powers = list(map(mul, powers, count()))
+        powers += [k**n for k in range(len(powers), K + 1)]
         # sum_(k<=K) k^n / 2^(k+1) as one integer over 2^(K+1), by Horner's rule
         partial = 0
-        for k in range(K + 1):
-            partial = (partial << 1) + k**n
+        for power in islice(powers, K + 1):
+            partial = (partial << 1) + power
         scale = 2 ** (K + 1)
         target = ctx.fubini(n)
         if abs(partial - target * scale) * eps.denominator < eps.numerator * scale:

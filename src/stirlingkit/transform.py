@@ -16,15 +16,16 @@ substitution engines keep the pair and compare by cross-multiplication.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import accumulate, repeat
 from operator import mul
 
 from .exact import common_denominator
-from .seq import SeqContext, context
+from .seq import SeqContext, _next_pascal_row, context
 
-
-def _pascal_row(n: int) -> list[int]:
-    return [comb(n, k) for k in range(n + 1)]
+# Rows per fold of down's powers into the weights.  A row's products carry
+# up to _BLOCK - 1 spare factors of down, so one fold over the whole length
+# costs more than it saves at large lengths.
+_BLOCK = 16
 
 
 def _transform(nums: list[int], row, down: int, up: int) -> list[int]:
@@ -33,24 +34,42 @@ def _transform(nums: list[int], row, down: int, up: int) -> list[int]:
     With a_k = nums_k / den, lam = p/q, mu = r/s, down = ps and up = qr,
     the weight lam^(n-k) mu^k is (ps)^(n-k) (qr)^k / (qs)^n, so b_n is the
     n-th sum over den (qs)^n.
+
+    The powers of up and down are running products.  The powers of down
+    are folded into the weights a block of rows at a time: for the rows
+    n <= top of a block, w_k = up^k nums_k down^(top-k) is built once, and
+    sum_k row(n)[k] w_k is the n-th sum times down^(top-n), which divides
+    out exactly.  So a triangle entry costs one product, as when down = 1.
+    With down = 0 (lam = 0) only the diagonal term is left.  Each output
+    reads its row once.
     """
     if not nums:
         raise ValueError("empty input sequence")
-    weighted = [up**k * x for k, x in enumerate(nums)]
+    size = len(nums)
+    if up != 1:
+        nums = list(map(mul, accumulate(repeat(up, size - 1), mul, initial=1), nums))
     if down == 1:  # ps = 1 in every unweighted transform
-        return [sum(map(mul, row(n), weighted)) for n in range(len(nums))]
-    down_pows = [down**j for j in range(len(nums))]
-    # down_pows[n::-1] is (ps)^n, ..., (ps)^0 against k = 0, ..., n
-    return [sum(map(mul, row(n), map(mul, down_pows[n::-1], weighted))) for n in range(len(nums))]
+        return [sum(map(mul, row(n), nums)) for n in range(size)]
+    if down == 0:
+        return [row(n)[n] * nums[n] for n in range(size)]
+    down_pows = list(accumulate(repeat(down, size - 1), mul, initial=1))
+    sums = []
+    for start in range(0, size, _BLOCK):
+        top = min(start + _BLOCK, size) - 1  # the block's last row
+        folded = list(map(mul, nums, down_pows[top::-1]))
+        sums += [sum(map(mul, row(n), folded)) // down_pows[top - n] for n in range(start, top + 1)]
+    return sums
 
 
 def _sums(values, row, lam=1, mu=1) -> tuple[list[int], list[int]]:
     """(sums, scales) with sum_k row(n)[k] lam^(n-k) mu^k values_k equal to
-    sums[n] / scales[n], for lam and mu each an int or a Fraction."""
+    sums[n] / scales[n], for lam and mu each an int or a Fraction.
+
+    scales[n] is den (qs)^n, with den the values' common denominator, built
+    as running products like the powers in :func:`_transform`."""
     nums, den = common_denominator(values)
     sums = _transform(nums, row, lam.numerator * mu.denominator, lam.denominator * mu.numerator)
-    step = lam.denominator * mu.denominator
-    return sums, [den * step**n for n in range(len(sums))]
+    return sums, list(accumulate(repeat(lam.denominator * mu.denominator, len(sums) - 1), mul, initial=den))
 
 
 def stirling_transform(a, ctx: SeqContext | None = None) -> list[Fraction]:
@@ -68,7 +87,11 @@ def binomial_transform(a, alternating: bool = False) -> list[Fraction]:
 
     The alternating form is an involution.
     """
-    return list(map(Fraction, *_sums(a, _pascal_row, mu=-1 if alternating else 1)))
+    a = list(a)
+    rows = [(1,)]  # Pascal's rows by additions, each from the last
+    for _ in range(1, len(a)):
+        rows.append(_next_pascal_row(rows[-1]))
+    return list(map(Fraction, *_sums(a, rows.__getitem__, mu=-1 if alternating else 1)))
 
 
 def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContext | None = None) -> list[Fraction]:
@@ -81,4 +104,7 @@ def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContex
         raise ValueError(f"unknown kind {kind!r}; expected 'second' or 'first'")
     ctx = context(ctx)
     row = ctx.stirling2_row if kind == "second" else ctx.stirling1_row
-    return list(map(Fraction, *_sums(a, row, Fraction(lam), Fraction(mu))))
+    # no Fraction() copy of a Fraction: it is a large share of a short transform's time
+    lam = lam if type(lam) is Fraction else Fraction(lam)
+    mu = mu if type(mu) is Fraction else Fraction(mu)
+    return list(map(Fraction, *_sums(a, row, lam, mu)))

@@ -179,7 +179,12 @@ def egf_pairs(draw, max_size=40):
 @settings(max_examples=60, deadline=None)
 @given(egf_pairs())
 @example(([Fraction(-7, 3)], [Fraction(5, 2)]))  # order 0
-@example(([0] * 7, [0, 1, Fraction(1, 2), -3, 0, 2, 1]))  # f = 0
+@example(([0] * 7, [0, 1, Fraction(1, 2), -3, 0, 2, 1]))  # f = 0: no column kept
+@example(([Fraction(-7, 3), 0, 0, 0, 0, 0], [0, Fraction(1, 2), 3, Fraction(-4, 5), 0, 1]))  # f = f_0: lcm() of no columns is 1
+@example((  # zeros inside f: the columns between are grown but not kept
+    [Fraction(3, 7), 0, 0, Fraction(-5, 2), 0, 0, 0, Fraction(1, 9), 0],
+    [0, Fraction(2, 3), Fraction(-1, 5), 0, 7, 0, Fraction(1, 4), 0, 3],
+))
 @example(([1, 0, 0, 2, 0, Fraction(-1, 3), 0, 0], [0, 3, 0, 0, Fraction(1, 3), 0, 0, -1]))  # zero interiors
 @example(([Fraction(-5, 2), 1, 2, 3, 4, 5], [Fraction(-1, 3), 0, 2, Fraction(1, 4), -1, 6]))  # negative leading terms
 @example((
@@ -258,7 +263,12 @@ def test_egf_mul_builds_its_rows_from_the_sparser_operand(monkeypatch):
 ))
 @example(([Fraction(-7, 3)], [0]))  # order 0
 @example(([Fraction(2, 5), Fraction(-3)], [0, Fraction(4, 9)]))  # order 1
-@example(([0] * 7, [0, 1, Fraction(1, 2), -3, 0, 2, 1]))  # f = 0
+@example(([0] * 7, [0, 1, Fraction(1, 2), -3, 0, 2, 1]))  # f = 0: no column kept
+@example(([Fraction(-7, 3), 0, 0, 0, 0, 0], [0, Fraction(1, 2), 3, Fraction(-4, 5), 0, 1]))  # f = f_0: lcm() of no columns is 1
+@example((  # zeros inside f: the columns between are grown but not kept
+    [Fraction(3, 7), 0, 0, Fraction(-5, 2), 0, 0, 0, Fraction(1, 9), 0],
+    [0, Fraction(2, 3), Fraction(-1, 5), 0, 7, 0, Fraction(1, 4), 0, 3],
+))
 @example(([Fraction(-5, 2), 1, 2, 3, 4, 5, 6, 7], [0, 3, 0, 0, Fraction(1, 3), 0, 0, -1]))  # zero interior of g
 @example(([0] + [Fraction(factorial(n), n * n) for n in range(1, 13)], [0] + [-factorial(n) for n in range(1, 13)]))  # DIL
 @example(([Fraction(k + 1, k * k + 2) for k in range(11)], _inner(10, LAM, MU)))

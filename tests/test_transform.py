@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import stirlingkit.transform as transform
 from stirlingkit import (
     Egf,
     SeqContext,
@@ -174,6 +175,56 @@ def test_engine_matches_fraction_sum_oracles(ctx, a, lam, mu):
     for kind in ("second", "first"):
         got = weighted_stirling_transform(a, lam, mu, kind, ctx)
         assert got == weighted_stirling_transform_oracle(a, lam, mu, kind, ctx), kind
+
+
+signed_weights = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    length=st.integers(min_value=1, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32),
+    lam=st.one_of(st.just(Fraction(0)), signed_weights),
+    mu=signed_weights,
+    route=st.sampled_from(["second", "first", "plain", "alternating"]),
+)
+@example(length=300, seed=1, lam=Fraction(7), mu=Fraction(-1, 5), route="first")
+@example(length=33, seed=2, lam=Fraction(-5, 4), mu=Fraction(3, 2), route="second")
+@example(length=40, seed=3, lam=Fraction(0), mu=Fraction(-2, 3), route="first")
+@example(length=300, seed=4, lam=Fraction(1), mu=Fraction(1), route="alternating")
+def test_block_fold_matches_the_fraction_oracles_across_blocks(ctx, length, seed, lam, mu, route):
+    # lengths up to 300 cross many of the engine's blocks of rows, and a
+    # negative lam makes each block's exact division by a negative power
+    a = random_rationals(random.Random(seed), length)
+    if route in ("second", "first"):
+        assert weighted_stirling_transform(a, lam, mu, route, ctx) == weighted_stirling_transform_oracle(a, lam, mu, route, ctx)
+    else:
+        alternating = route == "alternating"
+        assert binomial_transform(a, alternating) == binomial_transform_oracle(a, alternating)
+
+
+def test_a_weighted_transform_takes_one_product_per_triangle_entry(ctx, monkeypatch):
+    # work-count guard: a length-L weighted transform multiplies each of the
+    # L(L+1)/2 triangle entries once, plus O(L) products per block of rows
+    # for the weights and powers, not twice as it would with down^(n-k)
+    # applied per entry
+    size = 100
+    blocks = -(-size // transform._BLOCK)
+    a = random_rationals(random.Random(29), size)
+    lam, mu = Fraction(-5, 4), Fraction(3, 2)
+    want = {kind: weighted_stirling_transform(a, lam, mu, kind, ctx) for kind in ("second", "first")}
+    products = 0
+
+    def counting(x, y):
+        nonlocal products
+        products += 1
+        return x * y
+
+    monkeypatch.setattr(transform, "mul", counting)
+    for kind, out in want.items():
+        products = 0
+        assert weighted_stirling_transform(a, lam, mu, kind, ctx) == out
+        assert size * (size + 1) // 2 < products <= size * (size + 1) // 2 + (blocks + 4) * size, kind
 
 
 def test_outputs_are_canonical_fractions(ctx):
