@@ -380,6 +380,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except BrokenPipeError:
         return 0
+    except KeyboardInterrupt:
+        # the shell's code for a run ended by SIGINT, without a traceback
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except (ValueError, KeyError, ZeroDivisionError, RecursionError) as exc:
         detail = exc.args[0] if exc.args else exc
         print(f"error: {detail}", file=sys.stderr)

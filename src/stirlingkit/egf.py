@@ -45,7 +45,7 @@ from operator import add, mul
 
 from .exact import _convolve, _Vector, common_denominator, factorial, format_rational
 from .seq import SeqContext, context
-from .transform import _sums
+from .transform import _fraction, _sums
 
 
 class OrderMismatchError(ValueError):
@@ -333,8 +333,7 @@ def _substitution(f: Egf, lam, mu, kind: str, ctx: SeqContext | None) -> list[Fr
     defect in one engine, so it raises rather than returning either
     answer.
     """
-    lam = Fraction(lam)
-    mu = Fraction(mu)
+    lam, mu = _fraction(lam), _fraction(mu)
     if lam == 0:
         raise ValueError("lam must be nonzero")
     ctx = context(ctx)

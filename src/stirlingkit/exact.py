@@ -122,6 +122,8 @@ class _Vector:
     Each subclass turns the numerator list into the stored tuple in its
     own ``_shape``, and refuses an operand it cannot combine with in
     ``_match``.  Values of different subclasses never compare equal.
+    ``+``, ``-``, negation and ``scale`` are each one call of
+    :func:`_combine`, on one vector or two.
     """
 
     __slots__ = ("_nums", "_den")
@@ -168,28 +170,16 @@ class _Vector:
         return hash((self._den, self._nums))
 
     def __add__(self, other):
-        self._match(other)
-        a, b = self._nums, other._nums
-        da, db = self._den, other._den
-        g = math.gcd(da, db)
-        ma, mb = db // g, da // g
-        den = da * ma
-        if len(a) < len(b):
-            a, b, ma, mb = b, a, mb, ma
-        out = [x * ma + y * mb for x, y in zip(a, b)]
-        out.extend(x * ma for x in a[len(b):])
-        return self._from_nums(out, den)
+        return _combine((1, 1), (self, other))
 
     def __sub__(self, other):
-        return self + -other
+        return _combine((1, -1), (self, other))
 
     def __neg__(self):
-        return self._from_nums([-x for x in self._nums], self._den)
+        return _combine((-1,), (self,))
 
     def scale(self, c):
-        c = Fraction(c)
-        p = c.numerator
-        return self._from_nums([p * x for x in self._nums], self._den * c.denominator)
+        return _combine((c,), (self,))
 
 
 # the slots' own setters, which the immutable vector's __setattr__ refuses

@@ -947,6 +947,10 @@ def _settings(ctx, order, eps) -> tuple:
     eps = DEFAULT_EPS if eps is None else Fraction(eps)
     if eps <= 0:
         raise ValueError("tolerance must be positive")
+    if 2 * eps.numerator > eps.denominator:
+        # E30 passes a wrong integer F_n + d when |d| < 2 eps, so a larger
+        # tolerance could pass a wrong count
+        raise ValueError("tolerance must be at most 1/2")
     return context(ctx), floor, order, eps, _Families()
 
 
@@ -976,10 +980,10 @@ def check_identity(
 
     ``max_n`` intersects the entry's index range from above, ``order``
     sets the truncation order for series entries, and ``eps`` the
-    tolerance for the tail-bounded entry.  The STIRLINGKIT_MAX_N
-    environment variable raises the entry's default cap first.  An
-    effective range with no instance raises ValueError, so a report never
-    passes vacuously.
+    tolerance for the tail-bounded entry, at most 1/2.  The
+    STIRLINGKIT_MAX_N environment variable raises the entry's default cap
+    first.  An effective range with no instance raises ValueError, so a
+    report never passes vacuously.
     """
     if identity_id not in _REGISTRY:
         raise KeyError(f"unknown identity id: {identity_id!r}")

@@ -192,8 +192,11 @@ class SeqContext:
         return table[n] if 0 <= n < len(table) else self._grow(table, n, self._next_bell)
 
     def _next_bell(self, m: int) -> int:
-        # under the lock, inside _grow: the row is read and written only here.
-        row = self._bell_row = list(accumulate(self._bell_row, initial=self._bell_row[-1]))
+        # under the lock, inside _grow: the row is read and written only
+        # here, and advanced only while it is row m - 1, as in _next_fubini
+        row = self._bell_row
+        if len(row) == m:
+            row = self._bell_row = list(accumulate(row, initial=row[-1]))
         return row[0]
 
     def fubini(self, n: int) -> int:
@@ -306,9 +309,12 @@ class SeqContext:
         return Fraction(-a if m % 4 else a, 1 << m)
 
     def _next_zigzag(self, m: int) -> int:
-        # under the lock, inside _grow: the row is read and written only here.
+        # under the lock, inside _grow: the row is read and written only
+        # here, and advanced only while it is row m - 1, as in _next_fubini.
         # Row m is 0, then the running sums of row m - 1 read in reverse.
-        row = self._zigzag_row = list(accumulate(reversed(self._zigzag_row), initial=0))
+        row = self._zigzag_row
+        if len(row) == m:
+            row = self._zigzag_row = list(accumulate(reversed(row), initial=0))
         return row[-1]
 
     def power_sum(self, p: int, n: int) -> int:

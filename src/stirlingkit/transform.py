@@ -61,6 +61,12 @@ def _transform(nums: list[int], row, down: int, up: int) -> list[int]:
     return sums
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction, without the copy ``Fraction(x)`` makes of a
+    Fraction: that copy is a large share of a short transform's time."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _sums(values, row, lam=1, mu=1) -> tuple[list[int], list[int]]:
     """(sums, scales) with sum_k row(n)[k] lam^(n-k) mu^k values_k equal to
     sums[n] / scales[n], for lam and mu each an int or a Fraction.
@@ -104,7 +110,4 @@ def weighted_stirling_transform(a, lam, mu, kind: str = "second", ctx: SeqContex
         raise ValueError(f"unknown kind {kind!r}; expected 'second' or 'first'")
     ctx = context(ctx)
     row = ctx.stirling2_row if kind == "second" else ctx.stirling1_row
-    # no Fraction() copy of a Fraction: it is a large share of a short transform's time
-    lam = lam if type(lam) is Fraction else Fraction(lam)
-    mu = mu if type(mu) is Fraction else Fraction(mu)
-    return list(map(Fraction, *_sums(a, row, lam, mu)))
+    return list(map(Fraction, *_sums(a, row, _fraction(lam), _fraction(mu))))

@@ -3,7 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -451,6 +456,13 @@ def test_bad_eps_is_one_line_usage_error(capsys, eps):
     assert err.startswith("error: --eps must be") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("eps", ["1", "3/5", "1e9999"])
+def test_eps_over_one_half_is_one_line_usage_error(capsys, eps):
+    # such a tolerance could pass a wrong count, so it never prints a PASS
+    code, out, err = run_cli(capsys, "verify", "--id", "E30", "--eps", eps)
+    assert (code, out, err) == (2, "", "error: tolerance must be at most 1/2\n")
+
+
 @pytest.mark.parametrize("option", ["--mu", "--lambda", "--lam"])
 def test_negative_transform_weight_as_own_word(capsys, monkeypatch, option):
     monkeypatch.setattr("sys.stdin", io.StringIO('["0","1","0","0"]'))
@@ -664,3 +676,21 @@ def test_a_triangle_streams_without_holding_its_output(fmt, bound_mb):
     finally:
         tracemalloc.stop()
     assert peak < bound_mb * 2**20
+
+
+# -- interrupts ------------------------------------------------------
+
+
+def test_sigint_ends_a_call_with_one_line_and_exit_130():
+    # the shell's exit code for SIGINT, and one stderr line, not a traceback
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    argv = ["seq", "harmonic", "--n", "20000", "--format", "csv"]
+    proc = subprocess.Popen([sys.executable, "-c", "from stirlingkit.cli import run; run()", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.readline() == b"n,value\n"  # the call is writing its rows
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (130, b"error: interrupted\n")

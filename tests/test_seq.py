@@ -1,6 +1,7 @@
 """Sequence families against enumeration and textbook-recurrence oracles."""
 
 import copy
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -262,6 +263,81 @@ def test_fubini_step_that_raised_leaves_the_table_in_step(monkeypatch):
         ctx.fubini(11)
     monkeypatch.undo()
     assert [ctx.fubini(n) for n in range(41)] == fubini_oracle(40, SeqContext())
+
+
+# every public read, as a function of one index i: the sweep below reads
+# i = 10 with a raise injected, then i = 0..10 again
+PUBLIC_READS = {
+    "stirling2": lambda ctx, i: ctx.stirling2(i, i // 2),
+    "stirling1": lambda ctx, i: ctx.stirling1(i, i // 2),
+    "stirling2_row": lambda ctx, i: ctx.stirling2_row(i),
+    "stirling1_row": lambda ctx, i: ctx.stirling1_row(i),
+    "factorial": lambda ctx, i: ctx.factorial(i),
+    "bell": lambda ctx, i: ctx.bell(i),
+    "fubini": lambda ctx, i: ctx.fubini(i),
+    "derangement": lambda ctx, i: ctx.derangement(i),
+    "harmonic": lambda ctx, i: ctx.harmonic(i),
+    "hyperharmonic": lambda ctx, i: ctx.hyperharmonic(3, i),
+    "bernoulli": lambda ctx, i: ctx.bernoulli(i),
+    "bernoulli_plus": lambda ctx, i: ctx.bernoulli_plus(i),
+    "euler_number": lambda ctx, i: ctx.euler_number(i),
+    "power_sum": lambda ctx, i: ctx.power_sum(3, i),
+    "faulhaber": lambda ctx, i: ctx.faulhaber(i, 4),
+    "moment": lambda ctx, i: ctx.moment(3, i),
+}
+
+
+class _Injected(BaseException):
+    """Raised into a read by the tracer, as a KeyboardInterrupt would be."""
+
+
+def _read_raising_at(read, target):
+    """Run read(ctx, 10) on a fresh context, raising ``_Injected`` at the
+    target-th line or return event of a frame in seq.py (never, for
+    target 0).  Returns the context and the number of events seen."""
+    import stirlingkit.seq as seq_module
+
+    seen = 0
+
+    def local(frame, event, arg):
+        nonlocal seen
+        if event in ("line", "return"):
+            seen += 1
+            if seen == target:
+                raise _Injected
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == seq_module.__file__ else None
+
+    ctx = SeqContext()
+    previous = sys.gettrace()
+    sys.settrace(calls)  # this thread only
+    try:
+        read(ctx, 10)
+    except _Injected:
+        pass
+    finally:
+        sys.settrace(previous)
+    return ctx, seen
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_READS))
+def test_a_read_interrupted_anywhere_leaves_its_context_exact(name):
+    # a raise between a growth step and its append (a KeyboardInterrupt, a
+    # MemoryError, a tracer) must leave every table and its rolling row in
+    # step, so that later reads on that context give the fresh values
+    assert set(PUBLIC_READS) == {attr for attr in vars(SeqContext) if not attr.startswith("_")}
+    read = PUBLIC_READS[name]
+    expected = [read(SeqContext(), i) for i in range(11)]
+    _, events = _read_raising_at(read, 0)
+    desynced = []
+    for target in range(1, events + 1):
+        ctx, _ = _read_raising_at(read, target)
+        if [read(ctx, i) for i in range(11)] != expected:
+            desynced.append(target)
+    assert desynced == [], f"{len(desynced)} of {events} injection points"
+
 
 def test_derangement_matches_enumeration(ctx):
     for n in range(0, 8):
